@@ -203,7 +203,7 @@ def _plan_pair(
     """Frequency plan for a pair, with per-(machine, event) CPI caching."""
     from repro.codegen.frequency import measure_cycles_per_iteration
 
-    core = machine.make_core()
+    spec = machine.spec
     for event in (event_a, event_b):
         key = (machine.name, event.name)
         if key not in _CPI_CACHE:
@@ -212,7 +212,7 @@ def _plan_pair(
     # solver's logic with the cached values.
     cpi_a = _CPI_CACHE[(machine.name, event_a.name)]
     cpi_b = _CPI_CACHE[(machine.name, event_b.name)]
-    period_cycles_target = core.clock_hz / frequency_hz
+    period_cycles_target = spec.clock_hz / frequency_hz
     raw_count = period_cycles_target / (cpi_a + cpi_b)
     if raw_count < 0.5:
         raise MeasurementError(
@@ -222,16 +222,11 @@ def _plan_pair(
     from repro.codegen.alternation import plan_alternation
 
     inst_loop_count = max(round(raw_count), 1)
-    spec = plan_alternation(
-        event_a,
-        event_b,
-        core.hierarchy.l1_geometry,
-        core.hierarchy.l2_geometry,
-        inst_loop_count,
-    )
-    predicted = core.clock_hz / (inst_loop_count * (cpi_a + cpi_b))
+    predicted = spec.clock_hz / (inst_loop_count * (cpi_a + cpi_b))
     return FrequencyPlan(
-        spec=spec,
+        spec=plan_alternation(
+            event_a, event_b, spec.l1_geometry, spec.l2_geometry, inst_loop_count
+        ),
         target_frequency_hz=frequency_hz,
         predicted_frequency_hz=predicted,
         cycles_per_iteration_a=cpi_a,
@@ -322,6 +317,12 @@ def _prime_fast(hierarchy, sweeps, count: int, periods_needed: int) -> None:
     periods — far longer than a chunk — so the per-boundary absence check
     cannot miss it).  Sweeps failing both tests replay in full through
     the wavefront engine.
+
+    A snapshot is taken only at a boundary where the total L1+L2 line
+    count equals the previous boundary's: while the caches are still
+    filling, two snapshots cannot be equal.  This can delay detection by
+    one chunk, never change its outcome — extrapolation is exact at
+    whichever boundary it fires.
     """
     chunk = PRIME_CHUNK_PERIODS
     line = hierarchy.line_bytes
@@ -341,6 +342,7 @@ def _prime_fast(hierarchy, sweeps, count: int, periods_needed: int) -> None:
     done = 0
     previous_state = None
     previous_counters = None
+    previous_occupancy = -1
     while done < periods_needed:
         todo = min(chunk, periods_needed - done)
         stream, writes = _sweep_chunk_stream(sweeps, count, done, todo)
@@ -348,7 +350,11 @@ def _prime_fast(hierarchy, sweeps, count: int, periods_needed: int) -> None:
         done += todo
         if todo < chunk or done >= periods_needed:
             break
-        if check_rings and not hierarchy.rings_absent_from_l2(check_rings):
+        # Equal snapshots hold equally many lines.
+        occupancy = hierarchy.l1.resident_lines() + hierarchy.l2.resident_lines()
+        settled = occupancy == previous_occupancy
+        previous_occupancy = occupancy
+        if not settled or (check_rings and not hierarchy.rings_absent_from_l2(check_rings)):
             previous_state = None
             continue
         state = hierarchy.canonical_ring_state(rings, -done * count)
@@ -456,11 +462,10 @@ def simulate_alternation_period(
     software-side frequency adjustment the paper's methodology allows.
 
     Returns the measured trace together with the (possibly re-tuned)
-    plan actually used.
+    plan actually used.  Only that trace is materialized (inside the
+    ``core_run`` phase); the warm-up period and discarded attempts are
+    judged by their cycle counts alone.
     """
-    from dataclasses import replace as dataclass_replace
-
-    simulated_plan = plan
     for _attempt in range(3):
         core = machine.make_core()
         simulated_plan = plan
@@ -476,26 +481,27 @@ def simulate_alternation_period(
         with _phase("core_run"):
             core.run(program, warm_hierarchy=True)  # warm-up period
             result = core.run(program, warm_hierarchy=True)  # measured period
-        trace = result.trace
 
-        achieved = core.clock_hz / trace.num_cycles
+        achieved = core.clock_hz / max(result.cycles, 1)
         relative_error = abs(achieved - plan.target_frequency_hz) / plan.target_frequency_hz
         if not adjust_frequency or relative_error <= FREQUENCY_TOLERANCE:
-            return trace, plan
+            break
         retuned_count = max(
             round(spec.inst_loop_count * achieved / plan.target_frequency_hz), 1
         )
         if retuned_count == spec.inst_loop_count:
-            return trace, plan
-        plan = dataclass_replace(
+            break
+        plan = replace(
             plan,
-            spec=dataclass_replace(spec, inst_loop_count=retuned_count),
+            spec=replace(spec, inst_loop_count=retuned_count),
             predicted_frequency_hz=plan.target_frequency_hz,
         )
-    # Retune attempts exhausted: the trace in hand was simulated with
+    # On exhausted retune attempts the trace in hand was simulated with
     # ``simulated_plan``, not the freshly re-tuned ``plan`` — return the
     # plan that actually produced it so downstream pairs-per-second and
     # frequency bookkeeping stay consistent with the trace.
+    with _phase("core_run"):
+        trace = result.trace
     return trace, simulated_plan
 
 

@@ -1,10 +1,14 @@
 """Observability for campaign execution: metrics, tracing, progress.
 
-This package is the single instrumentation layer of the campaign
-executor.  It replaces the ad-hoc counters that used to live as loose
-integers on ``CampaignStats``, the bespoke ``record_phase_seconds``
-side channel, and the post-hoc-only CLI summary with three composable
-pieces:
+This package is the campaign executor's instrumentation layer.  It
+replaces the ad-hoc counters that used to live as loose integers on
+``CampaignStats`` and the post-hoc-only CLI summary with three
+composable pieces.  Per-phase timing is the exception: it still flows
+through the module-global sink behind
+:func:`repro.core.savat.record_phase_seconds`, which the executor reads
+back into the ``phase``-labeled metrics below.
+
+The pieces:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges,
   and histograms with labels, exported as Prometheus text

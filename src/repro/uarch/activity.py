@@ -9,25 +9,29 @@ coefficients to obtain the signal at the attacker's antenna.
 Recording is two-phase for speed: the core appends lightweight
 ``(component, start_cycle, duration, amount_per_cycle)`` events to an
 :class:`ActivityRecorder` during simulation, and :meth:`ActivityRecorder.finish`
-materializes a dense ``[num_components, num_cycles]`` array once at the
-end.  Two refinements keep the hot measurement path off the Python
-interpreter:
+materializes a dense ``[num_components, num_cycles]`` array at the end.
+:meth:`repro.uarch.core.Core.run` defers that step until its result's
+``trace`` is first read, so runs judged only by their cycle count (the
+measurement's warm-up period, CPI probes, discarded frequency retunes)
+never materialize at all.  Two refinements keep the hot measurement
+path off the Python interpreter:
 
 * Steady-state loop replay deposits whole *blocks* of events at once —
   an :class:`ActivityBlock` captured from one loop iteration is replayed
   at later base cycles via :meth:`ActivityRecorder.add_block`, storing
   one ``(block, base_cycle)`` reference instead of re-appending every
   event.
-* :meth:`ActivityRecorder.finish` materializes with array operations:
-  events are brought into a deterministic lexicographic order and the
-  duration-1 majority is deposited with a single unbuffered
-  ``np.add.at``; the few longer events (divider occupancy, L2 windows,
-  mispredict flushes) are slice-added in that same deterministic order.
-  Because the order depends only on the event *multiset*, two runs that
-  record the same events — e.g. the reference interpreter and the
-  block-replay fast path — materialize bit-identical traces.  (A
-  difference-array/cumsum pass for the long events was rejected: cumsum
-  leaves ~1-ulp residues on cycles that should be exactly zero.)
+* :meth:`ActivityRecorder.finish` materializes in two unbuffered
+  ``np.add.at`` passes with no per-event Python loop: the duration-1
+  majority sorted by amount, then the longer events (divider
+  occupancy, L2 windows, mispredict flushes) sorted by (start cell,
+  length, amount) and expanded to one entry per covered cycle with
+  ``np.repeat``.  Each cell therefore sums its events in an order that
+  depends only on the event *multiset*, so two runs that record the same
+  events — e.g. the reference interpreter and the block-replay fast
+  path — materialize bit-identical traces.  (A difference-array/cumsum
+  pass for the long events was rejected: cumsum leaves ~1-ulp residues
+  on cycles that should be exactly zero.)
 """
 
 from __future__ import annotations
@@ -294,7 +298,8 @@ class ActivityRecorder:
     def finish(self, num_cycles: int) -> ActivityTrace:
         """Materialize the dense :class:`ActivityTrace`.
 
-        Events are deposited in a deterministic lexicographic order that
+        Each cell adds its single-cycle events in ascending amount, then
+        its longer events in (start, length, amount) order.  That order
         depends only on the recorded event multiset, so any two recording
         strategies that produce the same events (per-instruction appends
         vs block replay) materialize bit-identical traces.
@@ -306,42 +311,28 @@ class ActivityRecorder:
         """
         if num_cycles <= 0:
             raise SimulationError(f"trace length must be positive, got {num_cycles}")
-        data = np.zeros((NUM_COMPONENTS, num_cycles), dtype=np.float64)
+        flat = np.zeros(NUM_COMPONENTS * num_cycles, dtype=np.float64)
         components, starts, durations, amounts = self._gather()
-        if components.size == 0:
-            return ActivityTrace(data, self.clock_hz)
-
         visible = starts < num_cycles
-        if not visible.all():
-            components = components[visible]
-            starts = starts[visible]
-            durations = durations[visible]
-            amounts = amounts[visible]
-            if components.size == 0:
-                return ActivityTrace(data, self.clock_hz)
-        lengths = np.minimum(starts + durations, num_cycles) - starts
+        starts = starts[visible]
+        amounts = amounts[visible]
+        lengths = np.minimum(starts + durations[visible], num_cycles) - starts
+        cells = components[visible] * num_cycles + starts
 
-        order = np.lexsort((amounts, lengths, starts, components))
-        components = components[order]
-        starts = starts[order]
-        lengths = lengths[order]
-        amounts = amounts[order]
-
+        # ``np.add.at`` applies its entries in sequence, so only each
+        # cell's own order matters: ascending amount for the singles (ties
+        # are equal values), (start, length, amount) for the rest.
         single = lengths == 1
-        if single.any():
-            flat = data.reshape(-1)
-            np.add.at(
-                flat,
-                components[single] * num_cycles + starts[single],
-                amounts[single],
-            )
-        if not single.all():
-            rest = ~single
-            for component, start, length, amount in zip(
-                components[rest].tolist(),
-                starts[rest].tolist(),
-                lengths[rest].tolist(),
-                amounts[rest].tolist(),
-            ):
-                data[component, start : start + length] += amount
-        return ActivityTrace(data, self.clock_hz)
+        single_amounts = amounts[single]
+        order = np.argsort(single_amounts)
+        np.add.at(flat, cells[single][order], single_amounts[order])
+
+        multi = ~single
+        order = np.lexsort((amounts[multi], lengths[multi], cells[multi]))
+        cells = cells[multi][order]
+        lengths = lengths[multi][order]
+        amounts = amounts[multi][order]
+        steps = np.arange(lengths.sum(), dtype=np.int64)
+        steps -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+        np.add.at(flat, np.repeat(cells, lengths) + steps, np.repeat(amounts, lengths))
+        return ActivityTrace(flat.reshape(NUM_COMPONENTS, num_cycles), self.clock_hz)

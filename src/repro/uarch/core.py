@@ -321,13 +321,34 @@ class ExecutionStats:
         self.level_counts[level] = self.level_counts.get(level, 0) + 1
 
 
-@dataclass
 class SimulationResult:
-    """Trace plus statistics from one :meth:`Core.run` call."""
+    """Trace plus statistics from one :meth:`Core.run` call.
 
-    trace: ActivityTrace
-    stats: ExecutionStats
-    registers: dict[str, int]
+    The dense trace is materialized from the run's recorder on the first
+    read of :attr:`trace` and cached.  A caller that needs only
+    :attr:`cycles` or :attr:`duration_s` — a warm-up run, a CPI probe, a
+    discarded retune attempt — never builds it.
+    """
+
+    def __init__(
+        self,
+        recorder: ActivityRecorder,
+        stats: ExecutionStats,
+        registers: dict[str, int],
+    ) -> None:
+        self.stats = stats
+        self.registers = registers
+        self.clock_hz = recorder.clock_hz
+        self._recorder: ActivityRecorder | None = recorder
+        self._trace: ActivityTrace | None = None
+
+    @property
+    def trace(self) -> ActivityTrace:
+        """The run's activity trace (built on first read)."""
+        if self._trace is None:
+            self._trace = self._recorder.finish(max(self.stats.cycles, 1))
+            self._recorder = None
+        return self._trace
 
     @property
     def cycles(self) -> int:
@@ -336,8 +357,8 @@ class SimulationResult:
 
     @property
     def duration_s(self) -> float:
-        """Simulated wall-clock duration in seconds."""
-        return self.trace.duration_s
+        """Simulated wall-clock duration in seconds (the trace's length)."""
+        return max(self.stats.cycles, 1) / self.clock_hz
 
 
 class Core:
@@ -465,8 +486,7 @@ class Core:
             cycle += duration
 
         stats.cycles = cycle
-        trace = recorder.finish(max(cycle, 1))
-        return SimulationResult(trace=trace, stats=stats, registers=dict(self.registers))
+        return SimulationResult(recorder, stats, dict(self.registers))
 
     def _step_instruction(
         self,

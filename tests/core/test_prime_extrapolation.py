@@ -114,3 +114,28 @@ def test_extrapolation_actually_fires(monkeypatch):
     assert shifts, "steady-state detector never extrapolated"
     replayed = _prime(monkeypatch, sweeps, count, 200, extrapolate=False)
     _assert_identical(primed, replayed)
+
+
+def test_snapshots_wait_for_the_caches_to_fill(monkeypatch):
+    """An 8 MB sweep fills L2 for ~15 chunks; no snapshot is taken meanwhile.
+
+    Total L1+L2 occupancy still changes at each of those chunk
+    boundaries, so no two snapshots could be equal there.  Only a
+    bounded number of snapshots follow, and the extrapolated result
+    still equals brute-force replay.
+    """
+    slots, count = 8 * 1024 * 1024 // LINE, 138
+    sweeps = [_ring(2**24, slots, False)]
+    periods = -(-slots // count) + 2
+    snapshots = []
+    original = MemoryHierarchy.canonical_ring_state
+
+    def spy(self, rings, shift):
+        snapshots.append(shift)
+        return original(self, rings, shift)
+
+    monkeypatch.setattr(MemoryHierarchy, "canonical_ring_state", spy)
+    primed = _prime(monkeypatch, sweeps, count, periods, extrapolate=True)
+    assert 2 <= len(snapshots) <= 3
+    replayed = _prime(monkeypatch, sweeps, count, periods, extrapolate=False)
+    _assert_identical(primed, replayed)

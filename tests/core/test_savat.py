@@ -1,17 +1,27 @@
 """Tests for the pairwise SAVAT measurement pipeline."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.core.executor import execute_campaign
 from repro.core.savat import (
     MeasurementConfig,
     _plan_pair,
+    clear_cpi_cache,
     measure_savat,
     simulate_alternation_period,
 )
 from repro.errors import ConfigurationError
 from repro.isa.events import get_event
 from repro.machines.reference_data import CORE2DUO_10CM
+from repro.uarch.activity import ActivityRecorder
+from repro.uarch.core import Core
+
+#: A 10x higher alternation frequency shrinks each simulated period 10x
+#: without changing the code paths.
+FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
 
 
 class TestMeasurementConfig:
@@ -136,3 +146,52 @@ class TestSteadyStateEffects:
         forward = measure_savat(core2duo_10cm, "ADD", "LDL2")
         backward = measure_savat(core2duo_10cm, "LDL2", "ADD")
         assert forward.savat_zj == pytest.approx(backward.savat_zj, rel=0.15)
+
+
+@pytest.mark.slow
+class TestKeptTracesOnly:
+    """Trace production materializes only the trace each cell keeps."""
+
+    @staticmethod
+    def _campaign(machine):
+        events = [get_event("ADD"), get_event("LDM")]
+        return execute_campaign(
+            machine, events, config=FAST_CONFIG, repetitions=1, trace_cache=False
+        )
+
+    def test_finish_runs_once_per_kept_trace(self, core2duo_10cm, monkeypatch):
+        calls = {"run": 0, "finish": 0}
+        run = Core.run
+        finish = ActivityRecorder.finish
+
+        def counting_run(self, *args, **kwargs):
+            calls["run"] += 1
+            return run(self, *args, **kwargs)
+
+        def counting_finish(self, num_cycles):
+            calls["finish"] += 1
+            return finish(self, num_cycles)
+
+        monkeypatch.setattr(Core, "run", counting_run)
+        monkeypatch.setattr(ActivityRecorder, "finish", counting_finish)
+        clear_cpi_cache()
+        self._campaign(core2duo_10cm)
+        # Two CPI probes plus a warm-up and a measured run per cell, yet
+        # only the four measured periods are materialized.
+        assert calls["run"] >= 2 + 2 * 4
+        assert calls["finish"] == 4
+
+    def test_kept_trace_is_timed_as_core_run(self, core2duo_10cm, monkeypatch):
+        finish = ActivityRecorder.finish
+
+        def slow_finish(self, num_cycles):
+            time.sleep(0.05)
+            return finish(self, num_cycles)
+
+        monkeypatch.setattr(ActivityRecorder, "finish", slow_finish)
+        _samples, stats = self._campaign(core2duo_10cm)
+        cell_seconds = stats.cell_seconds
+        assert len(stats.cell_phase_seconds) == 4
+        for pair, phases in stats.cell_phase_seconds.items():
+            assert phases["core_run"] >= 0.05
+            assert sum(phases.values()) <= cell_seconds[pair]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.uarch.activity import ActivityBlock, ActivityRecorder, ActivityTrace
@@ -204,6 +204,99 @@ def test_recorder_conserves_unclipped_activity(events):
         horizon = max(horizon, start + duration)
     trace = recorder.finish(horizon)
     assert trace.data.sum() == pytest.approx(expected, rel=1e-9)
+
+
+def _oracle_finish(events, replays, num_cycles):
+    """Per-event loop materialization in the canonical order.
+
+    ``events`` are ``(component_index, start, duration, amount)`` and
+    ``replays`` are ``(block, base_cycle)``.  Every event is clipped to
+    ``num_cycles``; each cell then adds its single-cycle events in
+    ascending amount, followed by its longer events in (start, length,
+    amount) order, one scalar addition at a time.
+    """
+    expanded = list(events)
+    for block, base in replays:
+        expanded.extend(
+            zip(
+                block.components.tolist(),
+                (block.offsets + base).tolist(),
+                block.durations.tolist(),
+                block.amounts.tolist(),
+            )
+        )
+    clipped = [
+        (component, start, min(start + duration, num_cycles) - start, amount)
+        for component, start, duration, amount in expanded
+        if start < num_cycles
+    ]
+    data = np.zeros((NUM_COMPONENTS, num_cycles))
+    for component, start, _length, amount in sorted(e for e in clipped if e[2] == 1):
+        data[component, start] += amount
+    for component, start, length, amount in sorted(e for e in clipped if e[2] > 1):
+        for cycle in range(start, start + length):
+            data[component, cycle] += amount
+    return data
+
+
+#: Amounts whose float sums depend on addition order, e.g.
+#: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1.
+_AMOUNTS = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 1e-3]),
+    st.floats(min_value=1e-3, max_value=10.0),
+)
+#: Few components and a short cycle range, so events pile onto shared
+#: (component, cycle) cells and multi-cycle events overlap.
+_EVENT = st.tuples(
+    st.sampled_from([Component.ALU, Component.L2, Component.FETCH]),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([1, 1, 1, 2, 3, 14]),
+    _AMOUNTS,
+)
+
+
+@given(
+    events=st.lists(_EVENT, max_size=40),
+    block_events=st.lists(_EVENT, max_size=6),
+    bases=st.lists(st.integers(min_value=0, max_value=20), max_size=5),
+    batched=st.booleans(),
+    num_cycles=st.integers(min_value=1, max_value=30),
+)
+@settings(max_examples=200, deadline=None)
+# Order-sensitive cells: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 for
+# singles, and (0.2 + 0.1) + 0.3 != (0.2 + 0.3) + 0.1 for a single
+# followed by two equally long events.
+@example(
+    events=[(Component.ALU, 0, 1, 0.3), (Component.ALU, 0, 1, 0.1), (Component.ALU, 0, 1, 0.2)],
+    block_events=[], bases=[], batched=False, num_cycles=4,
+)
+@example(
+    events=[(Component.ALU, 3, 3, 0.3), (Component.ALU, 3, 1, 0.2), (Component.ALU, 3, 3, 0.1)],
+    block_events=[], bases=[], batched=False, num_cycles=8,
+)
+def test_finish_matches_per_event_oracle(events, block_events, bases, batched, num_cycles):
+    """Property: ``finish`` is byte-equal to the per-event loop, including
+    overlapping long events, events clipped at ``num_cycles``, several
+    singles on one cell, and block replays."""
+    recorder = ActivityRecorder(clock_hz=1e9)
+    for event in events:
+        recorder.add(*event)
+    template = ActivityRecorder(clock_hz=1e9)
+    for event in block_events:
+        template.add(*event)
+    block = template.extract_block(0, 0)
+    if batched:
+        recorder.add_block_batch(block, np.array(bases, dtype=np.int64))
+    else:
+        for base in bases:
+            recorder.add_block(block, base)
+
+    indexed = [
+        (COMPONENT_INDEX[component], start, duration, amount)
+        for component, start, duration, amount in events
+    ]
+    expected = _oracle_finish(indexed, [(block, base) for base in bases], num_cycles)
+    assert recorder.finish(num_cycles).data.tobytes() == expected.tobytes()
 
 
 @given(factor=st.integers(min_value=1, max_value=16))
