@@ -43,6 +43,7 @@ from repro.instruments.spectrum_analyzer import Spectrum, SpectrumAnalyzer
 from repro.isa.events import InstructionEvent, get_event
 from repro.machines.calibrated import CalibratedMachine
 from repro.uarch.activity import ActivityTrace
+from repro.uarch.cache import shift_ring_lines
 from repro.uarch.fastpath import fast_path_enabled, prime_extrapolation_enabled
 from repro.units import REFERENCE_IMPEDANCE, ZEPTOJOULE
 
@@ -278,14 +279,6 @@ def _sweep_chunk_stream(sweeps, count: int, start_period: int, periods: int):
     return stream.reshape(-1), np.tile(period_writes, periods)
 
 
-def _ring_states_equal(state_a, state_b) -> bool:
-    return all(
-        np.array_equal(array_a, array_b)
-        for level_a, level_b in zip(state_a, state_b)
-        for array_a, array_b in zip(level_a, level_b)
-    )
-
-
 def _counter_delta(now, before):
     return (
         {name: now[0][name] - before[0][name] for name in now[0]},
@@ -294,35 +287,70 @@ def _counter_delta(now, before):
     )
 
 
+class _LevelWatch:
+    """Steady-state detector for one cache level at chunk boundaries."""
+
+    def __init__(self, cache, rings) -> None:
+        self.cache = cache
+        self.rings = rings
+        self.lines = -1
+        self.snapshot = None
+
+    def repeats(self, swept: int, gate: bool = True) -> bool:
+        """True when the level's canonical state equals the previous boundary's.
+
+        The canonical state rotates every ring back by the ``swept``
+        slots already swept.  A snapshot is taken only when ``gate``
+        holds and the level's line count equals the previous boundary's
+        (equal snapshots hold equally many lines); otherwise the chain
+        of snapshots restarts.
+        """
+        lines = self.cache.resident_lines()
+        settled, self.lines = lines == self.lines, lines
+        previous, self.snapshot = self.snapshot, None
+        if not (settled and gate):
+            return False
+        self.snapshot = self.cache.ring_shifted_state(self.rings, -swept)
+        return previous is not None and all(map(np.array_equal, previous, self.snapshot))
+
+
 def _prime_fast(hierarchy, sweeps, count: int, periods_needed: int) -> None:
-    """Replay priming periods, extrapolating the pass-periodic steady state.
+    """Replay priming periods, extrapolating each level's periodic steady state.
 
     Each period advances every memory sweep by ``count`` ring slots, so
-    once the hierarchy state repeats *up to that rotation* the remaining
-    periods are pure repetition: the per-chunk counter deltas are
-    constant and the final state is a known rotation of the detected one.
-    The detector replays :data:`PRIME_CHUNK_PERIODS`-period chunks,
-    canonicalizes the state after each chunk by rotating every ring back
-    by the slots already swept, and — on the first repeat — adds the
-    remaining whole chunks' counter deltas arithmetically, rotates the
-    state forward, and replays only the sub-chunk remainder.  Counters
-    and final state are bit-identical to replaying every access.
+    once a level's state repeats *up to that rotation* its future is
+    pure repetition.  Priming replays :data:`PRIME_CHUNK_PERIODS`-period
+    chunks and, after each, canonicalizes a level's state by rotating
+    every ring back by the slots already swept.  Two detectors compare
+    consecutive canonical snapshots:
 
-    Extrapolation requires the rotation to be a cache isomorphism.  Rings
-    whose slot count divides both set counts qualify unconditionally; an
-    L1-sized ring smaller than the L2 set count qualifies *dynamically*,
-    while none of its lines are resident in L2 — the L2 half of the map
-    is then vacuous, and in steady state such rings live entirely in L1
-    (a line that does spill into L2 persists there for hundreds of
-    periods — far longer than a chunk — so the per-boundary absence check
-    cannot miss it).  Sweeps failing both tests replay in full through
-    the wavefront engine.
+    * **L1.**  L1 never reads L2 state, and rotating every ring is an
+      L1 isomorphism (every ring's slot count divides by the L1 set
+      count), so L1 needs no L2-absence check.  Once L1's snapshot
+      repeats, each later chunk's L1 behaviour is the reference chunk's
+      (the one just replayed) with every ring line advanced by
+      ``(start - reference start) * count`` slots.  Full chunks then
+      stop replaying L1: they add the reference chunk's L1 counter
+      delta, owe L1 one more chunk of rotation, and replay only L2, on
+      the reference chunk's L2-bound stream rotated into place.  The
+      owed rotation is applied before any real L1 replay (the sub-chunk
+      remainder) and on exit.
+    * **L2 (whole state).**  Once L1 is periodic, equal L2 snapshots at
+      consecutive boundaries mean the whole hierarchy repeats: the
+      remaining whole chunks' counter deltas are added arithmetically,
+      both levels rotate forward, and only the remainder is replayed.
+      L2 rotation is an isomorphism for rings whose slot count divides
+      the L2 set count; an L1-sized ring smaller than the L2 set count
+      qualifies *dynamically*, while none of its lines are resident in
+      L2 — the L2 half of the map is then vacuous (a line that does
+      spill into L2 persists there for hundreds of periods, far longer
+      than a chunk, so the per-boundary absence check cannot miss it).
 
-    A snapshot is taken only at a boundary where the total L1+L2 line
-    count equals the previous boundary's: while the caches are still
-    filling, two snapshots cannot be equal.  This can delay detection by
-    one chunk, never change its outcome — extrapolation is exact at
-    whichever boundary it fires.
+    Counters and final state are bit-identical to replaying every access
+    (``SAVAT_PRIME_EXTRAPOLATE=0``).  Sweeps that fail L1 divisibility
+    replay in full through the wavefront engine.  A level is snapshotted
+    only once its line count has stopped changing, which can delay
+    detection by one chunk but never changes its outcome.
     """
     chunk = PRIME_CHUNK_PERIODS
     line = hierarchy.line_bytes
@@ -339,41 +367,48 @@ def _prime_fast(hierarchy, sweeps, count: int, periods_needed: int) -> None:
         hierarchy.access_stream(stream, writes)
         return
 
+    l1, l2 = hierarchy.l1, hierarchy.l2
+    l1_watch = _LevelWatch(l1, rings)
+    l2_watch = _LevelWatch(l2, rings)
+    # (start period, L2-bound ids and writes, L1 counter delta) of the
+    # reference chunk, once L1 is periodic.
+    reference = None
+    owed = 0  # slots of L1 rotation not yet applied
+    counters = hierarchy.counters()
     done = 0
-    previous_state = None
-    previous_counters = None
-    previous_occupancy = -1
     while done < periods_needed:
         todo = min(chunk, periods_needed - done)
-        stream, writes = _sweep_chunk_stream(sweeps, count, done, todo)
-        hierarchy.access_stream(stream, writes)
+        if reference is None or todo < chunk:
+            if owed:
+                l1.apply_ring_shift(rings, owed)
+                owed = 0
+            stream, writes = _sweep_chunk_stream(sweeps, count, done, todo)
+            l2_ids, l2_writes, _miss_idx, _wb = hierarchy.replay_l1(stream, writes)
+        else:
+            start, reference_ids, l2_writes, l1_delta = reference
+            hierarchy.add_counters((l1_delta, {}, 0))
+            owed += chunk * count
+            l2_ids = shift_ring_lines(reference_ids, rings, (done - start) * count)
+        hierarchy.replay_l2(l2_ids, l2_writes)
         done += todo
         if todo < chunk or done >= periods_needed:
             break
-        # Equal snapshots hold equally many lines.
-        occupancy = hierarchy.l1.resident_lines() + hierarchy.l2.resident_lines()
-        settled = occupancy == previous_occupancy
-        previous_occupancy = occupancy
-        if not settled or (check_rings and not hierarchy.rings_absent_from_l2(check_rings)):
-            previous_state = None
-            continue
-        state = hierarchy.canonical_ring_state(rings, -done * count)
-        counters = hierarchy.counters()
-        if previous_state is not None and _ring_states_equal(state, previous_state):
+        previous_counters, counters = counters, hierarchy.counters()
+        if reference is None and l1_watch.repeats(done * count):
+            l1_delta = _counter_delta(counters, previous_counters)[0]
+            reference = (done - chunk, l2_ids, l2_writes, l1_delta)
+        l2_gate = reference is not None and hierarchy.rings_absent_from_l2(check_rings)
+        if l2_watch.repeats(done * count, l2_gate):
             skip = (periods_needed - done) // chunk
             if skip:
                 hierarchy.add_counters(
                     _counter_delta(counters, previous_counters), times=skip
                 )
-                hierarchy.apply_ring_shift(rings, skip * chunk * count)
+                owed += skip * chunk * count
+                l2.apply_ring_shift(rings, skip * chunk * count)
                 done += skip * chunk
-            remainder = periods_needed - done
-            if remainder:
-                stream, writes = _sweep_chunk_stream(sweeps, count, done, remainder)
-                hierarchy.access_stream(stream, writes)
-            return
-        previous_state = state
-        previous_counters = counters
+    if owed:
+        l1.apply_ring_shift(rings, owed)
 
 
 def prime_alternation_steady_state(core, spec) -> tuple[int, int]:

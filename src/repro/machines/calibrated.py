@@ -24,7 +24,7 @@ from repro.em.coupling import CouplingMatrix, DEFAULT_NUM_MODES
 from repro.em.environment import NoiseEnvironment, quiet_lab_environment
 from repro.em.propagation import interpolate_matrix
 from repro.errors import CalibrationError, ConfigurationError
-from repro.machines.calibration import CalibrationResult, calibrate
+from repro.machines.calibration import CalibrationResult, calibrate, clear_profile_cache
 from repro.machines.catalog import get_machine
 from repro.machines.reference_data import (
     CORE2DUO_10CM,
@@ -193,5 +193,6 @@ def load_calibrated_machine(
 
 
 def clear_calibration_cache() -> None:
-    """Drop all cached calibrations (mostly for tests)."""
+    """Drop all cached calibrations and event profiles (mostly for tests)."""
     _CACHE.clear()
+    clear_profile_cache()

@@ -181,9 +181,29 @@ def profile_event(spec: MachineSpec, event_name: str) -> EventProfile:
     )
 
 
+#: Event profiles per machine spec (see :func:`profile_all_events`).
+_PROFILES: dict[MachineSpec, dict[str, EventProfile]] = {}
+
+
 def profile_all_events(spec: MachineSpec) -> dict[str, EventProfile]:
-    """Profiles for all eleven paper events on ``spec``."""
-    return {event.name: profile_event(spec, event.name) for event in PAPER_EVENTS}
+    """Profiles for all eleven paper events on ``spec``, memoized per spec.
+
+    Profiling is deterministic and does not depend on the antenna
+    distance, so every calibration of one spec shares the same profiles.
+    Each call returns a new dict, and the cached activity arrays are
+    read-only.
+    """
+    if spec not in _PROFILES:
+        profiles = {event.name: profile_event(spec, event.name) for event in PAPER_EVENTS}
+        for profile in profiles.values():
+            profile.activity_rates.flags.writeable = False
+        _PROFILES[spec] = profiles
+    return dict(_PROFILES[spec])
+
+
+def clear_profile_cache() -> None:
+    """Drop the memoized event profiles."""
+    _PROFILES.clear()
 
 
 def classical_mds(squared_distances: np.ndarray, num_dims: int) -> tuple[np.ndarray, float]:

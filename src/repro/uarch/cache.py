@@ -312,6 +312,23 @@ def replay_stream(
     return hit_out, evicted_out, victim_tag_out, victim_dirty_out
 
 
+def shift_ring_lines(
+    line_ids: np.ndarray, rings: list[tuple[int, int]], shift: int
+) -> np.ndarray:
+    """``line_ids`` with every id inside a ring advanced ``shift`` slots.
+
+    ``rings`` lists ``(base_line_id, num_slots)`` line-id intervals; an
+    id in a ring maps to ``base + (id - base + shift) % slots``, any
+    other id is left as is.  ``shift`` may be negative.
+    """
+    shifted = line_ids
+    for base, slots in rings:
+        relative = line_ids - base
+        in_ring = (relative >= 0) & (relative < slots)
+        shifted = np.where(in_ring, base + (relative + shift) % slots, shifted)
+    return shifted
+
+
 @dataclass
 class Cache:
     """A write-back, write-allocate, LRU set-associative cache.
@@ -496,12 +513,7 @@ class Cache:
         occupancy = self._occupancy
         valid = np.arange(ways, dtype=np.int64)[None, :] < occupancy[:, None]
         set_column = np.arange(num_sets, dtype=np.int64)[:, None]
-        ids = self._tags * num_sets + set_column
-        new_ids = ids
-        for base, slots in rings:
-            relative = ids - base
-            in_ring = valid & (relative >= 0) & (relative < slots)
-            new_ids = np.where(in_ring, base + (relative + shift) % slots, new_ids)
+        new_ids = shift_ring_lines(self._tags * num_sets + set_column, rings, shift)
         row_shift = shift % num_sets
         new_tags = np.where(valid, new_ids // num_sets, 0)
         new_dirty = np.where(valid, self._dirty, False)

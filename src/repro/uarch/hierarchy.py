@@ -157,26 +157,29 @@ class MemoryHierarchy:
                 )
         return address_array, writes
 
-    def _replay(
-        self, address_array: np.ndarray, writes: np.ndarray, want_reports: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Shared engine behind ``access_stream``/``access_stream_reports``.
+    def replay_l1(
+        self, addresses, is_write
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """L1 half of :meth:`access_stream`: the stream L1 sends to L2.
 
-        Runs the whole stream through L1 in wavefronts, derives the exact
-        L2 access sequence the scalar path would have issued (dirty L1
-        victim write-back, then the demand fill, per L1 miss in stream
-        order), replays it through L2, and accounts off-chip transfers —
-        all with array operations, no per-access Python loop.
+        Runs the whole stream through L1 in wavefronts and derives the
+        exact L2 access sequence the scalar path would have issued: per
+        L1 miss, in stream order, the dirty victim's write-back (if any)
+        and then the demand fill as a read.  L1 never reads L2 state, so
+        this pass stands on its own; :meth:`replay_l2` consumes its
+        output.
+
+        Returns ``(l2_line_ids, l2_writes, miss_idx, writeback)``: the
+        L2-bound line-id/write stream, the stream positions that missed
+        L1, and per miss whether it wrote a dirty victim back.
         """
+        address_array, writes = self._normalize_stream(addresses, is_write)
         count = address_array.shape[0]
-        line = self.l1_geometry.line_bytes
         n1 = self.l1_geometry.num_sets
-        n2 = self.l2_geometry.num_sets
-        line_ids = address_array // line
+        line_ids = address_array // self.line_bytes
         l1_sets = line_ids % n1
 
         l1 = self.l1
-        l2 = self.l2
         hit1, evict1, victim_tag1, victim_dirty1 = replay_stream(
             l1._tags, l1._dirty, l1._occupancy, self.l1_geometry.ways,
             l1_sets, line_ids // n1, writes,
@@ -191,58 +194,47 @@ class MemoryHierarchy:
         l1_stats.dirty_evictions += int(victim_dirty1.sum())
 
         miss_idx = np.flatnonzero(~hit1)
-        if miss_idx.size == 0:
-            if want_reports:
-                zeros = np.zeros(count, dtype=np.int64)
-                return zeros, zeros.copy(), zeros.copy()
-            return None
-
-        # Build the L2 stream the scalar loop would produce: for each L1
-        # miss, first the dirty victim's write-back (if any), then the
-        # demand fill as a read.
         wb = victim_dirty1[miss_idx]
-        wb_int = wb.astype(np.int64)
-        entry_counts = 1 + wb_int
-        offsets = np.concatenate(([0], np.cumsum(entry_counts[:-1])))
-        l2_total = int(entry_counts.sum())
-        l2_line_ids = np.empty(l2_total, dtype=np.int64)
-        l2_writes = np.zeros(l2_total, dtype=bool)
-        demand_pos = offsets + wb_int
+        demand_pos = np.cumsum(1 + wb.astype(np.int64)) - 1
+        total = miss_idx.size + int(wb.sum())
+        l2_line_ids = np.empty(total, dtype=np.int64)
+        l2_writes = np.zeros(total, dtype=bool)
         l2_line_ids[demand_pos] = line_ids[miss_idx]
-        wb_pos = offsets[wb]
+        wb_pos = demand_pos[wb] - 1
         l2_line_ids[wb_pos] = victim_tag1[miss_idx][wb] * n1 + l1_sets[miss_idx][wb]
         l2_writes[wb_pos] = True
+        return l2_line_ids, l2_writes, miss_idx, wb
 
+    def replay_l2(
+        self, line_ids: np.ndarray, writes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """L2 half of :meth:`access_stream`: replay L1's output through L2.
+
+        ``line_ids``/``writes`` are the L2-bound stream of
+        :meth:`replay_l1`.  Updates L2 and ``offchip_accesses`` and
+        returns per-entry ``(hit, offchip_transfers)``.
+        """
+        n2 = self.l2_geometry.num_sets
+        l2 = self.l2
+        total = line_ids.shape[0]
         hit2, evict2, _victim_tag2, victim_dirty2 = replay_stream(
             l2._tags, l2._dirty, l2._occupancy, self.l2_geometry.ways,
-            l2_line_ids % n2, l2_line_ids // n2, l2_writes,
+            line_ids % n2, line_ids // n2, writes,
         )
         l2_hits = int(hit2.sum())
         l2_stats = l2.stats
-        l2_stats.accesses += l2_total
+        l2_stats.accesses += total
         l2_stats.hits += l2_hits
-        l2_stats.misses += l2_total - l2_hits
-        l2_stats.fills += l2_total - l2_hits
+        l2_stats.misses += total - l2_hits
+        l2_stats.fills += total - l2_hits
         l2_stats.evictions += int(evict2.sum())
         l2_stats.dirty_evictions += int(victim_dirty2.sum())
 
         # Off-chip: every demand L2 miss fetches a line, and every dirty
         # L2 eviction (write-back or demand fill) pushes one out.
-        offchip_per_entry = victim_dirty2.astype(np.int64) + (~hit2 & ~l2_writes)
+        offchip_per_entry = victim_dirty2.astype(np.int64) + (~hit2 & ~writes)
         self.offchip_accesses += int(offchip_per_entry.sum())
-
-        if not want_reports:
-            return None
-        demand_hit = hit2[demand_pos]
-        level = np.zeros(count, dtype=np.int64)
-        level[miss_idx] = np.where(demand_hit, 1, 2)
-        l2_accesses = np.zeros(count, dtype=np.int64)
-        l2_accesses[miss_idx] = entry_counts
-        per_miss_offchip = offchip_per_entry[demand_pos]
-        per_miss_offchip[wb] += offchip_per_entry[wb_pos]
-        offchip = np.zeros(count, dtype=np.int64)
-        offchip[miss_idx] = per_miss_offchip
-        return level, l2_accesses, offchip
+        return hit2, offchip_per_entry
 
     def access_stream(self, addresses, is_write) -> None:
         """Replay a whole address stream through the hierarchy, batched.
@@ -265,10 +257,8 @@ class MemoryHierarchy:
             A single bool applied to every access, or a boolean sequence
             of the same length as ``addresses``.
         """
-        address_array, writes = self._normalize_stream(addresses, is_write)
-        if address_array.shape[0] == 0:
-            return
-        self._replay(address_array, writes, want_reports=False)
+        line_ids, writes, _miss_idx, _wb = self.replay_l1(addresses, is_write)
+        self.replay_l2(line_ids, writes)
 
     def access_stream_reports(
         self, addresses, is_write
@@ -283,45 +273,45 @@ class MemoryHierarchy:
         memory accesses in one call.
         """
         address_array, writes = self._normalize_stream(addresses, is_write)
-        if address_array.shape[0] == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        reports = self._replay(address_array, writes, want_reports=True)
-        assert reports is not None
-        return reports
+        count = address_array.shape[0]
+        line_ids, l2_writes, miss_idx, wb = self.replay_l1(address_array, writes)
+        hit2, offchip_per_entry = self.replay_l2(line_ids, l2_writes)
+        entry_counts = 1 + wb.astype(np.int64)
+        demand_pos = np.cumsum(entry_counts) - 1
+        level = np.zeros(count, dtype=np.int64)
+        level[miss_idx] = np.where(hit2[demand_pos], 1, 2)
+        l2_accesses = np.zeros(count, dtype=np.int64)
+        l2_accesses[miss_idx] = entry_counts
+        per_miss_offchip = offchip_per_entry[demand_pos]
+        per_miss_offchip[wb] += offchip_per_entry[demand_pos[wb] - 1]
+        offchip = np.zeros(count, dtype=np.int64)
+        offchip[miss_idx] = per_miss_offchip
+        return level, l2_accesses, offchip
 
     # ------------------------------------------------------------------
     # Periodic steady-state (ring shift) support
     # ------------------------------------------------------------------
-    def ring_shift_eligible(self, rings: list[tuple[int, int]]) -> bool:
-        """True when advancing every ring by ``c`` slots is a cache isomorphism.
-
-        Each ring is ``(base_line_id, num_slots)``.  The per-ring rotation
-        moves sets uniformly — preserving set structure, intra-set LRU
-        order, and dirty bits — iff every ring's slot count is a multiple
-        of both levels' set counts.
-        """
-        n1 = self.l1_geometry.num_sets
-        n2 = self.l2_geometry.num_sets
-        return bool(rings) and all(
-            slots > 0 and slots % n1 == 0 and slots % n2 == 0 for _base, slots in rings
-        )
-
     def ring_shift_plan(
         self, rings: list[tuple[int, int]]
     ) -> list[tuple[int, int]] | None:
-        """Eligibility with a dynamic escape hatch for L1-sized rings.
+        """Which ring rotations are cache isomorphisms, level by level.
 
-        Returns ``None`` when the rotation can never be an isomorphism
-        (some ring's slot count is not a multiple of the L1 set count —
-        every accessed line passes through L1, so L1 divisibility is
-        unconditional).  Otherwise returns the sub-list of rings whose
-        slot count is *not* a multiple of the L2 set count: for those the
-        rotation is sound only while none of their lines are resident in
-        L2 (then the L2 half of the map is vacuous), which the caller
-        must verify with :meth:`rings_absent_from_l2` at every snapshot
-        it compares or shifts.  An empty list means unconditionally
-        eligible.
+        Each ring is ``(base_line_id, num_slots)``; advancing every ring
+        by the same number of slots moves each level's sets uniformly —
+        preserving set structure, intra-set LRU order and dirty bits —
+        when every slot count is a multiple of that level's set count.
+
+        Returns ``None`` when the rotation is no L1 isomorphism (some
+        ring's slot count is not a multiple of the L1 set count — every
+        accessed line passes through L1, so L1 divisibility is
+        unconditional).  Otherwise the rotation is always an L1
+        isomorphism, and the returned list holds the rings whose slot
+        count is *not* a multiple of the L2 set count: for L2 the
+        rotation is sound only while none of their lines are resident
+        there (then the L2 half of the map is vacuous), which the caller
+        must verify with :meth:`rings_absent_from_l2` at every L2
+        snapshot it compares or shifts.  An empty list means L2 is
+        unconditionally eligible too.
         """
         n1 = self.l1_geometry.num_sets
         n2 = self.l2_geometry.num_sets
@@ -332,24 +322,6 @@ class MemoryHierarchy:
     def rings_absent_from_l2(self, rings: list[tuple[int, int]]) -> bool:
         """True when no line of any listed ring is currently valid in L2."""
         return not any(self.l2.holds_lines_in_range(base, slots) for base, slots in rings)
-
-    def canonical_ring_state(self, rings: list[tuple[int, int]], shift: int):
-        """Hierarchy state with all ring lines shifted — a comparable snapshot.
-
-        Shifting by the *negative* of the slots already swept yields a
-        pass-invariant canonical form: two snapshots taken a whole number
-        of passes apart are equal exactly when the hierarchy has entered
-        its pass-periodic steady state.
-        """
-        return (
-            self.l1.ring_shifted_state(rings, shift),
-            self.l2.ring_shifted_state(rings, shift),
-        )
-
-    def apply_ring_shift(self, rings: list[tuple[int, int]], shift: int) -> None:
-        """Advance every ring-resident line by ``shift`` slots, in place."""
-        self.l1.apply_ring_shift(rings, shift)
-        self.l2.apply_ring_shift(rings, shift)
 
     def counters(self) -> tuple[dict, dict, int]:
         """Snapshot of every hierarchy counter (both levels + off-chip)."""

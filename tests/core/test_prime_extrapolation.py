@@ -8,12 +8,17 @@ runs must agree bit-for-bit — final tags, dirty bits, LRU order,
 occupancy, and every counter — for any period count ``K``.
 """
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.codegen.pointers import SweepPlan
 from repro.core import savat
-from repro.uarch.cache import CacheGeometry
+from repro.uarch import hierarchy as hierarchy_module
+from repro.uarch.cache import Cache, CacheGeometry
 from repro.uarch.fastpath import PRIME_EXTRAPOLATE_ENV
 from repro.uarch.hierarchy import MemoryHierarchy, MemoryLatencies
 
@@ -78,6 +83,56 @@ def test_extrapolation_matches_brute_force(monkeypatch, case, periods):
     _assert_identical(primed, replayed)
 
 
+def _small_hierarchy() -> MemoryHierarchy:
+    """8-set/2-way L1 and 64-set/4-way L2: small enough for many examples."""
+    return MemoryHierarchy(
+        l1_geometry=CacheGeometry(1024, 2, LINE),
+        l2_geometry=CacheGeometry(16384, 4, LINE),
+    )
+
+
+def _small_prime(sweeps, count, periods, extrapolate):
+    hierarchy = _small_hierarchy()
+    with mock.patch.dict(os.environ, {PRIME_EXTRAPOLATE_ENV: "1" if extrapolate else "0"}):
+        savat._prime_fast(hierarchy, sweeps, count, periods)
+    return hierarchy
+
+
+#: Ring slot counts, all multiples of the small L1's 8 sets; 8 to 32 do
+#: not divide the small L2's 64 sets (the L2-absence check applies),
+#: 512 slots overflow L2.
+_rings = st.lists(
+    st.tuples(st.sampled_from([8, 16, 32, 64, 128, 256, 512]), st.booleans()),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rings=_rings,
+    count=st.integers(min_value=1, max_value=40),
+    chunks=st.integers(min_value=3, max_value=7),
+    remainder=st.one_of(
+        st.just(0), st.integers(min_value=1, max_value=savat.PRIME_CHUNK_PERIODS - 1)
+    ),
+)
+def test_both_detectors_match_brute_force(rings, count, chunks, remainder):
+    """Per-level extrapolation equals full replay on random ring sets.
+
+    ``remainder`` 0 ends priming on a chunk boundary, where the owed L1
+    rotation is applied on exit rather than before a remainder replay.
+    """
+    sweeps = [
+        _ring((index + 1) * 2**20, slots, is_store)
+        for index, (slots, is_store) in enumerate(rings)
+    ]
+    periods = chunks * savat.PRIME_CHUNK_PERIODS + remainder
+    primed = _small_prime(sweeps, count, periods, extrapolate=True)
+    replayed = _small_prime(sweeps, count, periods, extrapolate=False)
+    _assert_identical(primed, replayed)
+
+
 def test_ineligible_ring_falls_back_to_replay(monkeypatch):
     """A ring smaller than the L1 set count cannot rotate isomorphically."""
     sweeps = [_ring(2**24, 32, True)]
@@ -103,39 +158,73 @@ def test_extrapolation_actually_fires(monkeypatch):
     """The detector must skip chunks, not silently replay everything."""
     sweeps, count = [_ring(2**24, 4096, True)], 72
     shifts = []
-    original = MemoryHierarchy.apply_ring_shift
+    original = Cache.apply_ring_shift
 
     def spy(self, rings, shift):
-        shifts.append(shift)
+        shifts.append((self.name, shift))
         original(self, rings, shift)
 
-    monkeypatch.setattr(MemoryHierarchy, "apply_ring_shift", spy)
+    monkeypatch.setattr(Cache, "apply_ring_shift", spy)
     primed = _prime(monkeypatch, sweeps, count, 200, extrapolate=True)
-    assert shifts, "steady-state detector never extrapolated"
+    assert any(name == "L2" for name, _shift in shifts), "detector never extrapolated"
     replayed = _prime(monkeypatch, sweeps, count, 200, extrapolate=False)
     _assert_identical(primed, replayed)
 
 
 def test_snapshots_wait_for_the_caches_to_fill(monkeypatch):
-    """An 8 MB sweep fills L2 for ~15 chunks; no snapshot is taken meanwhile.
+    """An 8 MB sweep fills L2 for ~15 chunks; no L2 snapshot is taken meanwhile.
 
-    Total L1+L2 occupancy still changes at each of those chunk
-    boundaries, so no two snapshots could be equal there.  Only a
-    bounded number of snapshots follow, and the extrapolated result
-    still equals brute-force replay.
+    L2's line count still changes at each of those chunk boundaries, so
+    no two snapshots could be equal there.  Only a bounded number of L2
+    snapshots follow, and the extrapolated result still equals
+    brute-force replay.
     """
     slots, count = 8 * 1024 * 1024 // LINE, 138
     sweeps = [_ring(2**24, slots, False)]
     periods = -(-slots // count) + 2
     snapshots = []
-    original = MemoryHierarchy.canonical_ring_state
+    original = Cache.ring_shifted_state
 
     def spy(self, rings, shift):
-        snapshots.append(shift)
+        # Snapshots rotate back by the slots swept (a negative shift);
+        # applied rotations go forward.
+        if self.name == "L2" and shift < 0:
+            snapshots.append(shift)
         return original(self, rings, shift)
 
-    monkeypatch.setattr(MemoryHierarchy, "canonical_ring_state", spy)
+    monkeypatch.setattr(Cache, "ring_shifted_state", spy)
     primed = _prime(monkeypatch, sweeps, count, periods, extrapolate=True)
     assert 2 <= len(snapshots) <= 3
+    replayed = _prime(monkeypatch, sweeps, count, periods, extrapolate=False)
+    _assert_identical(primed, replayed)
+
+
+def test_l1_replay_stops_once_l1_is_periodic(monkeypatch):
+    """L1 settles within a few chunks; later chunks replay only L2.
+
+    In the L1-ring + off-chip case L2 never repeats (the 256-slot ring
+    stays resident in L2), so without a separate L1 detector L1 would
+    be replayed for every chunk.
+    """
+    sweeps, count = CASES["l1-ring-plus-offchip"]
+    periods = 300
+    l1_accesses = []
+    l2_calls = []
+    l1_sets = _hierarchy().l1_geometry.num_sets
+    original = hierarchy_module.replay_stream
+
+    def spy(tags, dirty, occupancy, ways, set_indices, target_tags, writes):
+        if tags.shape[0] == l1_sets:
+            l1_accesses.append(set_indices.shape[0])
+        else:
+            l2_calls.append(set_indices.shape[0])
+        return original(tags, dirty, occupancy, ways, set_indices, target_tags, writes)
+
+    monkeypatch.setattr(hierarchy_module, "replay_stream", spy)
+    primed = _prime(monkeypatch, sweeps, count, periods, extrapolate=True)
+    chunk_accesses = savat.PRIME_CHUNK_PERIODS * count * len(sweeps)
+    assert sum(l1_accesses) <= 4 * chunk_accesses
+    assert len(l2_calls) == -(-periods // savat.PRIME_CHUNK_PERIODS)
+    monkeypatch.undo()
     replayed = _prime(monkeypatch, sweeps, count, periods, extrapolate=False)
     _assert_identical(primed, replayed)

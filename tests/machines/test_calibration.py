@@ -5,6 +5,8 @@ import pytest
 
 from repro.errors import CalibrationError
 from repro.isa.events import EVENT_ORDER
+from repro.machines import calibrated, calibration
+from repro.machines.calibrated import reference_for
 from repro.machines.calibration import (
     classical_mds,
     fit_coupling_weights,
@@ -160,3 +162,57 @@ class TestFullCalibration:
 
     def test_coupling_distance_recorded(self, core2duo_10cm):
         assert core2duo_10cm.coupling.distance_m == pytest.approx(0.10)
+
+
+class TestProfileMemo:
+    """Profiles are computed once per spec and shared across distances."""
+
+    @pytest.fixture
+    def profile_calls(self, monkeypatch):
+        monkeypatch.setattr(calibration, "_PROFILES", {})
+        calls = []
+        original = calibration.profile_event
+
+        def spy(spec, event_name):
+            calls.append(event_name)
+            return original(spec, event_name)
+
+        monkeypatch.setattr(calibration, "profile_event", spy)
+        return calls
+
+    def test_second_distance_profiles_nothing(self, profile_calls):
+        calibration.calibrate(CORE2DUO, reference_for("core2duo", 0.10), refine=False)
+        assert len(profile_calls) == len(EVENT_ORDER)
+        del profile_calls[:]
+        memoized = calibration.calibrate(
+            CORE2DUO, reference_for("core2duo", 0.50), refine=False
+        )
+        assert profile_calls == []
+
+        calibration.clear_profile_cache()
+        fresh = calibration.calibrate(CORE2DUO, reference_for("core2duo", 0.50), refine=False)
+        assert len(profile_calls) == len(EVENT_ORDER)
+        assert np.array_equal(memoized.coupling.weights, fresh.coupling.weights)
+        assert memoized.self_noise_j == fresh.self_noise_j
+        assert np.array_equal(memoized.points, fresh.points)
+        assert np.array_equal(memoized.fitted_points, fresh.fitted_points)
+        assert memoized.stress == fresh.stress
+        for name, profile in fresh.profiles.items():
+            assert memoized.profiles[name].cycles_per_iteration == profile.cycles_per_iteration
+            assert np.array_equal(memoized.profiles[name].activity_rates, profile.activity_rates)
+
+    def test_cached_profiles_are_not_mutable_through_a_result(self, profile_calls):
+        result = calibration.calibrate(
+            CORE2DUO, reference_for("core2duo", 0.10), refine=False
+        )
+        with pytest.raises(ValueError):
+            result.profiles["ADD"].activity_rates[0] = 1.0
+        result.profiles.pop("ADD")
+        assert "ADD" in calibration.profile_all_events(CORE2DUO)
+
+    def test_clear_calibration_cache_clears_the_memo(self, profile_calls, monkeypatch):
+        monkeypatch.setattr(calibrated, "_CACHE", {})
+        calibration.profile_all_events(CORE2DUO)
+        assert calibration._PROFILES
+        calibrated.clear_calibration_cache()
+        assert not calibration._PROFILES
