@@ -13,8 +13,17 @@ matrix, a dirty-bit matrix, and a per-set occupancy vector.  Within a
 row, column 0 is the LRU victim and column ``occupancy - 1`` the MRU
 line; columns at or past the occupancy are invalid.  The scalar
 :meth:`Cache.access` walks one row; :func:`replay_stream` replays whole
-address streams set-grouped ("wavefronts": the k-th access of every set
-is updated simultaneously), which is what makes sweep priming cheap.
+address streams at once, bit-identically, which is what makes sweep
+priming cheap.  It has three paths:
+
+* a **fill kernel** for streams that evict nothing (caches filling,
+  streams that only hit): a closed form built from a few sorts and
+  scatters;
+* **all-full wavefronts** once every set is full: the k-th access of
+  every set is updated simultaneously, in place when a wavefront covers
+  every set;
+* **generic wavefronts** for everything else, with per-set occupancy
+  bookkeeping.
 """
 
 from __future__ import annotations
@@ -127,6 +136,141 @@ class _Line:
         self.dirty = dirty
 
 
+#: Distinct lines whose residency :func:`_replay_fill` checks at once
+#: (bounds its ``lines x ways`` comparison temporaries).
+_RESIDENCY_BLOCK = 4096
+
+#: Evenly spaced accesses :func:`_replay_fill` probes before sorting.
+_PROBES = 8
+
+
+def _replay_fill(
+    tags: np.ndarray,
+    dirty: np.ndarray,
+    occupancy: np.ndarray,
+    ways: int,
+    set_indices: np.ndarray,
+    target_tags: np.ndarray,
+    writes: np.ndarray,
+) -> np.ndarray | None:
+    """Replay a stream that evicts nothing in closed form; ``None`` if it would.
+
+    When every set's resident lines plus the distinct non-resident
+    stream lines mapping to it fit in ``ways``, LRU has nothing to
+    decide: the first touch of a non-resident line is a miss that
+    appends, every other access hits, and nothing is evicted.  Each
+    touched row then ends as its untouched resident lines in their
+    current order followed by every touched line in order of last use;
+    a line's dirty bit is its old bit (if resident) OR any write to it.
+    Columns past the new occupancy are left as they are.
+
+    Returns the per-access hit flags after updating the state in place,
+    or ``None`` — with the state untouched — when some set would
+    overflow.  Temporaries are O(stream length + touched sets x ways).
+    """
+    num_sets = tags.shape[0]
+    count = set_indices.shape[0]
+    # A few probes reject the steady-state case cheaply: an access that
+    # misses a full set evicts.
+    for index in range(0, count, max(count // _PROBES, 1)):
+        row = int(set_indices[index])
+        occupied = int(occupancy[row])
+        if occupied == ways and int(target_tags[index]) not in tags[row].tolist():
+            return None
+
+    # Distinct lines in id order; ``starts`` indexes each one's first use.
+    order = np.argsort(target_tags * num_sets + set_indices, kind="stable")
+    sorted_sets = set_indices[order]
+    sorted_tags = target_tags[order]
+    new_line = np.empty(count, dtype=bool)
+    new_line[0] = True
+    np.not_equal(sorted_tags[1:], sorted_tags[:-1], out=new_line[1:])
+    new_line[1:] |= sorted_sets[1:] != sorted_sets[:-1]
+    starts = np.flatnonzero(new_line)
+    line_sets = sorted_sets[starts]
+    line_tags = sorted_tags[starts]
+    distinct = np.bincount(line_sets, minlength=num_sets)
+    if (distinct > ways).any():
+        return None
+
+    # Residency of each line in a non-empty set, compared against its
+    # row a block of lines at a time.  A valid match precedes any stale
+    # one past the occupancy, so the first match decides.
+    resident = np.zeros(starts.shape[0], dtype=bool)
+    column = np.zeros(starts.shape[0], dtype=np.int64)
+    candidates = np.flatnonzero(occupancy[line_sets])
+    for lo in range(0, candidates.shape[0], _RESIDENCY_BLOCK):
+        block = candidates[lo : lo + _RESIDENCY_BLOCK]
+        block_sets = line_sets[block]
+        matches = np.take(tags, block_sets, axis=0) == line_tags[block, None]
+        found = matches.argmax(axis=1)
+        resident[block] = matches[np.arange(block.shape[0]), found] & (
+            found < occupancy[block_sets]
+        )
+        column[block] = found
+    resident_sets = line_sets[resident]
+    touched_resident = np.bincount(resident_sets, minlength=num_sets)
+    new_per_set = distinct - touched_resident
+    if (occupancy + new_per_set > ways).any():
+        return None
+
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = count - 1
+    last_use = order[ends]
+    written = np.logical_or.reduceat(writes[order], starts)
+    hit = np.ones(count, dtype=bool)
+    hit[order[starts[~resident]]] = False
+
+    # Untouched resident lines move left past the touched ones; a row
+    # none of whose resident lines was touched keeps its prefix as is.
+    held_column = column[resident]
+    if held_column.size:
+        written[resident] |= dirty[resident_sets, held_column]
+        compact = np.flatnonzero(touched_resident)
+        keep = np.arange(ways, dtype=np.int64)[None, :] < occupancy[compact][:, None]
+        keep[np.searchsorted(compact, resident_sets), held_column] = False
+        kept = np.flatnonzero(keep)
+        kept_row = kept // ways
+        source = kept - kept_row * ways
+        kept_count = np.bincount(kept_row, minlength=compact.shape[0])
+        dest = np.arange(kept.shape[0], dtype=np.int64) - (
+            np.cumsum(kept_count) - kept_count
+        )[kept_row]
+        moves = dest != source
+        moved_sets = compact[kept_row[moves]]
+        source = source[moves]
+        dest = dest[moves]
+        moved_tags = tags[moved_sets, source]
+        moved_dirty = dirty[moved_sets, source]
+        tags[moved_sets, dest] = moved_tags
+        dirty[moved_sets, dest] = moved_dirty
+
+    # Touched lines follow, per set in order of last use.
+    by_use = np.argsort(line_sets * count + last_use, kind="stable")
+    sets_by_use = line_sets[by_use]
+    group_start = np.cumsum(distinct) - distinct
+    columns = (occupancy - touched_resident - group_start)[sets_by_use] + np.arange(
+        by_use.shape[0], dtype=np.int64
+    )
+    tags[sets_by_use, columns] = line_tags[by_use]
+    dirty[sets_by_use, columns] = written[by_use]
+    occupancy += new_per_set
+    return hit
+
+
+def _remove_column(rows: np.ndarray, remove: np.ndarray, way_ids: np.ndarray) -> np.ndarray:
+    """Copy of ``rows`` with column ``remove[i]`` of row ``i`` deleted.
+
+    Later columns shift left and the last column keeps its old value,
+    which every caller overwrites.  A masked copy, several times cheaper
+    than the equivalent 2-D fancy-index gather.
+    """
+    moved = rows.copy()
+    np.copyto(moved[:, :-1], rows[:, 1:], where=way_ids[:-1] >= remove[:, None])
+    return moved
+
+
 def replay_stream(
     tags: np.ndarray,
     dirty: np.ndarray,
@@ -138,18 +282,26 @@ def replay_stream(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Replay an ordered access stream against one level's state arrays.
 
-    The stream is grouped by set (stable sort, so per-set order is the
-    stream order) and processed in *wavefronts*: iteration ``k`` updates
-    the ``k``-th access of every set at once with pure array operations.
-    Each wavefront touches each set at most once, so the gather/update/
-    scatter below is exactly one sequential LRU access per set — the
-    result is bit-identical to looping :meth:`Cache.access`.
+    Three paths, all bit-identical to looping :meth:`Cache.access`:
 
-    The loop works on a packed ``tag * 2 + dirty`` array so every LRU
-    reorder moves one array instead of two, skips occupancy bookkeeping
-    once every set is full (occupancy never changes again), and — when a
-    wavefront covers every set — drops the gather/scatter entirely and
-    updates the packed state in place.
+    * **Fill kernel** (:func:`_replay_fill`).  A stream that evicts
+      nothing (every set's resident lines plus its distinct new lines
+      fit in ``ways``) is replayed in closed form, with a few sorts and
+      scatters and no per-access loop.  This covers caches filling from
+      empty and streams that only hit; a few probed accesses reject
+      steady-state streams before any sorting.
+    * **Generic wavefronts.**  Any other stream is grouped by set
+      (stable sort, so per-set order is the stream order) and processed
+      in *wavefronts*: iteration ``k`` updates the ``k``-th access of
+      every set at once with pure array operations.  Each wavefront
+      touches each set at most once, so the gather/update/scatter below
+      is exactly one sequential LRU access per set.  The loop works on a
+      packed ``tag * 2 + dirty`` array so every LRU reorder moves one
+      array instead of two.
+    * **All-full wavefronts.**  Once every set is full, occupancy never
+      changes again: the loop drops its bookkeeping, and a wavefront that
+      covers every set updates the packed state in place with no
+      gather/scatter.
 
     Parameters
     ----------
@@ -174,6 +326,11 @@ def replay_stream(
     victim_dirty_out = np.zeros(count, dtype=bool)
     if count == 0:
         return hit_out, evicted_out, victim_tag_out, victim_dirty_out
+    fill_hit = _replay_fill(
+        tags, dirty, occupancy, ways, set_indices, target_tags, writes
+    )
+    if fill_hit is not None:
+        return fill_hit, evicted_out, victim_tag_out, victim_dirty_out
 
     order = np.argsort(set_indices, kind="stable")
     sorted_sets = set_indices[order]
@@ -249,9 +406,7 @@ def replay_stream(
             if hit.all():
                 # Pure LRU reorder: move the hit line to MRU, no victims.
                 wf_hit[lo:hi] = True
-                src = way_ids + (way_ids >= pos[:, None])
-                np.minimum(src, last_way, out=src)
-                moved = row_comb[ar[:, None], src]
+                moved = _remove_column(row_comb, pos, way_ids)
                 moved[:, last_way] = row_comb[ar, pos] | wf_w[lo:hi]
                 if identity:
                     comb = moved
@@ -263,9 +418,7 @@ def replay_stream(
             wf_evict[lo:hi] = evict
             wf_victim[lo:hi] = np.where(evict, row_comb[:, 0], 0)
             p_remove = np.where(hit, pos, 0)
-            src = way_ids + (way_ids >= p_remove[:, None])
-            np.minimum(src, last_way, out=src)
-            moved = row_comb[ar[:, None], src]
+            moved = _remove_column(row_comb, p_remove, way_ids)
             moved[:, last_way] = np.where(
                 hit, row_comb[ar, pos] | wf_w[lo:hi], wf_new[lo:hi]
             )
@@ -294,9 +447,7 @@ def replay_stream(
         # past every shifted column).  Insert at the new MRU slot.
         p_remove = np.where(hit, pos, np.where(full, 0, occ))
         insert_pos = np.where(hit, occ - 1, np.where(full, last_way, occ))
-        src = way_ids + (way_ids >= p_remove[:, None])
-        np.minimum(src, last_way, out=src)
-        moved = row_comb[ar[:, None], src]
+        moved = _remove_column(row_comb, p_remove, way_ids)
         moved[ar, insert_pos] = np.where(
             hit, row_comb[ar, pos] | wf_w[lo:hi], wf_new[lo:hi]
         )
@@ -435,8 +586,8 @@ class Cache:
     def access_block(self, addresses, is_write: bool) -> None:
         """Batched :meth:`access`: identical state and statistics updates.
 
-        Replays a whole address block through the set-grouped wavefront
-        engine, discarding the per-access results.  Used by the sweep
+        Replays a whole address block through the array engine
+        (:func:`replay_stream`), discarding the per-access results.  Used by the sweep
         pre-conditioning helpers, which only care about the final cache
         state.  Misses allocate exactly as in :meth:`access`
         (write-allocate; victims are simply dropped — propagating their
@@ -508,21 +659,49 @@ class Cache:
         ``False`` so the result is canonical (equality comparisons see
         only the valid region).  ``shift`` may be negative.
         """
-        num_sets = self.geometry.num_sets
-        ways = self.geometry.ways
-        occupancy = self._occupancy
-        valid = np.arange(ways, dtype=np.int64)[None, :] < occupancy[:, None]
-        set_column = np.arange(num_sets, dtype=np.int64)[:, None]
-        new_ids = shift_ring_lines(self._tags * num_sets + set_column, rings, shift)
-        row_shift = shift % num_sets
-        new_tags = np.where(valid, new_ids // num_sets, 0)
-        new_dirty = np.where(valid, self._dirty, False)
-        return (
-            np.roll(new_tags, row_shift, axis=0),
-            np.roll(new_dirty, row_shift, axis=0),
-            np.roll(occupancy, row_shift),
-        )
+        return _ring_shifted(self._tags, self._dirty, self._occupancy, rings, shift)
 
     def apply_ring_shift(self, rings: list[tuple[int, int]], shift: int) -> None:
         """Replace the state with :meth:`ring_shifted_state` in place."""
         self._tags, self._dirty, self._occupancy = self.ring_shifted_state(rings, shift)
+
+    def load_ring_shifted(
+        self,
+        state: tuple[np.ndarray, np.ndarray, np.ndarray],
+        rings: list[tuple[int, int]],
+        shift: int,
+    ) -> None:
+        """Replace the state with ``state`` advanced ``shift`` ring slots.
+
+        ``state`` is a ``(tags, dirty, occupancy)`` triple such as
+        :meth:`ring_shifted_state` returns; it is read, never aliased.
+        """
+        self._tags, self._dirty, self._occupancy = _ring_shifted(*state, rings, shift)
+
+
+def _ring_shifted(
+    tags: np.ndarray,
+    dirty: np.ndarray,
+    occupancy: np.ndarray,
+    rings: list[tuple[int, int]],
+    shift: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh state arrays with every ring line advanced (see ``ring_shifted_state``).
+
+    ``tags`` and ``occupancy`` may use any integer dtype; the result is
+    int64 like the cache's own arrays.
+    """
+    num_sets, ways = tags.shape
+    tags = tags.astype(np.int64, copy=False)
+    occupancy = occupancy.astype(np.int64, copy=False)
+    valid = np.arange(ways, dtype=np.int64)[None, :] < occupancy[:, None]
+    set_column = np.arange(num_sets, dtype=np.int64)[:, None]
+    new_ids = shift_ring_lines(tags * num_sets + set_column, rings, shift)
+    row_shift = shift % num_sets
+    new_tags = np.where(valid, new_ids // num_sets, 0)
+    new_dirty = np.where(valid, dirty, False)
+    return (
+        np.roll(new_tags, row_shift, axis=0),
+        np.roll(new_dirty, row_shift, axis=0),
+        np.roll(occupancy, row_shift),
+    )

@@ -34,10 +34,10 @@ UARCH_SCHEMA_VERSION = 1
 #: Environment variable that disables the fast path when set truthy.
 REFERENCE_PATH_ENV = "SAVAT_REFERENCE_PATH"
 
-#: Environment variable that disables periodic steady-state extrapolation
-#: during sweep priming when set falsy (it is on by default; the result
-#: is bit-identical either way, so this knob exists for debugging and for
-#: timing the pure wavefront replay).
+#: Environment variable that, set falsy, disables periodic steady-state
+#: extrapolation during sweep priming and the memo of lone-ring steady
+#: states (both on by default; the result is bit-identical either way,
+#: so this knob exists for debugging and for timing plain replay).
 PRIME_EXTRAPOLATE_ENV = "SAVAT_PRIME_EXTRAPOLATE"
 
 _TRUTHY = {"1", "true", "yes", "on"}

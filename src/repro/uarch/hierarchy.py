@@ -162,7 +162,7 @@ class MemoryHierarchy:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """L1 half of :meth:`access_stream`: the stream L1 sends to L2.
 
-        Runs the whole stream through L1 in wavefronts and derives the
+        Runs the whole stream through L1 in one engine call and derives the
         exact L2 access sequence the scalar path would have issued: per
         L1 miss, in stream order, the dirty victim's write-back (if any)
         and then the demand fill as a read.  L1 never reads L2 state, so
@@ -243,7 +243,7 @@ class MemoryHierarchy:
         updates as calling :meth:`access` once per element — the final
         L1/L2 contents (tags, dirty bits, LRU order), all cache
         counters, and ``offchip_accesses`` are bit-identical — but the
-        whole stream is processed with the set-grouped wavefront engine
+        whole stream is processed by the array cache engine
         (:func:`repro.uarch.cache.replay_stream`): no per-access Python
         loop, no list round-trips, no per-access report objects.  The
         sweep-priming fast path uses this to collapse millions of

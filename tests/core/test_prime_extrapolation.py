@@ -228,3 +228,97 @@ def test_l1_replay_stops_once_l1_is_periodic(monkeypatch):
     monkeypatch.undo()
     replayed = _prime(monkeypatch, sweeps, count, periods, extrapolate=False)
     _assert_identical(primed, replayed)
+
+
+# ----------------------------------------------------------------------
+# Lone-ring steady-state memo
+# ----------------------------------------------------------------------
+
+
+def _memo_prime(sweeps, accesses: int) -> MemoryHierarchy:
+    """Prime as ``prime_alternation_steady_state`` does for a lone ring."""
+    hierarchy = _hierarchy()
+    if not savat._prime_lone_ring(hierarchy, sweeps, accesses):
+        savat._prime_fast(hierarchy, sweeps, 1, accesses)
+    return hierarchy
+
+
+@pytest.mark.parametrize("is_store", [False, True], ids=["load", "store"])
+@pytest.mark.parametrize("slots", [4096, 131072], ids=["l2-ring", "memory-ring"])
+def test_lone_ring_memo_matches_full_replay(monkeypatch, slots, is_store):
+    """At, far above and below the memo's start, priming equals full replay."""
+    savat.clear_prime_memo()
+    monkeypatch.setenv(PRIME_EXTRAPOLATE_ENV, "1")
+    sweeps = [_ring(2**24, slots, is_store)]
+    assert savat._prime_lone_ring(_hierarchy(), sweeps, 4 * slots)
+    (steady,) = savat._RING_STEADY_STATES.values()
+    start = steady.start
+    for accesses in (start, 5 * slots + 12345, start - 1):
+        monkeypatch.setenv(PRIME_EXTRAPOLATE_ENV, "1")
+        primed = _memo_prime(sweeps, accesses)
+        assert savat._prime_lone_ring(_hierarchy(), sweeps, accesses) == (accesses >= start)
+        replayed = _prime(monkeypatch, sweeps, 1, accesses, extrapolate=False)
+        _assert_identical(primed, replayed)
+
+
+def test_lone_ring_memo_is_not_aliased(monkeypatch):
+    """Mutating a primed hierarchy leaves the memo, and later primes, intact."""
+    savat.clear_prime_memo()
+    monkeypatch.setenv(PRIME_EXTRAPOLATE_ENV, "1")
+    sweeps = [_ring(2**24, 4096, True)]
+    accesses = 3 * 4096
+    first = _memo_prime(sweeps, accesses)
+    for cache in (first.l1, first.l2):
+        cache._tags += 1
+        cache._dirty[:] = False
+        cache._occupancy[:] = 1
+    first.access_stream(np.arange(0, 2**22, LINE), True)
+    second = _memo_prime(sweeps, accesses)
+    replayed = _prime(monkeypatch, sweeps, 1, accesses, extrapolate=False)
+    _assert_identical(second, replayed)
+
+
+def test_clear_prime_memo_empties_it(monkeypatch):
+    monkeypatch.setenv(PRIME_EXTRAPOLATE_ENV, "1")
+    _memo_prime([_ring(2**24, 4096, False)], 3 * 4096)
+    assert savat._RING_STEADY_STATES
+    savat.clear_prime_memo()
+    assert savat._RING_STEADY_STATES == {}
+
+
+def test_second_cell_with_the_same_ring_replays_nothing(monkeypatch):
+    """Two cells sharing LDM's ring: only the first one replays the ring."""
+    from repro.codegen.alternation import plan_alternation
+    from repro.isa.events import get_event
+    from repro.machines.catalog import get_machine
+
+    savat.clear_prime_memo()
+    monkeypatch.delenv(PRIME_EXTRAPOLATE_ENV, raising=False)
+    spec = get_machine("core2duo")
+    calls = []
+    original = hierarchy_module.replay_stream
+
+    def spy(tags, *args):
+        calls.append(tags.shape[0])
+        return original(tags, *args)
+
+    monkeypatch.setattr(hierarchy_module, "replay_stream", spy)
+    primed = []
+    for partner, count in (("ADD", 138), ("SUB", 141)):
+        alternation = plan_alternation(
+            get_event(partner), get_event("LDM"),
+            spec.l1_geometry, spec.l2_geometry, count,
+        )
+        core = spec.make_core()
+        calls.clear()
+        savat.prime_alternation_steady_state(core, alternation)
+        primed.append((core, alternation, list(calls)))
+    l2_sets = spec.l2_geometry.num_sets
+    assert l2_sets in primed[0][2]
+    assert primed[1][2] == []
+    monkeypatch.undo()
+    for core, alternation, _calls in primed:
+        oracle = spec.make_core()
+        monkeypatch.setenv(PRIME_EXTRAPOLATE_ENV, "0")
+        savat.prime_alternation_steady_state(oracle, alternation)
+        _assert_identical(core.hierarchy, oracle.hierarchy)
