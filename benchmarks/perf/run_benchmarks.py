@@ -19,15 +19,6 @@ to end, on the fast and the scalar reference implementations:
   cache) versus a cold single campaign with the trace cache off; the
   shared cache must keep the whole study under 2x the single-campaign
   cost, because the second distance reuses every trace;
-* **shm_campaign** — a pooled mixed-cost ``method="full"`` campaign
-  over the shared-memory sample plane versus the same pool with pickle
-  transport and a serial reference: samples must be bit-identical
-  across all transports and schedules, the shared arena must keep
-  >=90% of the sample bytes out of pickle (measured by the campaign's
-  own IPC counters), and the shm transport must not cost wall-clock
-  over the pickle transport.  Worker-count speedups are recorded but
-  not gated — they depend on the container's core count (recorded in
-  the results), and this container may be single-core.
 
 Results are written to ``BENCH_simulation.json``.  With ``--campaign``
 the cold, cache-disabled, serial Figure 9-sized campaign (11x11 events,
@@ -288,125 +279,6 @@ def bench_study(machine, repeats: int) -> dict:
     }
 
 
-#: Event subset for the shm benchmark — a mixed-cost grid (cheap ALU
-#: rows next to off-chip memory rows) small enough to run four transport
-#: variants per invocation at ``method="full"`` repetition cost.
-SHM_EVENTS = ("MUL", "ADD", "LDM")
-SHM_REPETITIONS = 2
-SHM_WORKERS = 4
-
-#: Minimum fraction of worker-produced sample bytes that the shared
-#: arena must keep out of pickle transport, per the campaign's own IPC
-#: counters.
-SHM_IPC_REDUCTION_FLOOR = 0.90
-
-#: Maximum acceptable wall-clock ratio of the shm transport over the
-#: pickle transport on the same pool: both variants run identical
-#: simulations, so the transports themselves should be within noise of
-#: each other even on a loaded container.
-SHM_TRANSPORT_BUDGET = 1.25
-
-
-def bench_shm_campaign(machine, repeats: int) -> dict:
-    """Pooled mixed-cost campaign: shm sample plane vs pickle transport.
-
-    Runs the same cold ``method="full"`` campaign four ways — serial,
-    pooled with pickle transport, pooled over the shared-memory arena,
-    and pooled over the arena with cost-aware scheduling — and gates on
-    the properties that are independent of how many cores the container
-    has: samples bit-identical across all four, >=90% of the sample
-    bytes kept out of pickle (exact, from the IPC counters), no leaked
-    ``/dev/shm`` segments, and shm transport no slower than pickle
-    transport beyond noise.  Pool-vs-serial and cost-vs-rowmajor
-    speedups are *recorded*, not gated: on a single-core container
-    (``cores`` in the results) a process pool cannot beat serial
-    wall-clock and submission order cannot change it, so those ratios
-    only carry signal on multi-core hosts.
-    """
-    import os
-
-    from repro.core.campaign import run_campaign
-    from repro.core.shm import SEGMENT_PREFIX, list_segments, shm_available
-
-    config = MeasurementConfig(method="full")
-
-    def campaign(workers: int, shm: bool, schedule: str):
-        clear_cpi_cache()
-        started = time.perf_counter()
-        matrix = run_campaign(
-            machine,
-            config=config,
-            events=SHM_EVENTS,
-            repetitions=SHM_REPETITIONS,
-            seed=2014,
-            workers=workers,
-            trace_cache=False,
-            shm=shm,
-            schedule=schedule,
-        )
-        return time.perf_counter() - started, matrix
-
-    # One warm-up pass so forked workers inherit warm module caches and
-    # the first timed variant is not penalized for import costs.
-    campaign(0, False, "rowmajor")
-
-    def best(workers: int, shm: bool, schedule: str):
-        best_s, best_matrix = float("inf"), None
-        for _ in range(repeats):
-            elapsed, matrix = campaign(workers, shm, schedule)
-            if elapsed < best_s:
-                best_s, best_matrix = elapsed, matrix
-        return best_s, best_matrix
-
-    serial_s, serial = best(0, False, "rowmajor")
-    pickle_s, pickled = best(SHM_WORKERS, False, "rowmajor")
-    shm_s, shm_matrix = best(SHM_WORKERS, True, "rowmajor")
-    cost_s, cost_matrix = best(SHM_WORKERS, True, "cost")
-
-    def execution(matrix) -> dict:
-        return matrix.metadata["execution"]
-
-    ipc = execution(shm_matrix)["ipc"]
-    moved = ipc["bytes_saved"] + ipc["sample_bytes"]
-    reduction = ipc["bytes_saved"] / moved if moved else 0.0
-    # Where the platform has no shm plane the campaign degrades to
-    # pickle by design; the reduction gate only means something where
-    # the plane can run at all.
-    reduction_ok = reduction >= SHM_IPC_REDUCTION_FLOOR or not shm_available()
-    identical = all(
-        np.array_equal(serial.samples_zj, matrix.samples_zj)
-        for matrix in (pickled, shm_matrix, cost_matrix)
-    )
-    transport_overhead = shm_s / pickle_s
-    leaked = list_segments(SEGMENT_PREFIX) if shm_available() else []
-    return {
-        "mixed_full": {
-            "fast_s": shm_s,
-            "serial_s": serial_s,
-            "pickle_pool_s": pickle_s,
-            "cost_pool_s": cost_s,
-            "cores": os.cpu_count(),
-            "workers": SHM_WORKERS,
-            "shm_used": bool(execution(shm_matrix)["shm"]["enabled"]),
-            "ipc_bytes_saved": ipc["bytes_saved"],
-            "ipc_sample_bytes": ipc["sample_bytes"],
-            "ipc_reduction": reduction,
-            "ipc_reduction_floor": SHM_IPC_REDUCTION_FLOOR,
-            "ipc_reduction_ok": bool(reduction_ok),
-            "samples_identical": bool(identical),
-            "transport_overhead": transport_overhead,
-            "transport_budget": SHM_TRANSPORT_BUDGET,
-            "transport_ok": bool(transport_overhead <= SHM_TRANSPORT_BUDGET),
-            "pool_speedup_vs_serial": serial_s / shm_s,
-            "cost_speedup_vs_rowmajor": shm_s / cost_s,
-            "rowmajor_tail_s": execution(shm_matrix)["scheduling"]["tail_seconds"],
-            "cost_tail_s": execution(cost_matrix)["scheduling"]["tail_seconds"],
-            "leaked_segments": leaked,
-            "no_leaked_segments": not leaked,
-        }
-    }
-
-
 def bench_campaign(machine) -> dict:
     """Cold, cache-disabled, serial Figure 9-sized campaign (fast path)."""
     clear_cpi_cache()
@@ -561,28 +433,6 @@ def run(args) -> int:
         f"second distance all hits: {numbers['second_distance_all_hits']}"
     )
 
-    print("pooled shm sample plane vs pickle transport (mixed-cost full method)...")
-    results["shm_campaign"] = bench_shm_campaign(machine, args.repeats)
-    numbers = results["shm_campaign"]["mixed_full"]
-    print(
-        f"  shm pool {numbers['fast_s']:.3f}s vs pickle pool "
-        f"{numbers['pickle_pool_s']:.3f}s vs serial "
-        f"{numbers['serial_s']:.3f}s ({numbers['cores']} core(s)); "
-        f"ipc reduction {numbers['ipc_reduction']:.0%} "
-        f"(floor {numbers['ipc_reduction_floor']:.0%}) -> "
-        f"{'ok' if numbers['ipc_reduction_ok'] else 'UNDER FLOOR'}"
-    )
-    print(
-        f"  cost schedule {numbers['cost_pool_s']:.3f}s "
-        f"(tail {numbers['cost_tail_s']:.3f}s vs rowmajor "
-        f"{numbers['rowmajor_tail_s']:.3f}s); samples identical: "
-        f"{numbers['samples_identical']}; transport overhead "
-        f"{numbers['transport_overhead']:.2f}x (budget "
-        f"{numbers['transport_budget']:.2f}x) -> "
-        f"{'ok' if numbers['transport_ok'] else 'OVER BUDGET'}; "
-        f"leaked segments: {len(numbers['leaked_segments'])}"
-    )
-
     if args.campaign:
         print("cold serial 11x11 campaign (this takes a while on the fast path,")
         print(f"and took {PRE_PR_CAMPAIGN_SECONDS:.1f}s before the fast path)...")
@@ -614,9 +464,7 @@ def run(args) -> int:
                 pair: {"fast_s": numbers["fast_s"]}
                 for pair, numbers in results[stage].items()
             }
-            for stage in (
-                "cold_cell", "priming", "full_cell", "study", "shm_campaign",
-            )
+            for stage in ("cold_cell", "priming", "full_cell", "study")
         }
         DEFAULT_BASELINE.write_text(
             json.dumps(baseline, indent=2, sort_keys=True) + "\n"
@@ -626,9 +474,7 @@ def run(args) -> int:
     if args.check is not None:
         baseline = json.loads(pathlib.Path(args.check).read_text())
         failed = False
-        for stage in (
-            "cold_cell", "priming", "full_cell", "study", "shm_campaign",
-        ):
+        for stage in ("cold_cell", "priming", "full_cell", "study"):
             for pair, numbers in baseline.get(stage, {}).items():
                 allowed = numbers["fast_s"] * REGRESSION_FACTOR
                 measured = results[stage][pair]["fast_s"]
@@ -638,15 +484,6 @@ def run(args) -> int:
                     f"{numbers['fast_s']:.3f}s (allowed {allowed:.3f}s) -> {status}"
                 )
                 failed = failed or measured > allowed
-        # The shm stage's load-independent properties are hard gates:
-        # they are exact counters and array comparisons, immune to
-        # container noise (unlike the recorded speedups, which mean
-        # nothing on a single-core host).
-        shm_numbers = results["shm_campaign"]["mixed_full"]
-        for flag in ("ipc_reduction_ok", "samples_identical", "no_leaked_segments"):
-            status = "ok" if shm_numbers[flag] else "FAIL"
-            print(f"check shm_campaign {flag}: {status}")
-            failed = failed or not shm_numbers[flag]
         if failed:
             print("FAIL: fast-path latency regressed more than "
                   f"{REGRESSION_FACTOR}x over the baseline")

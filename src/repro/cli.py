@@ -152,23 +152,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "results are bit-identical either way)",
     )
     parser.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the shared-memory sample plane on (--shm) or off "
-        "(--no-shm); by default it is on for pooled runs where the "
-        "platform supports it ($SAVAT_SHM=0 disables it). Samples are "
-        "bit-identical either way",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("rowmajor", "cost"),
-        default="rowmajor",
-        help="cell submission order for pooled runs: 'rowmajor' or "
-        "'cost' (most expensive cells first, from recorded timings); "
-        "never changes the samples (default: rowmajor)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=os.environ.get("SAVAT_CACHE_DIR"),
         metavar="DIR",
@@ -271,8 +254,6 @@ def _campaign_execution_kwargs(args: argparse.Namespace) -> dict:
             FaultPlan.from_spec(args.inject_faults) if args.inject_faults else None
         ),
         "observability": observability,
-        "shm": args.shm,
-        "schedule": args.schedule,
     }
 
 
@@ -383,15 +364,6 @@ def _campaign_summary_lines(campaign, machine) -> list[str]:
             )
         )
         lines.append(f"simulation time by phase: {breakdown}")
-    shm_info = execution.get("shm") or {}
-    ipc = execution.get("ipc") or {}
-    scheduling = execution.get("scheduling") or {}
-    if shm_info.get("enabled"):
-        lines.append(
-            f"shared memory: {shm_info.get('segments', 0)} segment(s), "
-            f"{ipc.get('bytes_saved', 0)} sample byte(s) kept out of "
-            f"pickle ({scheduling.get('policy', 'rowmajor')} schedule)"
-        )
     lines.append(
         f"robustness: {execution['resumed']} cell(s) resumed from the "
         f"journal, {execution['retries']} retry(ies), "
@@ -449,8 +421,6 @@ def _command_study(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         cell_timeout_s=args.cell_timeout,
         output_dir=args.output_dir,
-        shm=args.shm,
-        schedule=args.schedule,
     )
     if args.format == "json":
         print(
@@ -474,11 +444,7 @@ def _command_study(args: argparse.Namespace) -> int:
     for matrix in result.matrices:
         execution = matrix.metadata["execution"]
         trace_cache = execution.get("trace_cache") or {}
-        hits = (
-            trace_cache.get("memory_hits", 0)
-            + trace_cache.get("shm_hits", 0)
-            + trace_cache.get("disk_hits", 0)
-        )
+        hits = trace_cache.get("memory_hits", 0) + trace_cache.get("disk_hits", 0)
         print(
             f"  {matrix.machine} @ {matrix.distance_m * 100:.0f} cm: "
             f"{execution['wall_seconds']:.1f} s, "
@@ -488,7 +454,6 @@ def _command_study(args: argparse.Namespace) -> int:
     totals = result.trace_cache
     print(
         f"trace cache totals: {totals['memory_hits']} memory hit(s), "
-        f"{totals.get('shm_hits', 0)} shm hit(s), "
         f"{totals['disk_hits']} disk hit(s), {totals['misses']} miss(es), "
         f"{totals['quarantined']} quarantined"
     )
@@ -660,22 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for the shared pool serving every campaign "
         "(0 or 1: serial; results are bit-identical either way)",
-    )
-    study.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the shared-memory plane on (--shm) or off (--no-shm); "
-        "in a study it also gives the shared trace cache a "
-        "shared-memory tier (default: on for pooled runs where "
-        "supported; $SAVAT_SHM=0 disables it)",
-    )
-    study.add_argument(
-        "--schedule",
-        choices=("rowmajor", "cost"),
-        default="rowmajor",
-        help="cell submission order for every pooled campaign "
-        "(default: rowmajor)",
     )
     study.add_argument(
         "--cache-dir",

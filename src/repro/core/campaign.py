@@ -58,8 +58,6 @@ def run_campaign(
     observability: CampaignObservability | None = None,
     trace_cache: TraceCache | bool | None = None,
     pool: WorkerPool | None = None,
-    shm: bool | None = None,
-    schedule: str = "rowmajor",
 ) -> SavatMatrix:
     """Measure the full pairwise SAVAT matrix.
 
@@ -139,18 +137,6 @@ def run_campaign(
         Persistent :class:`~repro.core.executor.WorkerPool` to run the
         campaign over (a study shares one pool across its campaigns so
         worker trace LRUs stay warm); overrides ``workers``.
-    shm:
-        Shared-memory sample plane: ``None`` (default) defers to the
-        ``SAVAT_SHM`` environment knob, ``True``/``False`` force it on
-        or off.  When on, pooled workers write samples into one shared
-        arena instead of pickling them back; samples stay bit-identical
-        either way.
-    schedule:
-        Cell submission order for pooled runs: ``"rowmajor"`` (default)
-        or ``"cost"``, which submits the most expensive cells first
-        using recorded per-cell timings (falling back to a static
-        cost prior).  Scheduling never changes samples — each cell owns
-        a fixed seed-schedule entry.
 
     Returns
     -------
@@ -189,8 +175,6 @@ def run_campaign(
         observability=observability,
         trace_cache=trace_cache,
         pool=pool,
-        shm=shm,
-        schedule=schedule,
     )
 
     return SavatMatrix(

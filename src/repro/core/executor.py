@@ -103,11 +103,9 @@ from repro.core.faults import CORRUPT_PAYLOAD, CellFault, FaultPlan
 from repro.core.savat import (
     MeasurementConfig,
     _plan_pair,
-    estimate_cell_cost,
     measure_savat_samples,
     record_phase_seconds,
 )
-from repro.core.shm import SampleArena, resolve_shm
 from repro.core.trace_cache import (
     TraceCache,
     get_process_trace_cache,
@@ -131,13 +129,6 @@ JOURNAL_VERSION = 1
 #: Default per-cell retry budget for transient worker faults.
 DEFAULT_MAX_RETRIES = 2
 
-#: Cell-submission orders the executor supports.  ``"rowmajor"`` is the
-#: historical (i, j) order; ``"cost"`` submits the cells expected to
-#: run longest first, shrinking the pool's tail latency.  Samples are
-#: bit-identical across schedules: every cell replays its own
-#: seed-schedule entry regardless of submission order.
-SCHEDULES = ("rowmajor", "cost")
-
 ProgressCallback = Callable[[str, str, int, int], None]
 
 
@@ -159,15 +150,6 @@ def _validate_workers(workers: int) -> int:
             f"got {workers}"
         )
     return int(workers)
-
-
-def _validate_schedule(schedule: str) -> str:
-    """Validate a ``schedule`` name against :data:`SCHEDULES`."""
-    if schedule not in SCHEDULES:
-        raise ConfigurationError(
-            f"unknown schedule {schedule!r}; options: {SCHEDULES}"
-        )
-    return schedule
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +270,6 @@ class CampaignStats:
         # repro.obs.check's exact comparison) sees 0 samples even for a
         # campaign that never hit a given tier.
         self._trace_hits.labels(tier="memory")
-        self._trace_hits.labels(tier="shm")
         self._trace_hits.labels(tier="disk")
         self._trace_misses = r.counter(
             "savat_trace_cache_misses_total",
@@ -348,35 +329,6 @@ class CampaignStats:
             "savat_cell_duration_seconds",
             "Distribution of per-cell simulation wall times.",
         )
-        self._ipc_sample_bytes = r.counter(
-            "savat_ipc_sample_bytes_total",
-            "Sample payload bytes pickled across the worker boundary "
-            "(zero-copy cells travel through the shared-memory arena "
-            "instead).",
-        )
-        self._ipc_saved = r.counter(
-            "savat_ipc_bytes_saved_total",
-            "Sample and strip bytes that crossed through the "
-            "shared-memory arena instead of being pickled.",
-        )
-        self._shm_enabled = r.gauge(
-            "savat_shm_enabled",
-            "Whether the shared-memory data plane was active (1) for "
-            "this campaign.",
-        )
-        self._shm_segments = r.gauge(
-            "savat_shm_segments",
-            "Shared-memory segments the campaign's data plane used "
-            "(sample arena plus trace-cache shm entries).",
-        )
-        self._sched_tail = r.gauge(
-            "savat_sched_tail_seconds",
-            "Pool drain tail: seconds between the last cell submission "
-            "and the last completion.",
-        )
-        #: Submission order used for this campaign's cold cells.
-        self.schedule_policy = "rowmajor"
-
     # -- readable counter/gauge views ----------------------------------
     @property
     def cache_hits(self) -> int:
@@ -418,7 +370,6 @@ class CampaignStats:
         """Trace-cache traffic this campaign caused, by counter name."""
         return {
             "memory_hits": int(self._trace_hits.labels(tier="memory").get()),
-            "shm_hits": int(self._trace_hits.labels(tier="shm").get()),
             "disk_hits": int(self._trace_hits.labels(tier="disk").get()),
             "misses": int(self._trace_misses.value()),
             "stores": int(self._trace_stores.value()),
@@ -438,31 +389,6 @@ class CampaignStats:
     @wall_seconds.setter
     def wall_seconds(self, seconds: float) -> None:
         self._wall.set(float(seconds))
-
-    @property
-    def ipc_sample_bytes(self) -> int:
-        """Sample payload bytes pickled across the worker boundary."""
-        return int(self._ipc_sample_bytes.value())
-
-    @property
-    def ipc_bytes_saved(self) -> int:
-        """Sample/strip bytes that traveled via shared memory instead."""
-        return int(self._ipc_saved.value())
-
-    @property
-    def shm_enabled(self) -> bool:
-        """Whether the shared-memory data plane was active."""
-        return bool(self._shm_enabled.value())
-
-    @property
-    def shm_segments(self) -> int:
-        """Shared-memory segments the campaign's data plane used."""
-        return int(self._shm_segments.value())
-
-    @property
-    def sched_tail_seconds(self) -> float:
-        """Seconds between the last submission and the last completion."""
-        return float(self._sched_tail.value())
 
     @property
     def faults_injected(self) -> dict[str, int]:
@@ -524,8 +450,6 @@ class CampaignStats:
         """
         if delta.get("memory_hits"):
             self._trace_hits.labels(tier="memory").inc(delta["memory_hits"])
-        if delta.get("shm_hits"):
-            self._trace_hits.labels(tier="shm").inc(delta["shm_hits"])
         if delta.get("disk_hits"):
             self._trace_hits.labels(tier="disk").inc(delta["disk_hits"])
         if delta.get("misses"):
@@ -534,22 +458,6 @@ class CampaignStats:
             self._trace_stores.inc(delta["stores"])
         if delta.get("quarantined"):
             self._trace_quarantined.inc(delta["quarantined"])
-
-    def record_ipc(self, sample_bytes: int = 0, saved_bytes: int = 0) -> None:
-        """Account one result's transport: pickled vs shared-memory bytes."""
-        if sample_bytes:
-            self._ipc_sample_bytes.inc(sample_bytes)
-        if saved_bytes:
-            self._ipc_saved.inc(saved_bytes)
-
-    def record_shm(self, enabled: bool, segments: int = 0) -> None:
-        """Record the data plane's state for this campaign."""
-        self._shm_enabled.set(1.0 if enabled else 0.0)
-        self._shm_segments.set(int(segments))
-
-    def record_sched_tail(self, seconds: float) -> None:
-        """Record the pool drain tail of this campaign's fan-out."""
-        self._sched_tail.set(float(seconds))
 
     def record_resumed(self) -> None:
         """Count one cell restored from the journal."""
@@ -599,18 +507,6 @@ class CampaignStats:
             "quarantined": self.quarantined,
             "resumed": self.resumed,
             "trace_cache": dict(self.trace_cache),
-            "ipc": {
-                "sample_bytes": self.ipc_sample_bytes,
-                "bytes_saved": self.ipc_bytes_saved,
-            },
-            "shm": {
-                "enabled": self.shm_enabled,
-                "segments": self.shm_segments,
-            },
-            "scheduling": {
-                "policy": self.schedule_policy,
-                "tail_seconds": self.sched_tail_seconds,
-            },
             "faults_injected": dict(self.faults_injected),
             "cell_seconds": dict(self.cell_seconds),
             "cell_phase_seconds": {
@@ -779,67 +675,6 @@ class ResultCache:
             path,
             lambda handle: handle.write(
                 json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-            ),
-        )
-
-    # -- recorded per-pair costs (cost-aware scheduling) ----------------
-    def costs_path(self) -> Path:
-        """Per-pair seconds recorded across campaigns (advisory data).
-
-        Deliberately keyed by pair at the cache root, not under one
-        campaign key: a campaign at a new distance or seed shares no
-        result cells with its predecessors but runs the same kernels,
-        so their recorded costs are exactly what its scheduler needs.
-        """
-        return self.cache_dir / "costs.json"
-
-    def load_cost_history(self) -> dict[str, float]:
-        """Recorded per-pair simulation seconds (empty when absent).
-
-        Corrupt or implausible entries are dropped rather than trusted:
-        the history only orders cell submission, so the worst a bad
-        file could do — and is not allowed to — is crash a campaign.
-        """
-        try:
-            payload = json.loads(self.costs_path().read_text())
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(payload, dict):
-            return {}
-        history: dict[str, float] = {}
-        for pair, seconds in payload.items():
-            try:
-                value = float(seconds)
-            except (TypeError, ValueError):
-                continue
-            if np.isfinite(value) and value > 0:
-                history[str(pair)] = value
-        return history
-
-    def store_cost_history(self, cell_seconds: dict[str, float]) -> None:
-        """Merge freshly measured per-pair seconds into the history.
-
-        Repeat observations are averaged into the previous estimate, so
-        the history tracks the machine it runs on without being whipped
-        around by one noisy campaign.
-        """
-        history = self.load_cost_history()
-        for pair, seconds in cell_seconds.items():
-            value = float(seconds)
-            if not np.isfinite(value) or value <= 0:
-                continue
-            previous = history.get(pair)
-            history[pair] = (
-                value if previous is None else 0.5 * (previous + value)
-            )
-        if not history:
-            return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            self.cache_dir,
-            self.costs_path(),
-            lambda handle: handle.write(
-                json.dumps(history, indent=2, sort_keys=True).encode("utf-8")
             ),
         )
 
@@ -1083,30 +918,7 @@ def _init_worker(trace_cache_spec: dict | None = None) -> None:
     _worker_trace_cache(trace_cache_spec)
 
 
-#: The worker's attachment to the current campaign's sample arena,
-#: memoized by spec exactly like the trace cache: a long-lived pool
-#: maps each campaign's arena once per worker, not once per cell.
-_WORKER_ARENA: SampleArena | None = None
-_WORKER_ARENA_SPEC: dict | None = None
-
-
-def _worker_arena(spec: dict | None) -> SampleArena | None:
-    """The worker's mapping of the arena named by ``spec`` (memoized)."""
-    global _WORKER_ARENA, _WORKER_ARENA_SPEC
-    if spec is None:
-        return None
-    if _WORKER_ARENA is None or _WORKER_ARENA_SPEC != spec:
-        if _WORKER_ARENA is not None:
-            _WORKER_ARENA.close()
-            _WORKER_ARENA = None
-        _WORKER_ARENA = SampleArena.attach(spec)
-        _WORKER_ARENA_SPEC = dict(spec)
-    return _WORKER_ARENA
-
-
 def _cell_task(
-    i: int,
-    j: int,
     machine: CalibratedMachine,
     config: MeasurementConfig,
     repetitions: int,
@@ -1116,8 +928,7 @@ def _cell_task(
     plan: FrequencyPlan,
     fault: CellFault | None,
     trace_cache_spec: dict | None,
-    arena_spec: dict | None = None,
-) -> tuple[int, int, np.ndarray | None, float, dict[str, float], dict]:
+) -> tuple[np.ndarray, float, dict[str, float], dict]:
     """Simulate one cell inside a worker process.
 
     The cell ships its campaign context (machine, config, repetitions)
@@ -1131,15 +942,7 @@ def _cell_task(
     only, since the parent measures timeout budgets against its own
     clock.
 
-    With ``arena_spec`` set, the cell's samples and its phase/elapsed
-    strip entry are written into the campaign's shared-memory
-    :class:`~repro.core.shm.SampleArena` slice instead of being
-    returned — the samples element of the tuple is ``None`` and the
-    result pickle carries only scalars.  The parent reads the slice
-    back out of the arena, so the payload never crosses the process
-    boundary by value.
-
-    The sixth tuple element is the cell's **trace span fragment**
+    The last tuple element is the cell's **trace span fragment**
     (worker pid, worker-side elapsed seconds, per-phase seconds, and
     the cell's trace-cache counter delta): workers never write to the
     trace file themselves — the parent merges the fragment into the
@@ -1166,17 +969,7 @@ def _cell_task(
         fragment["trace_cache"] = TraceCache.counter_delta(
             cache.counters(), before
         )
-    arena = _worker_arena(arena_spec)
-    if arena is not None:
-        # Samples, phases, and elapsed all travel through the arena
-        # slice; the result pickle keeps only the scalars the strip
-        # cannot carry (pid, counter deltas, the arena marker).
-        arena.write_cell(i, j, samples, phases, elapsed)
-        del fragment["elapsed_s"]
-        del fragment["phase_seconds"]
-        fragment["arena"] = True
-        return i, j, None, 0.0, {}, fragment
-    return i, j, samples, elapsed, phases, fragment
+    return samples, elapsed, phases, fragment
 
 
 def _is_retryable(error: BaseException) -> bool:
@@ -1201,52 +994,6 @@ class _PendingCell:
     event_b: InstructionEvent
     seed_sequence: np.random.SeedSequence
     plan: FrequencyPlan
-
-    @property
-    def index(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
-
-def _order_by_cost(
-    pending: Sequence[_PendingCell],
-    names: Sequence[str],
-    repetitions: int,
-    method: str,
-    history: dict[str, float],
-) -> list[_PendingCell]:
-    """Order cold cells longest-expected-first (stable within ties).
-
-    Expected cost per cell is its recorded per-pair seconds from the
-    result cache's cross-campaign history when available, else the
-    static prior of :func:`repro.core.savat.estimate_cell_cost` — the
-    prior is rescaled into seconds through the pairs present in both,
-    so recorded and estimated cells sort on one axis.  Longest-first
-    submission keeps the expensive cells off the pool's tail: the final
-    stragglers are the cheapest cells instead of the dearest ones.
-
-    Ordering is pure scheduling: every cell's samples replay its own
-    seed-schedule entry, so any order produces bit-identical results.
-    """
-    priors = {
-        cell.index: estimate_cell_cost(cell.plan, repetitions, method)
-        for cell in pending
-    }
-    ratios = [
-        history[f"{names[cell.i]}/{names[cell.j]}"] / priors[cell.index]
-        for cell in pending
-        if f"{names[cell.i]}/{names[cell.j]}" in history
-        and priors[cell.index] > 0
-    ]
-    scale = sum(ratios) / len(ratios) if ratios else 1.0
-    expected = {
-        cell.index: history.get(
-            f"{names[cell.i]}/{names[cell.j]}",
-            priors[cell.index] * scale,
-        )
-        for cell in pending
-    }
-    # sorted() is stable, so equal-cost cells keep row-major order.
-    return sorted(pending, key=lambda cell: -expected[cell.index])
 
 
 class WorkerPool:
@@ -1294,10 +1041,10 @@ class WorkerPool:
         campaign aborted by :class:`~repro.errors.CellExecutionError`
         (or an abandoned, timed-out attempt) can leave tasks running in
         the pool's workers.  Shared state those workers write — the
-        trace cache's shm segments, its disk tier — must only be torn
-        down after they finish, so the study runner drains the pool
-        before unlinking anything.  Returns ``False`` when a timeout
-        expired with tasks still running.
+        trace cache's disk tier — must only be torn down after they
+        finish, so the study runner drains the pool before removing
+        anything.  Returns ``False`` when a timeout expired with tasks
+        still running.
         """
         pending = set(self._outstanding)
         if not pending:
@@ -1336,8 +1083,6 @@ def execute_campaign(
     observability: CampaignObservability | None = None,
     trace_cache: TraceCache | bool | None = None,
     pool: WorkerPool | None = None,
-    shm: bool | None = None,
-    schedule: str = "rowmajor",
 ) -> tuple[np.ndarray, CampaignStats]:
     """Measure every ordered (A, B) cell of a campaign, possibly in parallel.
 
@@ -1406,20 +1151,6 @@ def execute_campaign(
         workers keep their warm trace LRUs across campaigns; the
         caller owns the pool's lifetime.  When given, it overrides
         ``workers``.
-    shm:
-        Whether pooled cells return their samples through a zero-copy
-        :class:`~repro.core.shm.SampleArena` instead of pickling them
-        (``None``: on where available unless ``SAVAT_SHM=0``; ``True``
-        still degrades to the pickle path on platforms without POSIX
-        shared memory).  Serial campaigns never need the arena.
-        Samples are bit-identical either way.
-    schedule:
-        Cold-cell submission order — ``"rowmajor"`` (historical) or
-        ``"cost"`` (longest-expected-first, from recorded per-pair
-        seconds when a ``cache`` has them, else the static prior of
-        :func:`repro.core.savat.estimate_cell_cost`).  Samples are
-        bit-identical across schedules because every cell replays its
-        own seed-schedule entry.
 
     Returns
     -------
@@ -1444,11 +1175,14 @@ def execute_campaign(
         raise ConfigurationError("repetitions must be at least 1")
     if max_retries < 0:
         raise ConfigurationError("max_retries must be non-negative")
-    if cell_timeout_s is not None and cell_timeout_s <= 0:
-        raise ConfigurationError("cell_timeout_s must be positive")
+    if cell_timeout_s is not None and not (
+        np.isfinite(cell_timeout_s) and cell_timeout_s > 0
+    ):
+        raise ConfigurationError(
+            f"cell_timeout_s must be a positive finite number of seconds; "
+            f"got {cell_timeout_s!r}"
+        )
     workers = _validate_workers(workers)
-    schedule = _validate_schedule(schedule)
-    use_shm = resolve_shm(shm)
     names = [event.name for event in resolved]
 
     if trace_cache is False:
@@ -1463,7 +1197,6 @@ def execute_campaign(
     )
     obs = observability if observability is not None else CampaignObservability()
     stats = CampaignStats(workers=effective_workers, registry=obs.metrics)
-    stats.schedule_policy = schedule
     if cache is not None:
         cache.begin_execution()
     samples = np.zeros((count, count, repetitions))
@@ -1621,8 +1354,6 @@ def execute_campaign(
                         )
                     )
 
-        simulated_seconds: dict[str, float] = {}
-
         def complete_cell(
             cell: _PendingCell,
             cell_samples: np.ndarray,
@@ -1632,7 +1363,6 @@ def execute_campaign(
         ) -> None:
             worker_pid = fragment.get("worker_pid") if fragment else None
             stats.record_simulated(worker_pid)
-            simulated_seconds[f"{names[cell.i]}/{names[cell.j]}"] = elapsed
             trace_delta = (fragment or {}).get("trace_cache")
             if trace_delta:
                 stats.record_trace_cache(trace_delta)
@@ -1651,14 +1381,6 @@ def execute_campaign(
                 obs.fault_injected(attempt=attempt, **fault.trace_fields())
             return fault
 
-        if schedule == "cost" and len(pending) > 1:
-            history = (
-                cache.load_cost_history() if cache is not None else {}
-            )
-            pending = _order_by_cost(
-                pending, names, repetitions, config.method, history
-            )
-
         serial = pool is None and (effective_workers <= 1 or len(pending) <= 1)
         if serial:
             _run_serial(
@@ -1673,21 +1395,7 @@ def execute_campaign(
                 effective_workers, max_retries, cell_timeout_s, names,
                 dispatch_fault, complete_cell, obs,
                 trace_cache=resolved_trace_cache, pool=pool,
-                use_shm=use_shm, count=count,
             )
-        trace_shm_segments = (
-            len(resolved_trace_cache.shm_segments())
-            if resolved_trace_cache is not None
-            and resolved_trace_cache.shm_prefix is not None
-            else 0
-        )
-        arena_used = use_shm and not serial and bool(pending)
-        stats.record_shm(
-            enabled=arena_used or trace_shm_segments > 0,
-            segments=trace_shm_segments + (1 if arena_used else 0),
-        )
-        if cache is not None and simulated_seconds:
-            cache.store_cost_history(simulated_seconds)
         status = "ok"
     finally:
         if campaign_journal is not None:
@@ -1812,8 +1520,6 @@ def _run_pool(
     obs: CampaignObservability,
     trace_cache: TraceCache | None = None,
     pool: WorkerPool | None = None,
-    use_shm: bool = False,
-    count: int = 0,
 ) -> None:
     """Fan the cold cells out across worker processes.
 
@@ -1825,18 +1531,6 @@ def _run_pool(
     abandoned attempts are discarded even if they eventually arrive; the
     retry recomputes the identical samples from the cell's original
     seed-schedule entry.
-
-    With ``use_shm``, first attempts write their samples and
-    phase/elapsed strip into a campaign-wide
-    :class:`~repro.core.shm.SampleArena` and return only scalars; the
-    parent copies each completed slice out on arrival.  Retried
-    attempts fall back to the pickle path so a timed-out zombie of the
-    original attempt can never write over a slot the parent still
-    reads, and the arena is unlinked in the ``finally`` below on every
-    exit — fault, timeout, and :class:`~repro.errors.CellExecutionError`
-    paths included — so no ``/dev/shm`` segment outlives the campaign
-    (POSIX keeps a zombie's mapping valid after the unlink, so even a
-    hung writer cannot crash or leak).
 
     With an external :class:`WorkerPool`, its (already running) workers
     are used as-is and the pool is left alive on exit — the caller owns
@@ -1856,8 +1550,6 @@ def _run_pool(
             initargs=(trace_cache_spec,),
         )
         submit = owned_pool.submit
-    arena = SampleArena.create(count, repetitions) if use_shm else None
-    arena_spec = arena.spec() if arena is not None else None
     queue: deque[tuple[_PendingCell, int]] = deque(
         (cell, 0) for cell in pending
     )
@@ -1865,7 +1557,6 @@ def _run_pool(
     abandoned: set = set()
     slots = pool_workers
     clean_shutdown = False
-    drain_started: float | None = None
 
     def fail(cell: _PendingCell, attempts: int, message: str) -> CellExecutionError:
         pair = f"{names[cell.i]}/{names[cell.j]}"
@@ -1890,26 +1581,12 @@ def _run_pool(
                 )
                 future = submit(
                     _cell_task,
-                    cell.i, cell.j, machine, config, repetitions,
+                    machine, config, repetitions,
                     cell.event_a, cell.event_b,
                     cell.seed_sequence, cell.plan, fault,
                     trace_cache_spec,
-                    # Retries keep their samples out of the arena: a
-                    # timed-out zombie of attempt 0 may still write the
-                    # cell's slot, so only a slot whose single attempt-0
-                    # writer completed cleanly is ever read back.
-                    arena_spec if attempt == 0 else None,
                 )
                 outstanding[future] = (cell, time.monotonic(), attempt)
-            if queue:
-                # A retry was queued after the drain began: the fan-out
-                # is submitting again, so the tail clock restarts.
-                drain_started = None
-            elif drain_started is None:
-                # Every cell is submitted; the fan-out is now draining
-                # stragglers.  Cost-aware scheduling exists to shrink
-                # this tail.
-                drain_started = time.monotonic()
             if not outstanding:
                 # Cells remain but every worker slot is hung.
                 cell, attempt = queue[0]
@@ -1937,18 +1614,7 @@ def _run_pool(
                 cell, _submitted, attempt = outstanding.pop(future)
                 error = future.exception()
                 if error is None:
-                    i, j, cell_samples, elapsed, phases, fragment = future.result()
-                    if fragment.get("arena") and arena is not None:
-                        # Zero-copy result: the pickle carried only
-                        # scalars; samples, phases, and elapsed come
-                        # out of the cell's arena slice and strip.
-                        cell_samples = arena.read_cell(i, j)
-                        phases, elapsed = arena.read_strip(i, j)
-                        fragment["phase_seconds"] = dict(phases)
-                        fragment["elapsed_s"] = elapsed
-                        stats.record_ipc(saved_bytes=arena.cell_nbytes)
-                    else:
-                        stats.record_ipc(sample_bytes=cell_samples.nbytes)
+                    cell_samples, elapsed, phases, fragment = future.result()
                     obs.cell_end(
                         cell.i, cell.j, attempt, status="ok",
                         elapsed_s=elapsed, fragment=fragment,
@@ -1999,8 +1665,6 @@ def _run_pool(
                             f"all {attempt + 1} attempt(s)",
                         )
         clean_shutdown = not abandoned
-        if drain_started is not None:
-            stats.record_sched_tail(time.monotonic() - drain_started)
     finally:
         # Never block campaign teardown on a hung worker: if any attempt
         # was abandoned (or the run failed), drop the pool without
@@ -2009,19 +1673,12 @@ def _run_pool(
         # this campaign.
         if owned_pool is not None:
             owned_pool.shutdown(wait=clean_shutdown, cancel_futures=True)
-        if arena is not None:
-            # Unconditional, on every exit path: the arena name must
-            # never outlive the campaign.  Unlinking with writers still
-            # live is safe — POSIX keeps their mappings valid, and no
-            # slot they can still touch is ever read again.
-            arena.unlink()
 
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_MAX_RETRIES",
     "JOURNAL_VERSION",
-    "SCHEDULES",
     "CampaignJournal",
     "CampaignStats",
     "ResultCache",

@@ -52,8 +52,8 @@ class SavatMatrix:
                 f"samples must have shape ({count}, {count}, R), got {samples.shape}"
             )
         if samples.base is not None:
-            # A matrix must own its storage: a view could dangle into a
-            # shared-memory arena that its campaign unlinks at teardown.
+            # A matrix must own its storage: a view would alias its
+            # caller's array, so writes to either would show in both.
             samples = samples.copy()
         self.samples_zj = samples
 

@@ -60,37 +60,6 @@ METHOD_ALIASES = {"synthesis": "full"}
 #: with exactly these names.
 PHASE_NAMES = ("prime", "core_run", "synthesize", "analyze")
 
-#: Relative per-repetition cost of each measurement method, used as the
-#: static prior of the executor's cost-aware cell scheduling.  The
-#: ``"full"`` method synthesizes and analyzes a time-domain signal per
-#: repetition where ``"analytic"`` integrates a closed form, so its
-#: measurement stage dominates the cell; the exact ratio only has to
-#: order cells sensibly, not predict wall time.
-METHOD_COST_WEIGHTS = {"analytic": 1.0, "full": 25.0}
-
-
-def estimate_cell_cost(
-    plan: FrequencyPlan, repetitions: int, method: str
-) -> float:
-    """Static prior of one cell's simulation cost, in arbitrary units.
-
-    Two terms dominate a cold cell: the ``prime`` phase scales with the
-    pair's combined pointer-sweep footprint (memory pairs like LDM/STM
-    pre-condition far more cache state than register pairs), and the
-    measurement stage scales with ``repetitions`` times the method's
-    per-repetition weight (the ``"full"`` method synthesizes a signal
-    per repetition).  The prior only has to *order* cells sensibly —
-    recorded per-pair seconds from an earlier run override it when
-    available — and ordering never affects samples: every cell replays
-    its own seed-schedule entry regardless of submission order.
-    """
-    spec = plan.spec
-    footprint = float(spec.sweep_a.footprint + spec.sweep_b.footprint)
-    weight = METHOD_COST_WEIGHTS.get(method, 1.0)
-    measure = max(int(repetitions), 1) * weight
-    return (1.0 + footprint) * (1.0 + measure)
-
-
 #: Active phase-timing sink (``None``: phase timing disabled).
 _PHASE_SINK: dict[str, float] | None = None
 

@@ -72,8 +72,10 @@ class ActivityTrace:
                 f"activity trace must have shape ({NUM_COMPONENTS}, T), "
                 f"got {self.data.shape}"
             )
-        if self.clock_hz <= 0:
-            raise SimulationError(f"clock frequency must be positive, got {self.clock_hz}")
+        if not (np.isfinite(self.clock_hz) and self.clock_hz > 0):
+            raise SimulationError(
+                f"clock frequency must be positive and finite, got {self.clock_hz}"
+            )
 
     @property
     def num_cycles(self) -> int:

@@ -3,16 +3,30 @@
 The executor's contract is that the per-cell seed schedule — not the
 execution order — determines every noise draw, so fanning a campaign
 out across worker processes must reproduce the serial samples bit for
-bit, and the same seed must always yield the same matrix.
+bit, and the same seed must always yield the same matrix.  The
+``workers`` validation, worker-pool drain, and leak checks live here
+too.
 """
+
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import run_campaign
-from repro.core.executor import cell_seed, execute_campaign, spawn_cell_seeds
+from repro.core.executor import (
+    WorkerPool,
+    _validate_workers,
+    cell_seed,
+    execute_campaign,
+    spawn_cell_seeds,
+)
+from repro.core.faults import FaultPlan
 from repro.core.savat import MeasurementConfig
-from repro.errors import ConfigurationError
+from repro.core.study import run_study
+from repro.errors import CellExecutionError, ConfigurationError
 from repro.isa.events import get_event
 
 #: A fast config for executor tests: a 10x higher alternation frequency
@@ -20,6 +34,32 @@ from repro.isa.events import get_event
 FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
 
 EVENTS = ("ADD", "SUB", "MUL", "NOI")
+
+#: The small campaign the validation, leak, and property tests run.
+PAIR_EVENTS = ("ADD", "SUB")
+SEED = 3
+REPETITIONS = 2
+
+
+def _run(machine, **overrides):
+    parameters = dict(
+        events=PAIR_EVENTS,
+        repetitions=REPETITIONS,
+        seed=SEED,
+        config=FAST_CONFIG,
+    )
+    parameters.update(overrides)
+    return run_campaign(machine, **parameters)
+
+
+def _sleep(seconds: float) -> float:
+    time.sleep(seconds)
+    return seconds
+
+
+def _savat_segments() -> list[str]:
+    """Every /dev/shm entry under this project's ``savat_`` prefix."""
+    return sorted(path.name for path in Path("/dev/shm").glob("savat_*"))
 
 
 class TestSeedSchedule:
@@ -141,3 +181,110 @@ class TestExecuteCampaignValidation:
     def test_rejects_zero_repetitions(self, core2duo_10cm):
         with pytest.raises(ConfigurationError):
             execute_campaign(core2duo_10cm, [get_event("ADD")], repetitions=0)
+
+
+class TestWorkersValidation:
+    @pytest.mark.parametrize("workers", [-1, -7, 2.5, "3", True, None])
+    def test_bad_values_are_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            _validate_workers(workers)
+
+    @pytest.mark.parametrize("workers", [0, 1, 4, np.int64(2)])
+    def test_good_values_normalize(self, workers):
+        value = _validate_workers(workers)
+        assert isinstance(value, int)
+        assert value == int(workers)
+
+    def test_run_campaign_rejects_bad_workers(self, core2duo_10cm):
+        with pytest.raises(ConfigurationError, match="workers"):
+            _run(core2duo_10cm, workers=-1)
+
+    def test_run_study_rejects_bad_workers(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_study(["core2duo"], [0.10], workers=-2)
+
+    @pytest.mark.parametrize("value", ["-1", "2.5", "lots"])
+    def test_cli_rejects_bad_workers_at_parse_time(self, value, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["campaign", "--workers", value]
+            )
+        assert "workers" in capsys.readouterr().err
+
+    def test_worker_pool_rejects_bad_counts(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            WorkerPool(-1)
+
+
+@pytest.mark.slow
+class TestWorkerPoolDrain:
+    def test_drain_with_no_outstanding_tasks(self):
+        with WorkerPool(2) as pool:
+            assert pool.drain() is True
+
+    def test_drain_waits_for_outstanding_tasks(self):
+        with WorkerPool(2) as pool:
+            future = pool.submit(_sleep, 0.5)
+            assert pool.drain(timeout=0.05) is False
+            assert pool.drain() is True
+            assert future.done()
+
+
+@pytest.mark.slow
+class TestNoSegmentLeaks:
+    """Pooled campaigns leave no ``/dev/shm/savat_*`` entry on any exit path."""
+
+    def test_successful_pooled_campaign(self, core2duo_10cm):
+        _run(core2duo_10cm, workers=2)
+        assert _savat_segments() == []
+
+    def test_fatal_cell_execution_error(self, core2duo_10cm):
+        plan = FaultPlan.from_spec("raise@0,0x9")
+        with pytest.raises(CellExecutionError):
+            _run(core2duo_10cm, workers=2, max_retries=0, fault_plan=plan)
+        assert _savat_segments() == []
+
+    def test_timeout_and_retry_path(self, core2duo_10cm):
+        plan = FaultPlan.from_spec("hang@0,1:1.5")
+        _run(
+            core2duo_10cm,
+            workers=2,
+            cell_timeout_s=0.4,
+            max_retries=2,
+            fault_plan=plan,
+        )
+        assert _savat_segments() == []
+
+
+@pytest.mark.slow
+@pytest.mark.timeout(600)
+class TestBitIdentityProperty:
+    @pytest.fixture(scope="class")
+    def reference(self, core2duo_10cm):
+        """The serial run every other run must match."""
+        return _run(core2duo_10cm)
+
+    @settings(max_examples=6, deadline=None)
+    @given(workers=st.sampled_from((0, 2)))
+    def test_samples_are_invariant(self, core2duo_10cm, reference, workers):
+        matrix = _run(core2duo_10cm, workers=workers)
+        assert np.array_equal(matrix.samples_zj, reference.samples_zj)
+
+    def test_combined_fault_plan(self, core2duo_10cm, reference, tmp_path):
+        plan = FaultPlan.from_spec("raise@0,0;hang@0,1:1.5;corrupt@1,0")
+        matrix = _run(
+            core2duo_10cm,
+            cache_dir=tmp_path,
+            workers=2,
+            cell_timeout_s=0.4,
+            max_retries=2,
+            fault_plan=plan,
+        )
+        execution = matrix.metadata["execution"]
+        assert np.array_equal(matrix.samples_zj, reference.samples_zj)
+        assert execution["faults_injected"] == {
+            "raise": 1, "hang": 1, "corrupt": 1,
+        }
+        assert _savat_segments() == []

@@ -197,6 +197,15 @@ class TestRaiseFaults:
 # ----------------------------------------------------------------------
 # Injected hangs and the cell timeout budget
 # ----------------------------------------------------------------------
+class TestCellTimeoutValidation:
+    @pytest.mark.parametrize("budget", [0, -1, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_budget_is_rejected(
+        self, core2duo_10cm, budget
+    ):
+        with pytest.raises(ConfigurationError, match="cell_timeout_s"):
+            _run(core2duo_10cm, cell_timeout_s=budget)
+
+
 @pytest.mark.slow
 @pytest.mark.timeout(300)
 class TestHangFaults:

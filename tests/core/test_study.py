@@ -8,6 +8,8 @@ distances of a machine must be served entirely from the shared
 kernel-trace cache.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,6 @@ class TestStudyResultCache:
         study = _study(trace_cache=False)
         assert study.trace_cache == {
             "memory_hits": 0,
-            "shm_hits": 0,
             "disk_hits": 0,
             "misses": 0,
             "stores": 0,
@@ -173,6 +174,37 @@ class TestStudyOutputs:
             payload = json.loads((tmp_path / f"{stem}.json").read_text())
             execution = payload["metadata"]["execution"]
             assert check_against_execution(samples, execution) == []
+
+
+@pytest.mark.slow
+class TestStudyTeardown:
+    def test_failing_mid_grid_removes_its_temp_trace_dir(
+        self, tmp_path, monkeypatch
+    ):
+        # With no cache_dir the study keeps its trace cache in a
+        # temporary directory; the second grid entry fails to load, and
+        # the pool must drain before that directory is removed.
+        monkeypatch.delenv("SAVAT_TRACE_CACHE_DIR", raising=False)
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        seen: set[str] = set()
+
+        def record(*_):
+            seen.update(path.name for path in tmp_path.glob("savat_traces_*"))
+
+        with pytest.raises(ConfigurationError):
+            run_study(
+                ["core2duo", "no-such-machine"],
+                [0.10],
+                events=EVENTS,
+                config=FAST_CONFIG,
+                repetitions=REPETITIONS,
+                seed=SEED,
+                workers=2,
+                progress=record,
+            )
+        assert seen, "the study never created its temporary trace directory"
+        assert list(tmp_path.glob("savat_traces_*")) == []
 
 
 class TestStudyValidation:

@@ -180,7 +180,6 @@ class TestTraceCacheTiers:
         )
         assert cache.counters() == {
             "memory_hits": 0,
-            "shm_hits": 0,
             "disk_hits": 0,
             "misses": 1,
             "stores": 1,
@@ -286,8 +285,19 @@ class TestCorruptEntries:
         assert len(quarantined) == 1
         assert quarantined[0].name.startswith(key)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"data": np.nan},
+            {"clock_hz": np.nan},
+            {"clock_hz": np.inf},
+            {"clock_hz": -np.inf},
+            {"predicted_frequency_hz": 0.0},
+        ],
+        ids=["nan_data", "nan_clock", "inf_clock", "neg_inf_clock", "zero_predicted"],
+    )
     def test_semantically_invalid_entry_is_quarantined(
-        self, core2duo_10cm_module, pair, plan, tmp_path
+        self, core2duo_10cm_module, pair, plan, tmp_path, fields
     ):
         event_a, event_b = pair
         writer = TraceCache(directory=tmp_path)
@@ -295,15 +305,26 @@ class TestCorruptEntries:
             core2duo_10cm_module, event_a, event_b, plan, cache=writer
         )
         key = trace_cache_key(core2duo_10cm_module, event_a, event_b, plan)
-        # Well-formed npz, nonsensical content (non-finite trace data).
-        bad = np.full_like(cold_trace.data, np.nan)
+        # Well-formed npz, nonsensical content in one field.
+        payload = {
+            "clock_hz": cold_trace.clock_hz,
+            "predicted_frequency_hz": 1.0,
+            **fields,
+        }
+        data = (
+            np.full_like(cold_trace.data, payload.pop("data"))
+            if "data" in payload
+            else cold_trace.data
+        )
         with open(writer.entry_path(key), "wb") as handle:
             np.savez(
                 handle,
-                data=bad,
-                clock_hz=np.float64(cold_trace.clock_hz),
+                data=data,
+                clock_hz=np.float64(payload["clock_hz"]),
                 inst_loop_count=np.int64(1),
-                predicted_frequency_hz=np.float64(1.0),
+                predicted_frequency_hz=np.float64(
+                    payload["predicted_frequency_hz"]
+                ),
             )
         reader = TraceCache(directory=tmp_path)
         recovered_trace, _ = produce_cell_trace(
@@ -396,7 +417,6 @@ class TestCampaignBitIdentity:
         cells = len(EVENTS) ** 2
         assert cold.metadata["execution"]["trace_cache"] == {
             "memory_hits": 0,
-            "shm_hits": 0,
             "disk_hits": 0,
             "misses": cells,
             "stores": cells,
@@ -404,7 +424,6 @@ class TestCampaignBitIdentity:
         }
         assert warm.metadata["execution"]["trace_cache"] == {
             "memory_hits": cells,
-            "shm_hits": 0,
             "disk_hits": 0,
             "misses": 0,
             "stores": 0,

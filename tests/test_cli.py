@@ -192,32 +192,6 @@ class TestParser:
         args = build_parser().parse_args(["groups", "--workers", "2"])
         assert args.workers == 2
 
-    def test_shm_defaults_to_auto(self):
-        args = build_parser().parse_args(["campaign"])
-        assert args.shm is None
-        assert args.schedule == "rowmajor"
-
-    def test_shm_and_schedule_flags(self):
-        args = build_parser().parse_args(
-            ["campaign", "--shm", "--schedule", "cost"]
-        )
-        assert args.shm is True
-        assert args.schedule == "cost"
-        args = build_parser().parse_args(["campaign", "--no-shm"])
-        assert args.shm is False
-
-    def test_study_accepts_shm_and_schedule_flags(self):
-        args = build_parser().parse_args(
-            ["study", "--shm", "--schedule", "cost"]
-        )
-        assert args.shm is True
-        assert args.schedule == "cost"
-
-    def test_bad_schedule_fails_parsing(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--schedule", "random"])
-        assert "schedule" in capsys.readouterr().err
-
     def test_negative_workers_fail_parsing(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["study", "--workers", "-3"])

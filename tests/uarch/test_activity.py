@@ -129,6 +129,11 @@ class TestActivityTrace:
         with pytest.raises(SimulationError):
             ActivityTrace(np.zeros((3, 10)), clock_hz=1e9)
 
+    @pytest.mark.parametrize("clock_hz", [0.0, -1e9, np.nan, np.inf, -np.inf])
+    def test_bad_clock_rejected(self, clock_hz):
+        with pytest.raises(SimulationError, match="clock"):
+            ActivityTrace(np.zeros((NUM_COMPONENTS, 4)), clock_hz=clock_hz)
+
     def test_duration(self):
         trace = self._trace(16)
         assert trace.duration_s == pytest.approx(8e-9)
