@@ -67,14 +67,14 @@ def run_campaign(
     on-disk cache lets repeated campaigns skip simulation entirely.
 
     **Timeout semantics** are identical in serial and pool modes: with
-    ``cell_timeout_s`` set, an attempt that overruns the budget counts
-    one timeout, its result is discarded, and the cell is retried from
-    its original seed-schedule entry (one retry per overrun) until the
+    ``cell_timeout_s`` set, each attempt's budget is measured from its
+    submission.  An attempt that finishes over budget counts one timeout
+    and its result is discarded; a running attempt that passes its
+    deadline is abandoned, and an owned pool's workers are terminated at
+    the end.  Either way the cell is retried from its original
+    seed-schedule entry (one retry per overrun) until the
     ``max_retries`` budget is exhausted, at which point the campaign
-    fails.  The only difference is *when* the overrun is detected:
-    worker processes are preempted mid-attempt, while a serial
-    in-process attempt cannot be interrupted and is judged after it
-    returns.  A cell that overruns and then succeeds therefore produces
+    fails.  A cell that overruns and then succeeds therefore produces
     the same ``timeouts``/``retries`` counters, the same journal
     contents, and bit-identical samples in both modes.
 

@@ -22,15 +22,15 @@ so the executor layers four recovery mechanisms over the fan-out:
   ``max_retries`` attempts and the cell is re-dispatched with its
   original seed; only exhausting the budget (or a non-retryable
   configuration error) aborts the campaign.
-* **Per-cell wall-clock timeouts** — with ``cell_timeout_s`` set, an
-  attempt that exceeds its budget counts as a timeout, its result is
-  discarded, and the cell is retried from its original seed (or the
-  campaign fails once the budget is exhausted).  Worker processes are
-  preempted — the hung attempt is abandoned and its slot written off
-  until the worker comes back — while a serial in-process attempt
-  cannot be interrupted and is only judged after it returns; the
-  counters, journal contents, and final samples are identical in both
-  modes.
+* **Per-cell wall-clock timeouts** — with ``cell_timeout_s`` set, each
+  attempt's budget is measured from its submission.  An attempt that
+  finishes over budget counts one timeout and its result is discarded;
+  a running attempt that passes its deadline is abandoned (its worker
+  slot written off until it returns), and an owned pool's workers are
+  terminated at the end.  Either way the cell is retried from its
+  original seed, or the campaign fails once the retry budget is
+  exhausted.  Serial and pooled runs share one scheduling loop, so the
+  counters, journal contents, and final samples are identical in both.
 * **Cache quarantine** — a corrupted, truncated, or wrong-shaped cache
   entry is moved to ``<cache_dir>/quarantine/`` (never silently
   deleted) and the cell is recomputed.
@@ -89,7 +89,7 @@ import os
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -913,63 +913,80 @@ def _worker_trace_cache(spec: dict | None) -> TraceCache | None:
     return _WORKER_TRACE_CACHE
 
 
-def _init_worker(trace_cache_spec: dict | None = None) -> None:
-    """Build the worker's persistent trace cache (runs once per worker)."""
-    _worker_trace_cache(trace_cache_spec)
+@dataclass(frozen=True)
+class _PendingCell:
+    """One cold cell awaiting simulation."""
+
+    i: int
+    j: int
+    event_a: InstructionEvent
+    event_b: InstructionEvent
+    seed_sequence: np.random.SeedSequence
+    plan: FrequencyPlan
 
 
-def _cell_task(
+def _attempt(
     machine: CalibratedMachine,
     config: MeasurementConfig,
     repetitions: int,
-    event_a: InstructionEvent,
-    event_b: InstructionEvent,
-    seed_sequence: np.random.SeedSequence,
-    plan: FrequencyPlan,
+    cell: _PendingCell,
     fault: CellFault | None,
-    trace_cache_spec: dict | None,
-) -> tuple[np.ndarray, float, dict[str, float], dict]:
-    """Simulate one cell inside a worker process.
+    cache: TraceCache | None,
+) -> tuple[np.ndarray, dict]:
+    """Run one attempt at a cell, in-process or inside a worker.
 
-    The cell ships its campaign context (machine, config, repetitions)
-    and its pre-computed frequency plan from the parent — the pickles
-    are small, and carrying them per task (rather than in a pool
-    initializer) is what lets one persistent :class:`WorkerPool` serve
-    campaigns with different machines and configs back to back.
     ``fault`` (set only by an injected
     :class:`~repro.core.faults.FaultPlan`) raises or hangs before the
-    simulation starts; the reported elapsed time covers the simulation
-    only, since the parent measures timeout budgets against its own
-    clock.
-
-    The last tuple element is the cell's **trace span fragment**
-    (worker pid, worker-side elapsed seconds, per-phase seconds, and
-    the cell's trace-cache counter delta): workers never write to the
-    trace file themselves — the parent merges the fragment into the
-    cell's ``span_end`` record, keeping the trace single-writer under
-    the process pool.
+    simulation starts.  Returns the samples and the cell's **trace span
+    fragment**: the pid that ran it, the simulation's own elapsed
+    seconds (the fault excluded; budgets are judged on the parent's
+    clock), per-phase seconds, and the trace-cache counter delta.
+    Workers never write to the trace file themselves — the parent
+    merges the fragment into the cell's ``span_end`` record, keeping the
+    trace single-writer under the process pool.
     """
-    cache = _worker_trace_cache(trace_cache_spec)
     if fault is not None:
         fault.apply()
     started = time.perf_counter()
     phases: dict[str, float] = {}
     before = cache.counters() if cache is not None else None
     samples = simulate_cell(
-        machine, config, event_a, event_b, repetitions, seed_sequence,
-        plan=plan, phase_seconds=phases, trace_cache=cache,
+        machine, config, cell.event_a, cell.event_b, repetitions,
+        cell.seed_sequence, plan=cell.plan, phase_seconds=phases,
+        trace_cache=cache,
     )
-    elapsed = time.perf_counter() - started
     fragment = {
         "worker_pid": os.getpid(),
-        "elapsed_s": elapsed,
-        "phase_seconds": dict(phases),
+        "elapsed_s": time.perf_counter() - started,
+        "phase_seconds": phases,
     }
     if cache is not None:
         fragment["trace_cache"] = TraceCache.counter_delta(
             cache.counters(), before
         )
-    return samples, elapsed, phases, fragment
+    return samples, fragment
+
+
+def _cell_task(
+    machine: CalibratedMachine,
+    config: MeasurementConfig,
+    repetitions: int,
+    cell: _PendingCell,
+    fault: CellFault | None,
+    trace_cache_spec: dict | None,
+) -> tuple[np.ndarray, dict]:
+    """Run one attempt inside a worker process.
+
+    The cell ships its campaign context (machine, config, repetitions,
+    pre-computed frequency plan) and the trace cache's spec with every
+    task — the pickles are small, and carrying them per task is what
+    lets one persistent :class:`WorkerPool` serve campaigns with
+    different machines, configs and caches back to back.
+    """
+    return _attempt(
+        machine, config, repetitions, cell, fault,
+        _worker_trace_cache(trace_cache_spec),
+    )
 
 
 def _is_retryable(error: BaseException) -> bool:
@@ -984,48 +1001,27 @@ def _is_retryable(error: BaseException) -> bool:
     return isinstance(error, Exception)
 
 
-@dataclass(frozen=True)
-class _PendingCell:
-    """One cold cell awaiting simulation."""
-
-    i: int
-    j: int
-    event_a: InstructionEvent
-    event_b: InstructionEvent
-    seed_sequence: np.random.SeedSequence
-    plan: FrequencyPlan
-
-
 class WorkerPool:
     """A persistent worker pool that outlives individual campaigns.
 
-    :func:`execute_campaign` normally creates and destroys its own
-    process pool, which also destroys every worker's warm in-process
-    trace LRU.  A ``WorkerPool`` inverts that ownership: the caller
+    A pooled :func:`execute_campaign` normally builds and tears down a
+    pool of its own, which also destroys every worker's warm in-process
+    trace LRU.  Passing one in inverts that ownership: the caller
     (typically :func:`repro.core.study.run_study`) builds the pool
     once, passes it to each campaign via ``execute_campaign(pool=...)``,
     and the same worker processes — with their
     :mod:`repro.core.trace_cache` LRUs still warm — serve every
-    campaign's cold cells.  Workers are initialized with the trace
-    cache's *spec* (its disk path and LRU bound); trace payloads never
-    cross the process boundary.
+    campaign's cold cells.  Each task carries its campaign's trace-cache
+    *spec* (its disk path and LRU bound); trace payloads never cross
+    the process boundary.
 
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
 
-    def __init__(
-        self, workers: int, trace_cache: TraceCache | None = None
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = max(_validate_workers(workers), 1)
-        self.trace_cache_spec = (
-            trace_cache.spec() if trace_cache is not None else None
-        )
         self._outstanding: set = set()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(self.trace_cache_spec,),
-        )
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
 
     def submit(self, fn, /, *args):
         """Submit one task to the pool (``ProcessPoolExecutor.submit``)."""
@@ -1055,6 +1051,23 @@ class WorkerPool:
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         """Shut the pool down (idempotent)."""
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    def terminate(self) -> None:
+        """Kill the worker processes, then shut the pool down.
+
+        For a pool whose tasks may never return (abandoned, hung
+        attempts): :meth:`shutdown` alone leaves interpreter exit
+        joining those workers.  A worker killed mid-write to the trace
+        cache's disk tier leaves a temp file behind, so this is only for
+        pools with abandoned attempts.
+        """
+        kill = getattr(self._pool, "terminate_workers", None)  # Python 3.14+
+        if kill is not None:
+            kill()
+        else:
+            for process in list((self._pool._processes or {}).values()):
+                process.terminate()
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -1112,22 +1125,22 @@ def execute_campaign(
         its original seed-schedule entry, so retries never change the
         campaign's samples.
     cell_timeout_s:
-        Wall-clock budget per cell attempt.  An overrunning attempt
-        counts as a timeout, its result is discarded, and the cell is
-        retried from its original seed (consuming the retry budget) or
-        the campaign fails.  Worker processes are preempted — the hung
-        attempt is abandoned and its slot written off; a serial
-        in-process attempt is only judged after it returns.  Counters,
-        journal contents, and samples are identical in both modes.
+        Wall-clock budget per cell attempt, measured from submission.
+        An attempt that finishes over budget counts one timeout and its
+        result is discarded; a running attempt that passes its deadline
+        is abandoned, and an owned pool's workers are terminated at the
+        end.  Either way the cell is retried from its original seed
+        (consuming the retry budget) or the campaign fails.  Counters,
+        journal contents, and samples are identical serial or pooled.
     journal:
         Path of the campaign journal to stream completed cells to, or
         ``True`` to place ``journal.jsonl`` inside the cache's campaign
         directory (requires ``cache``).  ``None`` disables journaling.
     resume:
         Restore completed cells from the journal instead of recomputing
-        them.  The journal's version and campaign key must match, else
-        :class:`~repro.errors.JournalError` is raised; a missing journal
-        file simply starts a fresh campaign.
+        them (requires ``journal``).  The journal's version and campaign
+        key must match, else :class:`~repro.errors.JournalError` is
+        raised; a missing journal file simply starts a fresh campaign.
     fault_plan:
         Deterministic :class:`~repro.core.faults.FaultPlan` to inject
         (testing/debugging only).
@@ -1182,6 +1195,8 @@ def execute_campaign(
             f"cell_timeout_s must be a positive finite number of seconds; "
             f"got {cell_timeout_s!r}"
         )
+    if resume and not journal:
+        raise ConfigurationError("resume=True needs a journal to resume from")
     workers = _validate_workers(workers)
     names = [event.name for event in resolved]
 
@@ -1191,10 +1206,11 @@ def execute_campaign(
         resolved_trace_cache = get_process_trace_cache()
     else:
         resolved_trace_cache = trace_cache
-
-    effective_workers = (
-        pool.workers if pool is not None else max(workers, 1)
+    trace_cache_spec = (
+        resolved_trace_cache.spec() if resolved_trace_cache is not None else None
     )
+
+    effective_workers = pool.workers if pool is not None else max(workers, 1)
     obs = observability if observability is not None else CampaignObservability()
     stats = CampaignStats(workers=effective_workers, registry=obs.metrics)
     if cache is not None:
@@ -1251,20 +1267,8 @@ def execute_campaign(
     )
 
     campaign_journal: CampaignJournal | None = None
-
-    def checkpoint(
-        i: int,
-        j: int,
-        cell_samples: np.ndarray,
-        elapsed_s: float,
-        phase_seconds: dict[str, float] | None,
-    ) -> None:
-        """Persist one freshly computed (or cache-loaded) cell."""
-        if campaign_journal is not None:
-            campaign_journal.append_cell(
-                i, j, cell_samples, elapsed_s, phase_seconds
-            )
-
+    owned_pool: WorkerPool | None = None
+    abandoned: set = set()  # futures of hung attempts still running
     status = "failed"
     try:
         journaled: dict[tuple[int, int], _JournalEntry] = {}
@@ -1330,7 +1334,8 @@ def execute_campaign(
                     stats.record_cache_hit()
                     obs.cache_hit(i, j)
                     elapsed = time.perf_counter() - load_started
-                    checkpoint(i, j, cached, elapsed, None)
+                    if campaign_journal is not None:
+                        campaign_journal.append_cell(i, j, cached, elapsed, None)
                     finish(i, j, cached, elapsed)
                 else:
                     if cache is not None:
@@ -1355,21 +1360,20 @@ def execute_campaign(
                     )
 
         def complete_cell(
-            cell: _PendingCell,
-            cell_samples: np.ndarray,
-            elapsed: float,
-            phases: dict[str, float],
-            fragment: dict | None = None,
+            cell: _PendingCell, cell_samples: np.ndarray, fragment: dict
         ) -> None:
-            worker_pid = fragment.get("worker_pid") if fragment else None
-            stats.record_simulated(worker_pid)
-            trace_delta = (fragment or {}).get("trace_cache")
+            elapsed, phases = fragment["elapsed_s"], fragment["phase_seconds"]
+            stats.record_simulated(fragment["worker_pid"])
+            trace_delta = fragment.get("trace_cache")
             if trace_delta:
                 stats.record_trace_cache(trace_delta)
                 obs.trace_cache(cell.i, cell.j, trace_delta)
             if cache is not None:
                 cache.store_cell(key, cell.i, cell.j, cell_samples)
-            checkpoint(cell.i, cell.j, cell_samples, elapsed, phases)
+            if campaign_journal is not None:
+                campaign_journal.append_cell(
+                    cell.i, cell.j, cell_samples, elapsed, phases
+                )
             finish(cell.i, cell.j, cell_samples, elapsed, phases)
 
         def dispatch_fault(cell: _PendingCell, attempt: int) -> CellFault | None:
@@ -1381,298 +1385,183 @@ def execute_campaign(
                 obs.fault_injected(attempt=attempt, **fault.trace_fields())
             return fault
 
-        serial = pool is None and (effective_workers <= 1 or len(pending) <= 1)
-        if serial:
-            _run_serial(
-                pending, machine, config, repetitions, stats,
-                max_retries, cell_timeout_s, names,
-                dispatch_fault, complete_cell, obs,
-                trace_cache=resolved_trace_cache,
+        def run_here(cell: _PendingCell, fault: CellFault | None) -> Future:
+            # The in-process submit: the campaign's own trace cache object
+            # (not one rebuilt from its spec), so later campaigns in this
+            # process reuse its LRU and counters.
+            future: Future = Future()
+            try:
+                future.set_result(_attempt(
+                    machine, config, repetitions, cell, fault,
+                    resolved_trace_cache,
+                ))
+            except Exception as error:  # noqa: BLE001 — judged by the loop
+                future.set_exception(error)
+            return future
+
+        def run_in_pool(cell: _PendingCell, fault: CellFault | None) -> Future:
+            return pool.submit(
+                _cell_task, machine, config, repetitions, cell, fault,
+                trace_cache_spec,
             )
-        elif pending:
-            _run_pool(
-                pending, machine, config, repetitions, stats,
-                effective_workers, max_retries, cell_timeout_s, names,
-                dispatch_fault, complete_cell, obs,
-                trace_cache=resolved_trace_cache, pool=pool,
-            )
+
+        if pool is None and (effective_workers <= 1 or len(pending) <= 1):
+            submit, slots = run_here, 1
+        else:
+            if pool is None:
+                pool = owned_pool = WorkerPool(
+                    min(effective_workers, len(pending))
+                )
+            submit, slots = run_in_pool, pool.workers
+        _run_cells(
+            pending, submit, slots, stats, obs, dispatch_fault,
+            complete_cell, max_retries, cell_timeout_s, abandoned,
+        )
         status = "ok"
     finally:
         if campaign_journal is not None:
             campaign_journal.close()
+        if owned_pool is not None:
+            # A hung attempt may never return: kill the workers rather
+            # than leave interpreter exit joining them.  Otherwise never
+            # block teardown on a failed run's in-flight cells.
+            if abandoned:
+                owned_pool.terminate()
+            else:
+                owned_pool.shutdown(wait=status == "ok", cancel_futures=True)
         stats.wall_seconds = time.perf_counter() - started
         obs.campaign_end(status=status, wall_seconds=stats.wall_seconds)
 
     return samples, stats
 
 
-def _run_serial(
+def _run_cells(
     pending: Sequence[_PendingCell],
-    machine: CalibratedMachine,
-    config: MeasurementConfig,
-    repetitions: int,
+    submit: Callable[[_PendingCell, CellFault | None], Future],
+    slots: int,
     stats: CampaignStats,
+    obs: CampaignObservability,
+    dispatch_fault: Callable[[_PendingCell, int], CellFault | None],
+    complete_cell: Callable[[_PendingCell, np.ndarray, dict], None],
     max_retries: int,
     cell_timeout_s: float | None,
-    names: Sequence[str],
-    dispatch_fault: Callable[[_PendingCell, int], CellFault | None],
-    complete_cell: Callable,
-    obs: CampaignObservability,
-    trace_cache: TraceCache | None = None,
+    abandoned: set,
 ) -> None:
-    """Simulate the cold cells in-process, with the retry loop.
+    """Run the cold cells with retries and timeouts, serial or pooled.
 
-    Timeout semantics match the pool path: an in-process attempt cannot
-    be preempted, so an injected hang runs until it returns, but an
-    attempt that comes back over budget counts as a timeout, its result
-    is **discarded**, and the cell is retried from its original seed —
-    or, with the retry budget exhausted, the campaign fails with the
-    same "exceeded the budget on all attempts" error the pool raises.
-    Counters, journal contents, and samples are identical across modes.
+    At most ``slots`` attempts are outstanding; ``submit`` either runs
+    the attempt in-process (and returns a finished future) or hands it
+    to a worker.  Each attempt's budget runs from just before its
+    submission.  An attempt found over budget when it completes counts
+    one timeout and its result is discarded; one still running past its
+    deadline is abandoned — added to ``abandoned``, its slot written off
+    until it returns — and counts one timeout too.  A failed or timed
+    out cell is retried from its original seed-schedule entry at the
+    *front* of the queue, so a serial run keeps row-major order with a
+    retried cell re-run before the next one.
     """
-    for cell in pending:
-        pair = f"{names[cell.i]}/{names[cell.j]}"
-        attempt = 0
-        while True:
-            fault = dispatch_fault(cell, attempt)
-            obs.cell_start(cell.i, cell.j, attempt, pair)
-            cell_started = time.perf_counter()
-            phases: dict[str, float] = {}
-            before = trace_cache.counters() if trace_cache is not None else None
-            try:
-                if fault is not None:
-                    fault.apply()
-                cell_samples = simulate_cell(
-                    machine, config, cell.event_a, cell.event_b,
-                    repetitions, cell.seed_sequence,
-                    plan=cell.plan, phase_seconds=phases,
-                    trace_cache=trace_cache,
-                )
-            except Exception as error:  # noqa: BLE001 — classified below
-                obs.cell_end(
-                    cell.i, cell.j, attempt, status="error",
-                    elapsed_s=time.perf_counter() - cell_started,
-                    error=str(error),
-                )
-                if _is_retryable(error) and attempt < max_retries:
-                    stats.record_retry()
-                    obs.cell_retry(cell.i, cell.j, attempt + 1, reason="error")
-                    attempt += 1
-                    continue
-                raise CellExecutionError(
-                    f"cell {pair} failed on all {attempt + 1} attempt(s): "
-                    f"{error} (completed cells are journaled; rerun with "
-                    "resume to continue)",
-                    i=cell.i, j=cell.j, pair=pair, attempts=attempt + 1,
-                ) from error
-            elapsed = time.perf_counter() - cell_started
-            if cell_timeout_s is not None and elapsed > cell_timeout_s:
-                # Over budget: discard the result and retry, exactly as
-                # the pool path abandons a hung attempt.  The retry
-                # replays the cell's original seed, so a campaign that
-                # overruns and then succeeds stays bit-identical.
-                stats.record_timeout()
-                obs.cell_timeout(cell.i, cell.j, attempt, cell_timeout_s)
-                obs.cell_end(
-                    cell.i, cell.j, attempt, status="timeout",
-                    elapsed_s=elapsed,
-                )
-                if attempt < max_retries:
-                    stats.record_retry()
-                    obs.cell_retry(cell.i, cell.j, attempt + 1, reason="timeout")
-                    attempt += 1
-                    continue
-                raise CellExecutionError(
-                    f"cell {pair} exceeded the {cell_timeout_s:g} s budget "
-                    f"on all {attempt + 1} attempt(s) (completed cells are "
-                    "journaled; rerun with resume to continue)",
-                    i=cell.i, j=cell.j, pair=pair, attempts=attempt + 1,
-                )
-            fragment = {
-                "worker_pid": os.getpid(),
-                "elapsed_s": elapsed,
-                "phase_seconds": dict(phases),
-            }
-            if trace_cache is not None:
-                fragment["trace_cache"] = TraceCache.counter_delta(
-                    trace_cache.counters(), before
-                )
-            obs.cell_end(
-                cell.i, cell.j, attempt, status="ok",
-                elapsed_s=elapsed, fragment=fragment,
-            )
-            complete_cell(cell, cell_samples, elapsed, phases, fragment)
-            break
-
-
-def _run_pool(
-    pending: Sequence[_PendingCell],
-    machine: CalibratedMachine,
-    config: MeasurementConfig,
-    repetitions: int,
-    stats: CampaignStats,
-    effective_workers: int,
-    max_retries: int,
-    cell_timeout_s: float | None,
-    names: Sequence[str],
-    dispatch_fault: Callable[[_PendingCell, int], CellFault | None],
-    complete_cell: Callable,
-    obs: CampaignObservability,
-    trace_cache: TraceCache | None = None,
-    pool: WorkerPool | None = None,
-) -> None:
-    """Fan the cold cells out across worker processes.
-
-    Scheduling keeps at most one outstanding task per worker slot, so
-    every submitted cell is actually running and its wall-clock budget
-    can be measured from submission.  A cell that exceeds the budget is
-    abandoned — its worker slot is written off until the worker comes
-    back — and the cell is retried on a fresh slot.  Results from
-    abandoned attempts are discarded even if they eventually arrive; the
-    retry recomputes the identical samples from the cell's original
-    seed-schedule entry.
-
-    With an external :class:`WorkerPool`, its (already running) workers
-    are used as-is and the pool is left alive on exit — the caller owns
-    its lifetime, which is what keeps worker trace LRUs warm between
-    the campaigns of a study.
-    """
-    trace_cache_spec = trace_cache.spec() if trace_cache is not None else None
-    if pool is not None:
-        pool_workers = pool.workers
-        submit = pool.submit
-        owned_pool: ProcessPoolExecutor | None = None
-    else:
-        pool_workers = min(effective_workers, len(pending))
-        owned_pool = ProcessPoolExecutor(
-            max_workers=pool_workers,
-            initializer=_init_worker,
-            initargs=(trace_cache_spec,),
-        )
-        submit = owned_pool.submit
-    queue: deque[tuple[_PendingCell, int]] = deque(
-        (cell, 0) for cell in pending
-    )
-    outstanding: dict = {}  # future -> (cell, submitted_monotonic, attempt)
-    abandoned: set = set()
-    slots = pool_workers
-    clean_shutdown = False
+    queue: deque[tuple[_PendingCell, int]] = deque((cell, 0) for cell in pending)
+    outstanding: dict = {}  # future -> (cell, attempt, submitted_monotonic)
+    capacity = slots
 
     def fail(cell: _PendingCell, attempts: int, message: str) -> CellExecutionError:
-        pair = f"{names[cell.i]}/{names[cell.j]}"
+        pair = f"{cell.event_a.name}/{cell.event_b.name}"
         return CellExecutionError(
             f"cell {pair} {message} (completed cells are journaled; rerun "
             "with resume to continue)",
             i=cell.i, j=cell.j, pair=pair, attempts=attempts,
         )
 
-    try:
-        while queue or outstanding:
-            # Reclaim slots whose abandoned (hung) attempts finished.
-            for future in [f for f in abandoned if f.done()]:
-                abandoned.discard(future)
-                slots += 1
-            while queue and len(outstanding) < slots:
-                cell, attempt = queue.popleft()
-                fault = dispatch_fault(cell, attempt)
-                obs.cell_start(
-                    cell.i, cell.j, attempt,
-                    f"{names[cell.i]}/{names[cell.j]}",
-                )
-                future = submit(
-                    _cell_task,
-                    machine, config, repetitions,
-                    cell.event_a, cell.event_b,
-                    cell.seed_sequence, cell.plan, fault,
-                    trace_cache_spec,
-                )
-                outstanding[future] = (cell, time.monotonic(), attempt)
-            if not outstanding:
-                # Cells remain but every worker slot is hung.
-                cell, attempt = queue[0]
-                raise fail(
-                    cell,
-                    attempt,
-                    f"cannot run: all {pool_workers} worker slot(s) are "
-                    f"lost to hung cells and {len(queue)} cell(s) remain",
-                )
-            wait_timeout = None
-            if cell_timeout_s is not None:
-                now = time.monotonic()
-                next_deadline = min(
-                    submitted + cell_timeout_s
-                    for _, submitted, _ in outstanding.values()
-                )
-                wait_timeout = max(0.0, next_deadline - now)
-            completed, _ = wait(
-                set(outstanding), timeout=wait_timeout,
-                return_when=FIRST_COMPLETED,
+    def retry_or_fail(
+        cell: _PendingCell, attempt: int, reason: str, message: str,
+        error: BaseException | None = None,
+    ) -> None:
+        if attempt < max_retries and (error is None or _is_retryable(error)):
+            stats.record_retry()
+            obs.cell_retry(cell.i, cell.j, attempt + 1, reason=reason)
+            queue.appendleft((cell, attempt + 1))
+            return
+        raise fail(cell, attempt + 1, message) from error
+
+    def time_out(cell: _PendingCell, attempt: int, elapsed: float) -> None:
+        stats.record_timeout()
+        obs.cell_timeout(cell.i, cell.j, attempt, cell_timeout_s)
+        obs.cell_end(
+            cell.i, cell.j, attempt, status="timeout", elapsed_s=elapsed
+        )
+        retry_or_fail(
+            cell, attempt, "timeout",
+            f"exceeded the {cell_timeout_s:g} s budget on all "
+            f"{attempt + 1} attempt(s)",
+        )
+
+    def late(submitted: float, now: float) -> bool:
+        return cell_timeout_s is not None and now - submitted > cell_timeout_s
+
+    while queue or outstanding:
+        # Reclaim slots whose abandoned (hung) attempts finished.
+        for future in [f for f in abandoned if f.done()]:
+            abandoned.discard(future)
+            capacity += 1
+        while queue and len(outstanding) < capacity:
+            cell, attempt = queue.popleft()
+            fault = dispatch_fault(cell, attempt)
+            obs.cell_start(
+                cell.i, cell.j, attempt, f"{cell.event_a.name}/{cell.event_b.name}"
             )
-            # Process successes before failures so every finished cell
-            # reaches the journal even when a failure aborts the run.
-            for future in sorted(completed, key=lambda f: f.exception() is not None):
-                cell, _submitted, attempt = outstanding.pop(future)
-                error = future.exception()
-                if error is None:
-                    cell_samples, elapsed, phases, fragment = future.result()
-                    obs.cell_end(
-                        cell.i, cell.j, attempt, status="ok",
-                        elapsed_s=elapsed, fragment=fragment,
-                    )
-                    complete_cell(cell, cell_samples, elapsed, phases, fragment)
-                elif _is_retryable(error) and attempt < max_retries:
-                    obs.cell_end(
-                        cell.i, cell.j, attempt, status="error",
-                        error=str(error),
-                    )
-                    stats.record_retry()
-                    obs.cell_retry(cell.i, cell.j, attempt + 1, reason="error")
-                    queue.append((cell, attempt + 1))
-                else:
-                    obs.cell_end(
-                        cell.i, cell.j, attempt, status="error",
-                        error=str(error),
-                    )
-                    raise fail(
-                        cell, attempt + 1,
-                        f"failed on all {attempt + 1} attempt(s): {error}",
-                    ) from error
-            if cell_timeout_s is not None:
-                now = time.monotonic()
-                for future, (cell, submitted, attempt) in list(outstanding.items()):
-                    if now - submitted < cell_timeout_s or future.done():
-                        continue
-                    del outstanding[future]
-                    stats.record_timeout()
-                    obs.cell_timeout(cell.i, cell.j, attempt, cell_timeout_s)
-                    obs.cell_end(
-                        cell.i, cell.j, attempt, status="timeout",
-                        elapsed_s=now - submitted,
-                    )
-                    if not future.cancel():
-                        # Already running in a worker: write the slot off
-                        # until the (possibly hung) attempt returns.
-                        abandoned.add(future)
-                        slots -= 1
-                    if attempt < max_retries:
-                        stats.record_retry()
-                        obs.cell_retry(cell.i, cell.j, attempt + 1, reason="timeout")
-                        queue.append((cell, attempt + 1))
-                    else:
-                        raise fail(
-                            cell, attempt + 1,
-                            f"exceeded the {cell_timeout_s:g} s budget on "
-                            f"all {attempt + 1} attempt(s)",
-                        )
-        clean_shutdown = not abandoned
-    finally:
-        # Never block campaign teardown on a hung worker: if any attempt
-        # was abandoned (or the run failed), drop the pool without
-        # waiting for it.  An external WorkerPool is the caller's to
-        # shut down — its workers (and their warm trace LRUs) survive
-        # this campaign.
-        if owned_pool is not None:
-            owned_pool.shutdown(wait=clean_shutdown, cancel_futures=True)
+            submitted = time.monotonic()
+            outstanding[submit(cell, fault)] = (cell, attempt, submitted)
+        if not outstanding:
+            cell, attempt = queue[0]
+            raise fail(
+                cell, attempt,
+                f"cannot run: all {slots} worker slot(s) are lost to hung "
+                f"cells and {len(queue)} cell(s) remain",
+            )
+        wait_timeout = None
+        if cell_timeout_s is not None:
+            first = min(submitted for _, _, submitted in outstanding.values())
+            wait_timeout = max(0.0, first + cell_timeout_s - time.monotonic())
+        completed, _ = wait(
+            set(outstanding), timeout=wait_timeout, return_when=FIRST_COMPLETED
+        )
+        now = time.monotonic()
+        # Successes first, so every finished cell reaches the journal
+        # even when a failure aborts the run.
+        for future in sorted(
+            completed,
+            key=lambda f: f.exception() is not None
+            or late(outstanding[f][2], now),
+        ):
+            cell, attempt, submitted = outstanding.pop(future)
+            error = future.exception()
+            if error is not None:
+                obs.cell_end(
+                    cell.i, cell.j, attempt, status="error",
+                    elapsed_s=now - submitted, error=str(error),
+                )
+                retry_or_fail(
+                    cell, attempt, "error",
+                    f"failed on all {attempt + 1} attempt(s): {error}", error,
+                )
+            elif late(submitted, now):
+                time_out(cell, attempt, now - submitted)
+            else:
+                cell_samples, fragment = future.result()
+                obs.cell_end(
+                    cell.i, cell.j, attempt, status="ok",
+                    elapsed_s=fragment["elapsed_s"], fragment=fragment,
+                )
+                complete_cell(cell, cell_samples, fragment)
+        for future, (cell, attempt, submitted) in list(outstanding.items()):
+            # A future that finished since the wait is judged next pass.
+            if future.done() or not late(submitted, now):
+                continue
+            del outstanding[future]
+            if not future.cancel():
+                abandoned.add(future)
+                capacity -= 1
+            time_out(cell, attempt, now - submitted)
 
 
 __all__ = [

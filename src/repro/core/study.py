@@ -293,7 +293,7 @@ def run_study(
     started = time.perf_counter()
     try:
         if workers > 1:
-            pool = WorkerPool(workers, trace_cache=shared_trace_cache)
+            pool = WorkerPool(workers)
         for index, (machine_name, distance) in enumerate(grid):
             from repro.machines.calibrated import load_calibrated_machine
 

@@ -8,6 +8,7 @@ bit, and the same seed must always yield the same matrix.  The
 too.
 """
 
+import multiprocessing
 import time
 from pathlib import Path
 
@@ -182,6 +183,10 @@ class TestExecuteCampaignValidation:
         with pytest.raises(ConfigurationError):
             execute_campaign(core2duo_10cm, [get_event("ADD")], repetitions=0)
 
+    def test_rejects_resume_without_a_journal(self, core2duo_10cm):
+        with pytest.raises(ConfigurationError, match="resume.*journal"):
+            _run(core2duo_10cm, resume=True)
+
 
 class TestWorkersValidation:
     @pytest.mark.parametrize("workers", [-1, -7, 2.5, "3", True, None])
@@ -234,7 +239,11 @@ class TestWorkerPoolDrain:
 
 @pytest.mark.slow
 class TestNoSegmentLeaks:
-    """Pooled campaigns leave no ``/dev/shm/savat_*`` entry on any exit path."""
+    """Pooled campaigns leave no ``/dev/shm/savat_*`` entry on any exit path.
+
+    Nor a live worker process once an attempt was abandoned: a hung
+    worker would otherwise keep the interpreter from exiting.
+    """
 
     def test_successful_pooled_campaign(self, core2duo_10cm):
         _run(core2duo_10cm, workers=2)
@@ -256,6 +265,38 @@ class TestNoSegmentLeaks:
             fault_plan=plan,
         )
         assert _savat_segments() == []
+
+    @pytest.mark.timeout(25)
+    def test_abandoned_hang_leaves_no_live_worker(self, core2duo_10cm):
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        matrix = _run(
+            core2duo_10cm,
+            workers=2,
+            cell_timeout_s=0.5,
+            max_retries=1,
+            fault_plan=FaultPlan.from_spec("hang@0,1:30"),
+        )
+        assert set(multiprocessing.active_children()) - before == set()
+        assert time.monotonic() - started < 15
+        assert matrix.metadata["execution"]["timeouts"] == 1
+
+    @pytest.mark.timeout(25)
+    def test_every_slot_lost_to_hung_cells(self, core2duo_10cm):
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(CellExecutionError, match="lost to hung cells") as excinfo:
+            _run(
+                core2duo_10cm,
+                workers=2,
+                cell_timeout_s=0.3,
+                max_retries=3,
+                fault_plan=FaultPlan.from_spec("hang@0,0:6x9;hang@0,1:6x9"),
+            )
+        assert time.monotonic() - started < 5
+        assert set(multiprocessing.active_children()) - before == set()
+        assert excinfo.value.pair in {"ADD/ADD", "ADD/SUB"}
+        assert excinfo.value.attempts >= 1
 
 
 @pytest.mark.slow
