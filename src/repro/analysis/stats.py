@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import ConfigurationError
 
@@ -19,6 +18,8 @@ def offdiagonal(matrix: np.ndarray) -> np.ndarray:
 
 def matrix_correlations(measured: np.ndarray, reference: np.ndarray) -> dict[str, float]:
     """Pearson/Spearman correlation and relative error over off-diagonals."""
+    from scipy import stats as scipy_stats
+
     measured_flat = offdiagonal(measured)
     reference_flat = offdiagonal(reference)
     if measured_flat.shape != reference_flat.shape:

@@ -292,12 +292,19 @@ def run_study(
     pool: WorkerPool | None = None
     started = time.perf_counter()
     try:
+        # Calibrate the whole grid before the pool exists: calibration
+        # forks processes of its own, which must not inherit the pool's
+        # threads, and a grid point that cannot be calibrated fails
+        # before any worker starts.
+        from repro.machines.calibrated import load_calibrated_machine
+
+        calibrated = [
+            load_calibrated_machine(machine_name, distance)
+            for machine_name, distance in grid
+        ]
         if workers > 1:
             pool = WorkerPool(workers)
-        for index, (machine_name, distance) in enumerate(grid):
-            from repro.machines.calibrated import load_calibrated_machine
-
-            machine = load_calibrated_machine(machine_name, distance)
+        for index, ((_name, distance), machine) in enumerate(zip(grid, calibrated)):
             if observability is not None:
                 bundle = observability[index]
             elif output_path is not None:

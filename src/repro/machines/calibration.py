@@ -40,8 +40,12 @@ centered — only differences are observable).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,8 +155,11 @@ def pair_geometry_factor(
     magnitude over R; dividing by the pair rate ``f_clk / (cpi_a+cpi_b)``
     yields G.
     """
-    if cpi_a <= 0 or cpi_b <= 0 or clock_hz <= 0:
-        raise CalibrationError("cpi values and clock must be positive")
+    if not all(0 < value < math.inf for value in (cpi_a, cpi_b, clock_hz)):
+        raise CalibrationError(
+            f"cpi values and clock must be positive and finite; got "
+            f"cpi {cpi_a!r}/{cpi_b!r}, clock {clock_hz!r} Hz"
+        )
     duty = cpi_a / (cpi_a + cpi_b)
     return (
         2.0
@@ -268,52 +275,25 @@ def fit_coupling_weights(
     return weights, fitted
 
 
-def refine_coupling_weights(
-    initial_weights: np.ndarray,
-    activity_rates: np.ndarray,
-    geometry: np.ndarray,
-    self_noise: np.ndarray,
-    reference_j: np.ndarray,
-    restarts: int = 3,
-    seed: int = 20141213,
-) -> np.ndarray:
-    """Nonlinearly refine coupling weights against the reference matrix.
+class _PairProblem(NamedTuple):
+    """The per-pair arrays every least-squares restart fits against."""
 
-    The MDS + linear-least-squares initialization minimizes error in the
-    embedding space, which over-weights the largest distances; this stage
-    instead minimizes the **log-relative error of the final SAVAT
-    matrix** over all unordered pairs — exactly the "shape fidelity"
-    criterion the reproduction targets.  Uses an analytic Jacobian and a
-    few randomized restarts (deterministic seed) to escape the
-    occasional poor local minimum.
+    pair_design: np.ndarray  # (num_pairs, num_components)
+    pair_geometry: np.ndarray
+    pair_noise: np.ndarray
+    pair_reference: np.ndarray
+    num_modes: int
 
-    Parameters
-    ----------
-    initial_weights:
-        Starting point, shape ``(num_modes, NUM_COMPONENTS)``.
-    activity_rates:
-        Per-event rate vectors, shape ``(num_events, NUM_COMPONENTS)``.
-    geometry:
-        Pairwise ``G_AB`` factors, shape ``(num_events, num_events)``.
-    self_noise:
-        Per-event self-noise energies (J), length ``num_events``.
-    reference_j:
-        Symmetrized reference matrix in joules.
+
+def _fit_restart(problem: _PairProblem, start: np.ndarray) -> tuple[np.ndarray, float]:
+    """One least-squares restart from ``start``; returns ``(x, cost)``.
+
+    Module-level so pool workers can run it.
     """
     from scipy.optimize import least_squares
 
-    num_modes = initial_weights.shape[0]
-    rates_centered = activity_rates - activity_rates.mean(axis=0)
-    scale = np.abs(rates_centered).max(axis=0)
-    scale[scale == 0] = 1.0
-    design = rates_centered / scale
-
-    upper = np.triu_indices(reference_j.shape[0], 1)
-    pair_design = design[upper[0]] - design[upper[1]]  # (num_pairs, C)
-    pair_geometry = geometry[upper]
-    pair_noise = self_noise[upper[0]] + self_noise[upper[1]]
-    pair_reference = reference_j[upper]
-    num_components = design.shape[1]
+    pair_design, pair_geometry, pair_noise, pair_reference, num_modes = problem
+    num_components = pair_design.shape[1]
 
     def predict(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         levels = pair_design @ weights.T  # (num_pairs, M)
@@ -333,22 +313,101 @@ def refine_coupling_weights(
         )
         return rows.reshape(len(pair_reference), num_modes * num_components)
 
+    solution = least_squares(
+        residuals, start.ravel(), jac=jacobian, method="trf", max_nfev=3000
+    )
+    return solution.x, solution.cost
+
+
+def refine_coupling_weights(
+    initial_weights: np.ndarray,
+    activity_rates: np.ndarray,
+    geometry: np.ndarray,
+    self_noise: np.ndarray,
+    reference_j: np.ndarray,
+    restarts: int = 3,
+    seed: int = 20141213,
+) -> np.ndarray:
+    """Nonlinearly refine coupling weights against the reference matrix.
+
+    The MDS + linear-least-squares initialization minimizes error in the
+    embedding space, which over-weights the largest distances; this stage
+    instead minimizes the **log-relative error of the final SAVAT
+    matrix** over all unordered pairs — exactly the "shape fidelity"
+    criterion the reproduction targets.  Uses an analytic Jacobian and a
+    few randomized restarts (deterministic seed) to escape the
+    occasional poor local minimum.
+
+    The restarts are independent, so they run at the same time: this
+    process fits the unperturbed start while a forked process pool fits
+    the perturbed ones.  Every start is drawn up front in trial order
+    and the lowest cost wins, ties going to the earliest trial, so the
+    result is bit-identical to fitting them one after another.  An
+    exception from any restart propagates once every worker has exited.
+
+    Parameters
+    ----------
+    initial_weights:
+        Starting point, shape ``(num_modes, NUM_COMPONENTS)``.
+    activity_rates:
+        Per-event rate vectors, shape ``(num_events, NUM_COMPONENTS)``.
+    geometry:
+        Pairwise ``G_AB`` factors, shape ``(num_events, num_events)``.
+    self_noise:
+        Per-event self-noise energies (J), length ``num_events``.
+    reference_j:
+        Symmetrized reference matrix in joules.
+    restarts:
+        Number of fits, at least 1: the unperturbed start plus
+        ``restarts - 1`` randomly perturbed ones.
+    """
+    if restarts < 1:
+        raise CalibrationError(f"restarts must be at least 1, got {restarts}")
+    # Workers are forked from this process: importing the optimizer
+    # here means none of them imports it again.
+    import scipy.optimize  # noqa: F401
+
+    num_modes = initial_weights.shape[0]
+    rates_centered = activity_rates - activity_rates.mean(axis=0)
+    scale = np.abs(rates_centered).max(axis=0)
+    scale[scale == 0] = 1.0
+    design = rates_centered / scale
+
+    upper = np.triu_indices(reference_j.shape[0], 1)
+    problem = _PairProblem(
+        pair_design=design[upper[0]] - design[upper[1]],
+        pair_geometry=geometry[upper],
+        pair_noise=self_noise[upper[0]] + self_noise[upper[1]],
+        pair_reference=reference_j[upper],
+        num_modes=num_modes,
+    )
+
     rng = np.random.default_rng(seed)
     scaled_initial = initial_weights * scale
-    best = None
-    for trial in range(restarts):
-        start = scaled_initial
-        if trial:
-            start = start * rng.normal(1.0, 0.3, start.shape) + rng.normal(
-                0.0, 0.1 * np.abs(start).mean() + 1e-30, start.shape
-            )
-        solution = least_squares(
-            residuals, start.ravel(), jac=jacobian, method="trf", max_nfev=3000
+    shape = scaled_initial.shape
+    spread = 0.1 * np.abs(scaled_initial).mean() + 1e-30
+    starts = [scaled_initial] + [
+        scaled_initial * rng.normal(1.0, 0.3, shape) + rng.normal(0.0, spread, shape)
+        for _trial in range(1, restarts)
+    ]
+
+    first, *others = starts
+    pool = (
+        ProcessPoolExecutor(
+            max_workers=len(others), mp_context=multiprocessing.get_context("fork")
         )
-        if best is None or solution.cost < best.cost:
-            best = solution
-    assert best is not None
-    return best.x.reshape(num_modes, num_components) / scale
+        if others
+        else contextlib.nullcontext()
+    )
+    with pool:
+        futures = [pool.submit(_fit_restart, problem, start) for start in others]
+        fits = [_fit_restart(problem, first)]
+        fits += [future.result() for future in futures]
+
+    # min() replaces its pick only on a strictly lower cost: ties go to
+    # the earliest trial.
+    best_x, _cost = min(fits, key=lambda fit: fit[1])
+    return best_x.reshape(num_modes, design.shape[1]) / scale
 
 
 def calibrate(
@@ -371,18 +430,26 @@ def calibrate(
     reference_j = reference.symmetrized() * ZEPTOJOULE
     self_noise = {name: float(reference_j[i, i]) / 2.0 for i, name in enumerate(names)}
 
+    geometry = np.array(
+        [
+            [
+                pair_geometry_factor(
+                    profiles[name_a].cycles_per_iteration,
+                    profiles[name_b].cycles_per_iteration,
+                    spec.clock_hz,
+                )
+                for name_b in names
+            ]
+            for name_a in names
+        ]
+    )
     squared = np.zeros((count, count))
     for i, name_a in enumerate(names):
         for j, name_b in enumerate(names):
             if i == j:
                 continue
-            geometry = pair_geometry_factor(
-                profiles[name_a].cycles_per_iteration,
-                profiles[name_b].cycles_per_iteration,
-                spec.clock_hz,
-            )
             excess = reference_j[i, j] - self_noise[name_a] - self_noise[name_b]
-            squared[i, j] = max(excess, 0.0) / geometry
+            squared[i, j] = max(excess, 0.0) / geometry[i, j]
 
     squared = (squared + squared.T) / 2.0
     points, stress = classical_mds(squared, num_modes)
@@ -391,14 +458,6 @@ def calibrate(
     weights, fitted = fit_coupling_weights(rates, points)
 
     if refine:
-        geometry = np.zeros((count, count))
-        for i, name_a in enumerate(names):
-            for j, name_b in enumerate(names):
-                geometry[i, j] = pair_geometry_factor(
-                    profiles[name_a].cycles_per_iteration,
-                    profiles[name_b].cycles_per_iteration,
-                    spec.clock_hz,
-                )
         noise_vector = np.array([self_noise[name] for name in names])
         weights = refine_coupling_weights(
             weights, rates, geometry, noise_vector, reference_j

@@ -13,6 +13,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.core import study as study_module
 from repro.core.campaign import run_campaign
 from repro.core.savat import MeasurementConfig
 from repro.core.study import StudyResult, run_study
@@ -182,8 +183,8 @@ class TestStudyTeardown:
         self, tmp_path, monkeypatch
     ):
         # With no cache_dir the study keeps its trace cache in a
-        # temporary directory; the second grid entry fails to load, and
-        # the pool must drain before that directory is removed.
+        # temporary directory; the second grid entry fails, and the pool
+        # must drain before that directory is removed.
         monkeypatch.delenv("SAVAT_TRACE_CACHE_DIR", raising=False)
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)
@@ -192,10 +193,20 @@ class TestStudyTeardown:
         def record(*_):
             seen.update(path.name for path in tmp_path.glob("savat_traces_*"))
 
+        campaign = study_module.run_campaign
+        calls = []
+
+        def second_campaign_fails(machine, **kwargs):
+            calls.append(machine)
+            if len(calls) == 2:
+                raise ConfigurationError("second grid entry fails")
+            return campaign(machine, **kwargs)
+
+        monkeypatch.setattr(study_module, "run_campaign", second_campaign_fails)
         with pytest.raises(ConfigurationError):
             run_study(
-                ["core2duo", "no-such-machine"],
-                [0.10],
+                ["core2duo"],
+                [0.10, 0.50],
                 events=EVENTS,
                 config=FAST_CONFIG,
                 repetitions=REPETITIONS,
@@ -219,6 +230,18 @@ class TestStudyValidation:
     def test_bad_distance_rejected_before_any_campaign(self):
         with pytest.raises(ConfigurationError):
             run_study(["core2duo"], [0.10, -1.0], events=EVENTS)
+
+    def test_uncalibratable_grid_point_fails_before_the_pool_starts(
+        self, monkeypatch
+    ):
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("the pool started before calibration failed")
+
+        monkeypatch.setattr(study_module, "WorkerPool", no_pool)
+        with pytest.raises(ConfigurationError):
+            run_study(
+                ["core2duo", "no-such-machine"], [0.10], events=EVENTS, workers=2
+            )
 
     def test_observability_bundle_count_must_match(self):
         from repro.obs import CampaignObservability

@@ -1,8 +1,14 @@
 """Tests for the EM-model calibration machinery."""
 
+import dataclasses
+import math
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from repro.core.savat import MeasurementConfig
+from repro.core.study import run_study
 from repro.errors import CalibrationError
 from repro.isa.events import EVENT_ORDER
 from repro.machines import calibrated, calibration
@@ -12,8 +18,10 @@ from repro.machines.calibration import (
     fit_coupling_weights,
     pair_geometry_factor,
     profile_event,
+    refine_coupling_weights,
 )
-from repro.machines.catalog import CORE2DUO
+from repro.machines.catalog import CORE2DUO, get_machine
+from repro.machines.reference_data import ReferenceMatrix
 from repro.uarch.components import COMPONENT_INDEX, Component, NUM_COMPONENTS
 
 
@@ -41,6 +49,29 @@ class TestGeometryFactor:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(CalibrationError):
             pair_geometry_factor(0, 10, 1e9)
+
+    @pytest.mark.parametrize(
+        "cpi_a, cpi_b, clock_hz",
+        [(math.nan, 10, 1e9), (10, math.nan, 1e9), (10, 10, math.nan)],
+    )
+    def test_nan_inputs_rejected(self, cpi_a, cpi_b, clock_hz):
+        with pytest.raises(CalibrationError):
+            pair_geometry_factor(cpi_a, cpi_b, clock_hz)
+
+    def test_infinite_clock_rejected(self):
+        with pytest.raises(CalibrationError):
+            pair_geometry_factor(10, 10, math.inf)
+
+    def test_infinite_clock_fails_calibration_with_one_line(self, monkeypatch):
+        # MachineSpec accepts an infinite clock; the geometry factor is
+        # where calibration must stop (it used to be G = 0, then a
+        # ZeroDivisionError in the squared-distance loop).
+        spec = dataclasses.replace(CORE2DUO, clock_hz=math.inf)
+        monkeypatch.setitem(
+            calibration._PROFILES, spec, calibration.profile_all_events(CORE2DUO)
+        )
+        with pytest.raises(CalibrationError):
+            calibration.calibrate(spec, reference_for("core2duo", 0.10), refine=False)
 
 
 class TestClassicalMds:
@@ -216,3 +247,177 @@ class TestProfileMemo:
         assert calibration._PROFILES
         calibrated.clear_calibration_cache()
         assert not calibration._PROFILES
+
+
+def _small_problem(seed: int = 0):
+    """Inputs of a five-event, two-mode refinement (fast to fit)."""
+    rng = np.random.default_rng(seed)
+    events = 5
+    rates = rng.uniform(0.1, 1.0, size=(events, NUM_COMPONENTS))
+    initial = rng.normal(size=(2, NUM_COMPONENTS))
+    geometry = np.ones((events, events))
+    noise = np.full(events, 0.01)
+    reference = rng.uniform(0.5, 2.0, size=(events, events))
+    return initial, rates, geometry, noise, (reference + reference.T) / 2.0
+
+
+def _serial_refine(
+    initial_weights,
+    activity_rates,
+    geometry,
+    self_noise,
+    reference_j,
+    restarts=3,
+    seed=20141213,
+):
+    """The restarts fitted one after another: the concurrent version's oracle."""
+    from scipy.optimize import least_squares
+
+    num_modes = initial_weights.shape[0]
+    rates_centered = activity_rates - activity_rates.mean(axis=0)
+    scale = np.abs(rates_centered).max(axis=0)
+    scale[scale == 0] = 1.0
+    design = rates_centered / scale
+
+    upper = np.triu_indices(reference_j.shape[0], 1)
+    pair_design = design[upper[0]] - design[upper[1]]
+    pair_geometry = geometry[upper]
+    pair_noise = self_noise[upper[0]] + self_noise[upper[1]]
+    pair_reference = reference_j[upper]
+    num_components = design.shape[1]
+
+    def predict(weights):
+        levels = pair_design @ weights.T
+        return pair_geometry * np.sum(levels**2, axis=1) + pair_noise, levels
+
+    def residuals(flat):
+        predicted, _levels = predict(flat.reshape(num_modes, num_components))
+        return np.log(predicted) - np.log(pair_reference)
+
+    def jacobian(flat):
+        weights = flat.reshape(num_modes, num_components)
+        predicted, levels = predict(weights)
+        rows = (
+            (2.0 * pair_geometry / predicted)[:, None, None]
+            * levels[:, :, None]
+            * pair_design[:, None, :]
+        )
+        return rows.reshape(len(pair_reference), num_modes * num_components)
+
+    rng = np.random.default_rng(seed)
+    scaled_initial = initial_weights * scale
+    best = None
+    for trial in range(restarts):
+        start = scaled_initial
+        if trial:
+            start = start * rng.normal(1.0, 0.3, start.shape) + rng.normal(
+                0.0, 0.1 * np.abs(start).mean() + 1e-30, start.shape
+            )
+        solution = least_squares(
+            residuals, start.ravel(), jac=jacobian, method="trf", max_nfev=3000
+        )
+        if best is None or solution.cost < best.cost:
+            best = solution
+    return best.x.reshape(num_modes, num_components) / scale
+
+
+class _WorkerFitError(Exception):
+    """Raised by :func:`_fail_in_worker` inside a pool worker."""
+
+
+_REAL_FIT_RESTART = calibration._fit_restart
+
+
+def _fail_in_worker(problem, start):
+    """A restart that fails in pool workers and fits normally in the parent."""
+    if multiprocessing.parent_process() is not None:
+        raise _WorkerFitError("restart failed in a worker")
+    return _REAL_FIT_RESTART(problem, start)
+
+
+def _new_children(before):
+    return [child for child in multiprocessing.active_children() if child not in before]
+
+
+class TestConcurrentRestarts:
+    """The restarts run concurrently and choose exactly what a serial loop did."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("machine", ["core2duo", "turionx2"])
+    def test_weights_match_the_serial_loop_bit_for_bit(self, machine, monkeypatch):
+        captured = []
+        original = calibration.refine_coupling_weights
+
+        def spy(*args, **kwargs):
+            captured.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "refine_coupling_weights", spy)
+        result = calibration.calibrate(get_machine(machine), reference_for(machine, 0.10))
+        (args, kwargs), = captured
+        expected = _serial_refine(*args, **kwargs)
+        assert result.coupling.weights.tobytes() == expected.tobytes()
+
+    def test_small_problem_matches_the_serial_loop(self):
+        problem = _small_problem()
+        for restarts in (1, 2, 3):
+            concurrent = refine_coupling_weights(*problem, restarts=restarts)
+            serial = _serial_refine(*problem, restarts=restarts)
+            assert concurrent.tobytes() == serial.tobytes()
+
+    def test_calibrate_leaves_no_child_process(self):
+        before = multiprocessing.active_children()
+        calibration.calibrate(CORE2DUO, reference_for("core2duo", 0.50))
+        assert _new_children(before) == []
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_failing_restarts_leave_no_child_process(self):
+        before = multiprocessing.active_children()
+        values = reference_for("core2duo", 0.10).values_zj.copy()
+        values[0, 1] = values[1, 0] = 0.0
+        reference = ReferenceMatrix(
+            machine="core2duo", distance_m=0.10, values_zj=values, figure="test"
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            calibration.calibrate(CORE2DUO, reference)
+        assert _new_children(before) == []
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        before = multiprocessing.active_children()
+        monkeypatch.setattr(calibration, "_fit_restart", _fail_in_worker)
+        with pytest.raises(_WorkerFitError):
+            refine_coupling_weights(*_small_problem())
+        assert _new_children(before) == []
+
+    def test_one_restart_builds_no_pool(self, monkeypatch):
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a single restart must not start a pool")
+
+        monkeypatch.setattr(calibration, "ProcessPoolExecutor", no_pool)
+        problem = _small_problem()
+        weights = refine_coupling_weights(*problem, restarts=1)
+        assert weights.tobytes() == _serial_refine(*problem, restarts=1).tobytes()
+
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(CalibrationError):
+            refine_coupling_weights(*_small_problem(), restarts=0)
+
+    @pytest.mark.slow
+    def test_pooled_study_with_cold_calibrations_equals_serial(self, monkeypatch):
+        def study(workers):
+            monkeypatch.setattr(calibrated, "_CACHE", {})
+            return run_study(
+                ["core2duo"],
+                [0.10, 0.50],
+                events=("ADD", "LDM"),
+                config=MeasurementConfig(alternation_frequency_hz=800e3),
+                repetitions=1,
+                workers=workers,
+            )
+
+        pooled = study(workers=2)
+        serial = study(workers=0)
+        assert len(pooled.matrices) == len(serial.matrices) == 2
+        for pooled_matrix, serial_matrix in zip(pooled.matrices, serial.matrices):
+            assert pooled_matrix.distance_m == serial_matrix.distance_m
+            assert np.array_equal(pooled_matrix.samples_zj, serial_matrix.samples_zj)

@@ -6,7 +6,11 @@ every ``__all__`` name real, every public callable carrying a docstring.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +71,25 @@ def test_top_level_exports_resolve():
 
 def test_version_present():
     assert repro.__version__
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported by the commands that use it, not by the CLI."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.core.campaign, repro.core.study, "
+        "repro.machines.calibrated\n"
+        "print(sorted(name for name in sys.modules "
+        "if name == 'scipy' or name.startswith('scipy.')))\n"
+    )
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert result.stdout.strip() == "[]"
