@@ -4,19 +4,33 @@
 Run after ``pytest benchmarks/ --benchmark-only``: every benchmark
 writes its regenerated figure to ``benchmarks/output/``, and this script
 collates them — plus the headline shape statistics it re-parses from the
-experiment reports — into the paper-vs-measured record.
+experiment reports — into the paper-vs-measured record.  The
+"Simulation performance" table is rendered from ``BENCH_e2e.json``
+(``python3 benchmarks/e2e/bench.py run --out BENCH_e2e.json``).
+Everything after :data:`HANDWRITTEN_MARKER` in the checked-in
+EXPERIMENTS.md is hand-written and copied through unchanged.
 
 Usage:  python benchmarks/generate_experiments_md.py
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 import sys
 
-OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-TARGET = pathlib.Path(__file__).parent.parent / "EXPERIMENTS.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUTPUT_DIR = ROOT / "benchmarks" / "output"
+TARGET = ROOT / "EXPERIMENTS.md"
+#: Where the hand-written sections are read from (the checked-in file).
+HANDWRITTEN_SOURCE = ROOT / "EXPERIMENTS.md"
+HANDWRITTEN_MARKER = (
+    "<!-- Hand-written from here on: generate_experiments_md.py copies "
+    "the rest of this file unchanged. -->"
+)
+BENCH_E2E = ROOT / "BENCH_e2e.json"
+BENCHMARK_SPEC = ROOT / "BENCHMARK.json"
 
 #: (artifact file, experiment id, paper artifact, what "reproduced" means here)
 EXPERIMENTS: tuple[tuple[str, str, str, str], ...] = (
@@ -136,6 +150,53 @@ def _shape_line(text: str) -> str | None:
     return line
 
 
+def _digest_status(entry: dict) -> str:
+    digest, pinned = entry["digest"], entry["digest_pinned"]
+    if pinned is None:
+        return f"`{str(digest)[:12]}` (not pinned)"
+    status = "matches pin" if digest == pinned else "MISMATCH vs pin"
+    return f"`{str(digest)[:12]}` ({status})"
+
+
+def performance_section(result: dict, metrics: list[dict]) -> list[str]:
+    """The "Simulation performance" table of one ``bench.py run`` result."""
+    host = result["host"]
+    sha = (host.get("git_sha") or "unknown")[:12]
+    header = " | ".join(f"`{metric['name']}` ({metric['unit']})" for metric in metrics)
+    lines = [
+        "## Simulation performance (not a paper figure)",
+        "",
+        "Generated from `BENCH_e2e.json`, the checked-in result of",
+        "`python3 benchmarks/e2e/bench.py run --out BENCH_e2e.json` (protocol,",
+        "workloads and metric definitions: `benchmarks/e2e/README.md`).  Each",
+        "cell is the median [q1, q3] over the workload's n successful timed",
+        "invocations; failed counts every invocation of the run, including the",
+        "preparation and the traced one.  Host timings drift, so read the",
+        "quartiles with the median.  A performance claim needs paired",
+        "`bench.py ab` runs, and CI's `e2e-gate` job fails a pull request when",
+        "paired runs against its base read any of these metrics as `worse`.",
+        "",
+        f"Run: seed {result['seed']}{' (quick)' if result['quick'] else ''}, "
+        f"{host['nproc']} CPUs, {host['machine']}, Python {host['python']}, "
+        f"numpy {host['numpy']}; HEAD at run time `{sha}`.",
+        "",
+        f"| workload | n | {header} | failed | samples digest |",
+        "|---|---:|" + "---:|" * len(metrics) + "---:|---|",
+    ]
+    for name, entry in result["workloads"].items():
+        summaries = [entry["metrics"][metric["name"]] for metric in metrics]
+        cells = [f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]" for s in summaries]
+        runs = len(entry["runs"])
+        failed = round(entry["metrics"]["failure_fraction"]["median"] * runs)
+        n = entry["metrics"]["wall_s"]["n"]
+        lines.append(
+            f"| `{name}` | {n} | " + " | ".join(cells)
+            + f" | {failed}/{runs} | {_digest_status(entry)} |"
+        )
+    lines.append("")
+    return lines
+
+
 def main() -> int:
     missing = [
         name
@@ -206,8 +267,15 @@ def main() -> int:
         lines.append("```")
         lines.append("")
 
-    TARGET.write_text("\n".join(lines))
-    print(f"wrote {TARGET} ({len(lines)} lines)")
+    metrics = json.loads(BENCHMARK_SPEC.read_text())["end_to_end"]
+    lines.extend(performance_section(json.loads(BENCH_E2E.read_text()), metrics))
+    lines.append(HANDWRITTEN_MARKER)
+    handwritten = HANDWRITTEN_SOURCE.read_text().split(HANDWRITTEN_MARKER, 1)
+    if len(handwritten) != 2:
+        print(f"{HANDWRITTEN_SOURCE} has no hand-written marker", file=sys.stderr)
+        return 1
+    TARGET.write_text("\n".join(lines) + handwritten[1])
+    print(f"wrote {TARGET}")
     return 0
 
 

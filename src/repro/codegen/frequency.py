@@ -18,10 +18,12 @@ spectral bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import MeasurementError
 from repro.isa.events import InstructionEvent
+from repro.uarch.cache import CacheGeometry
 from repro.uarch.core import Core
 from repro.codegen.alternation import (
     AlternationSpec,
@@ -107,39 +109,63 @@ def solve_inst_loop_count(
     Raises
     ------
     MeasurementError
-        If the target frequency is not positive, or if even a single
-        iteration per half would alternate slower than the target allows
-        (i.e. the requested frequency is too high for this pair on this
-        machine).
+        If the target frequency is not positive and finite, or if even
+        a single iteration per half would alternate slower than the
+        target allows (i.e. the requested frequency is too high for this
+        pair on this machine).
     """
-    if target_frequency_hz <= 0:
-        raise MeasurementError(
-            f"alternation frequency must be positive, got {target_frequency_hz}"
-        )
     cpi_a = measure_cycles_per_iteration(core, event_a)
     cpi_b = measure_cycles_per_iteration(core, event_b)
-    period_cycles_target = core.clock_hz / target_frequency_hz
+    return plan_for_cycles(
+        event_a,
+        event_b,
+        cpi_a,
+        cpi_b,
+        core.clock_hz,
+        core.hierarchy.l1_geometry,
+        core.hierarchy.l2_geometry,
+        target_frequency_hz,
+        max_inst_loop_count,
+    )
+
+
+def plan_for_cycles(
+    event_a: InstructionEvent,
+    event_b: InstructionEvent,
+    cpi_a: float,
+    cpi_b: float,
+    clock_hz: float,
+    l1_geometry: CacheGeometry,
+    l2_geometry: CacheGeometry,
+    target_frequency_hz: float,
+    max_inst_loop_count: float = math.inf,
+) -> FrequencyPlan:
+    """The plan for a pair whose cycles per iteration are already known.
+
+    ``inst_loop_count`` is the integer (at least 1, at most
+    ``max_inst_loop_count``) nearest to the count whose predicted period
+    lands on ``target_frequency_hz``.  Raises :class:`MeasurementError`
+    under the same conditions as :func:`solve_inst_loop_count`.
+    """
+    if not (math.isfinite(target_frequency_hz) and target_frequency_hz > 0):
+        raise MeasurementError(
+            f"alternation frequency must be positive and finite, got {target_frequency_hz}"
+        )
+    period_cycles_target = clock_hz / target_frequency_hz
     raw_count = period_cycles_target / (cpi_a + cpi_b)
     if raw_count < 0.5:
         raise MeasurementError(
             f"cannot alternate {event_a.name}/{event_b.name} at "
             f"{target_frequency_hz:.0f} Hz: one iteration pair already takes "
-            f"{cpi_a + cpi_b:.0f} cycles ({core.clock_hz / (cpi_a + cpi_b):.0f} Hz max)"
+            f"{cpi_a + cpi_b:.0f} cycles ({clock_hz / (cpi_a + cpi_b):.0f} Hz max)"
         )
     inst_loop_count = min(max(round(raw_count), 1), max_inst_loop_count)
-    spec = plan_alternation(
-        event_a,
-        event_b,
-        core.hierarchy.l1_geometry,
-        core.hierarchy.l2_geometry,
-        inst_loop_count,
-    )
+    spec = plan_alternation(event_a, event_b, l1_geometry, l2_geometry, inst_loop_count)
     predicted_period = inst_loop_count * (cpi_a + cpi_b)
-    predicted_frequency = core.clock_hz / predicted_period
     return FrequencyPlan(
         spec=spec,
         target_frequency_hz=target_frequency_hz,
-        predicted_frequency_hz=predicted_frequency,
+        predicted_frequency_hz=clock_hz / predicted_period,
         cycles_per_iteration_a=cpi_a,
         cycles_per_iteration_b=cpi_b,
     )

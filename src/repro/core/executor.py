@@ -1186,6 +1186,8 @@ def execute_campaign(
         raise ConfigurationError("campaign needs at least one event")
     if repetitions < 1:
         raise ConfigurationError("repetitions must be at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     if max_retries < 0:
         raise ConfigurationError("max_retries must be non-negative")
     if cell_timeout_s is not None and not (

@@ -37,7 +37,7 @@ from repro.codegen.frequency import FrequencyPlan
 from repro.codegen.pointers import advance_pointer, sweep_address_stream
 from repro.em.coupling import band_power_from_modes, fourier_coefficient
 from repro.em.synthesis import JitterModel, period_envelope, synthesize_measurement
-from repro.errors import ConfigurationError, MeasurementError
+from repro.errors import ConfigurationError
 from repro.instruments.analyzer_path import reference_analyzer_enabled
 from repro.instruments.spectrum_analyzer import Spectrum, SpectrumAnalyzer
 from repro.isa.events import InstructionEvent, get_event
@@ -119,6 +119,16 @@ class MeasurementConfig:
             raise ConfigurationError(
                 f"unknown measurement method {self.method!r}; options: {METHODS}"
             )
+        for name in (
+            "alternation_frequency_hz",
+            "band_half_width_hz",
+            "rbw_hz",
+            "duration_s",
+            "loop_noise_fraction",
+        ):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.alternation_frequency_hz <= 0:
             raise ConfigurationError("alternation frequency must be positive")
         if self.band_half_width_hz <= 0:
@@ -172,36 +182,22 @@ def _plan_pair(
     frequency_hz: float,
 ) -> FrequencyPlan:
     """Frequency plan for a pair, with per-(machine, event) CPI caching."""
-    from repro.codegen.frequency import measure_cycles_per_iteration
+    from repro.codegen.frequency import measure_cycles_per_iteration, plan_for_cycles
 
     spec = machine.spec
     for event in (event_a, event_b):
         key = (machine.name, event.name)
         if key not in _CPI_CACHE:
             _CPI_CACHE[key] = measure_cycles_per_iteration(machine.make_core(), event)
-    # Re-solve using cached CPIs by monkey-free arithmetic: replicate the
-    # solver's logic with the cached values.
-    cpi_a = _CPI_CACHE[(machine.name, event_a.name)]
-    cpi_b = _CPI_CACHE[(machine.name, event_b.name)]
-    period_cycles_target = spec.clock_hz / frequency_hz
-    raw_count = period_cycles_target / (cpi_a + cpi_b)
-    if raw_count < 0.5:
-        raise MeasurementError(
-            f"cannot alternate {event_a.name}/{event_b.name} at {frequency_hz:.0f} Hz "
-            f"on {machine.name}"
-        )
-    from repro.codegen.alternation import plan_alternation
-
-    inst_loop_count = max(round(raw_count), 1)
-    predicted = spec.clock_hz / (inst_loop_count * (cpi_a + cpi_b))
-    return FrequencyPlan(
-        spec=plan_alternation(
-            event_a, event_b, spec.l1_geometry, spec.l2_geometry, inst_loop_count
-        ),
-        target_frequency_hz=frequency_hz,
-        predicted_frequency_hz=predicted,
-        cycles_per_iteration_a=cpi_a,
-        cycles_per_iteration_b=cpi_b,
+    return plan_for_cycles(
+        event_a,
+        event_b,
+        _CPI_CACHE[(machine.name, event_a.name)],
+        _CPI_CACHE[(machine.name, event_b.name)],
+        spec.clock_hz,
+        spec.l1_geometry,
+        spec.l2_geometry,
+        frequency_hz,
     )
 
 

@@ -187,6 +187,11 @@ class TestExecuteCampaignValidation:
         with pytest.raises(ConfigurationError, match="resume.*journal"):
             _run(core2duo_10cm, resume=True)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True, None])
+    def test_rejects_bad_seed(self, core2duo_10cm, seed):
+        with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+            execute_campaign(core2duo_10cm, [get_event("ADD")], repetitions=1, seed=seed)
+
 
 class TestWorkersValidation:
     @pytest.mark.parametrize("workers", [-1, -7, 2.5, "3", True, None])

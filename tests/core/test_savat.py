@@ -64,6 +64,20 @@ class TestMeasurementConfig:
         with pytest.raises(ConfigurationError):
             MeasurementConfig(rbw_hz=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alternation_frequency_hz", float("nan")),
+            ("band_half_width_hz", float("nan")),
+            ("rbw_hz", float("inf")),
+            ("duration_s", float("nan")),
+            ("loop_noise_fraction", float("nan")),
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            MeasurementConfig(**{field: value})
+
 
 @pytest.mark.slow
 class TestMeasureSavat:

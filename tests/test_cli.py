@@ -277,6 +277,28 @@ class TestCommands:
         assert code == 2
         assert "unknown event" in capsys.readouterr().err
 
+    def test_measure_non_finite_frequency_fails_cleanly(self, capsys, core2duo_10cm):
+        code = main(["measure", "ADD", "SUB", "--frequency", "nan"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "error: alternation_frequency_hz must be finite, got nan"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--events", "ADD,SUB", "--repetitions", "1"],
+            ["study", "--distances", "0.10", "--events", "ADD,SUB", "--repetitions", "1"],
+        ],
+        ids=["campaign", "study"],
+    )
+    def test_negative_seed_fails_cleanly(self, capsys, core2duo_10cm, argv):
+        code = main([*argv, "--seed", "-1", "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+
     def test_campaign_csv(self, capsys, core2duo_10cm):
         code = main(
             ["campaign", "--events", "ADD,MUL", "--repetitions", "1", "--format", "csv"]
