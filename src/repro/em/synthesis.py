@@ -13,6 +13,7 @@ instrument would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,10 @@ def tile_period_indices(
     np.subtract(times, start_grid, out=start_grid)
     np.divide(start_grid, duration_grid, out=start_grid)
     np.multiply(start_grid, points_per_period, out=start_grid)
-    indices = start_grid.astype(np.int64)
+    # The duration grid is spent: truncate into its bytes (the same
+    # float -> int64 cast ``astype`` makes) instead of a third array.
+    indices = duration_grid.view(np.int64)
+    np.copyto(indices, start_grid, casting="unsafe")
     np.clip(indices, 0, points_per_period - 1, out=indices)
     return indices
 
@@ -133,8 +137,14 @@ class JitterModel:
     drift_sigma: float = 1.5e-5
 
     def __post_init__(self) -> None:
-        if self.period_sigma < 0 or self.drift_sigma < 0:
-            raise ConfigurationError("jitter sigmas must be non-negative")
+        for name in ("period_sigma", "drift_sigma"):
+            value = getattr(self, name)
+            # ``nan > 0`` is False, so a NaN sigma would silently switch
+            # its jitter off; reject every non-finite value up front.
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"jitter {name} must be finite and non-negative, got {value}"
+                )
 
     def period_multipliers(
         self, num_periods: int, rng: np.random.Generator | None
@@ -273,15 +283,11 @@ def synthesize_measurement(
     times = measurement_time_grid(num_samples, sample_rate_hz)
     envelope_index = tile_period_indices(starts, durations, times, points_per_period)
 
-    if reuse_buffer:
-        samples = np.take(
-            envelope,
-            envelope_index,
-            axis=1,
-            out=_sample_buffer(envelope.shape[0], num_samples),
-        )
-    else:
-        samples = envelope[:, envelope_index]
+    # The indices are already clipped into range, so ``mode="clip"``
+    # changes no value; it spares the default ``mode="raise"`` its
+    # hidden full-size temporary behind every ``out=`` gather.
+    out = _sample_buffer(envelope.shape[0], num_samples) if reuse_buffer else None
+    samples = np.take(envelope, envelope_index, axis=1, out=out, mode="clip")
     return SynthesizedSignal(
         samples=samples,
         sample_rate_hz=float(sample_rate_hz),

@@ -295,7 +295,7 @@ class ZoomBandPlan:
     blocks of ``B`` samples; the per-bin phase inside a block is
     factored as a fixed heterodyne at the band-center bin times a
     low-order Taylor polynomial in the bin offset, so the per-sample
-    work collapses to two real matrix products (the block *moments*).
+    work collapses to one real matrix product (the block *moments*).
     The across-block phases form a geometric progression per bin, which
     a Bluestein chirp-Z transform evaluates with three small
     power-of-smooth FFTs.  All phase arguments are reduced modulo the
@@ -359,9 +359,9 @@ class ZoomBandPlan:
         self.num_blocks = num_blocks
         m = self.num_bins
 
-        # Within-block heterodyne x Taylor moment weights, split into
-        # real and imaginary parts so the moment step runs as two real
-        # matrix products on the (real) input.
+        # Within-block heterodyne x Taylor moment weights, real parts
+        # then imaginary parts side by side, so the moment step runs as
+        # one real matrix product on the (real) input.
         s = np.arange(block, dtype=np.int64)
         s_center = (block - 1) / 2.0
         hetero = np.exp(-2j * np.pi * ((center * s) % n) / n)
@@ -370,8 +370,7 @@ class ZoomBandPlan:
         for d in range(1, order + 1):
             powers[:, d] = powers[:, d - 1] * (s - s_center) / d
         weights = hetero[:, None] * powers
-        self._weights_real = np.ascontiguousarray(weights.real)
-        self._weights_imag = np.ascontiguousarray(weights.imag)
+        self._weights = np.concatenate((weights.real, weights.imag), axis=1)
 
         # Bluestein chirp-Z across blocks: phases reduced with integer
         # arithmetic (the raw arguments reach ~1e11 and would otherwise
@@ -449,7 +448,9 @@ class ZoomBandPlan:
         (see :func:`band_periodogram_psd`) hand its block-reshaped view
         straight in, skipping :meth:`transform`'s copy.
         """
-        moments = blocks @ self._weights_real + 1j * (blocks @ self._weights_imag)
+        both = blocks @ self._weights
+        k = self.order + 1
+        moments = both[..., :k] + 1j * both[..., k:]
         chirped = moments.transpose(0, 2, 1) * self._chirp_in
         spectrum = np.fft.fft(chirped, n=self._fft_length, axis=-1)
         spectrum *= self._kernel_fft

@@ -12,6 +12,7 @@ frequency."
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,14 @@ class SpectrumAnalyzer:
     impedance: float = REFERENCE_IMPEDANCE
 
     def __post_init__(self) -> None:
-        if self.rbw_hz <= 0:
-            raise MeasurementError(f"resolution bandwidth must be positive, got {self.rbw_hz}")
-        if self.impedance <= 0:
-            raise MeasurementError(f"impedance must be positive, got {self.impedance}")
+        if not (math.isfinite(self.rbw_hz) and self.rbw_hz > 0):
+            raise MeasurementError(
+                f"resolution bandwidth must be finite and positive, got {self.rbw_hz}"
+            )
+        if not (math.isfinite(self.impedance) and self.impedance > 0):
+            raise MeasurementError(
+                f"impedance must be finite and positive, got {self.impedance}"
+            )
 
     def measure(
         self,
@@ -129,8 +134,8 @@ class SpectrumAnalyzer:
         :meth:`measure` sweep sliced to that band would hold — same
         frequencies, same per-bin signal PSD to ~1e-12 relative, and
         *bit-identical* per-bin noise: the noise floor realization is
-        drawn over the full sweep grid (one ``chisquare`` call of the
-        same shape as the reference path, keeping ``rng`` streams in
+        drawn over the full sweep grid (the same draws the reference
+        path's ``chisquare`` call makes, keeping ``rng`` streams in
         lockstep) and then sliced, and interferer power is spread over
         the full-grid bin counts.  Only the signal transform itself is
         band-limited — which is where all the time goes.
@@ -203,11 +208,11 @@ class SpectrumAnalyzer:
         """Band slice of :meth:`_noise_psd`, bit-identical per bin.
 
         The floor realization is drawn for the *full* sweep grid with
-        the exact call the reference path makes (same distribution,
-        same shape, so the generator state advances identically) and
-        sliced; interferer PSD contributions divide by their full-grid
-        bin counts, reconstructed arithmetically via the same boundary
-        comparisons the reference masks apply.
+        the draw the reference path's ``chisquare(2)`` makes (same
+        count, so the generator state advances identically) and sliced
+        before scaling; interferer PSD contributions divide by their
+        full-grid bin counts, reconstructed arithmetically via the same
+        boundary comparisons the reference masks apply.
         """
         num_bins = k_hi - k_lo + 1
         if self.environment is None:
@@ -215,8 +220,11 @@ class SpectrumAnalyzer:
         floor = self.environment.total_floor_w_per_hz
         grid_size = segment_length // 2 + 1
         if rng is not None:
-            noise = floor * rng.chisquare(2, size=(grid_size,)) / 2.0
-            noise = noise[k_lo : k_hi + 1].copy()
+            # ``chisquare(2)`` is ``2 * standard_exponential`` draw for
+            # draw, so this advances the generator exactly as the
+            # reference call does; only the band slice is scaled.
+            draws = rng.standard_exponential(grid_size)[k_lo : k_hi + 1]
+            noise = floor * (2.0 * draws) / 2.0
         else:
             noise = np.full(num_bins, floor)
         if grid_size > 1:

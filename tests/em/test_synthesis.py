@@ -53,6 +53,14 @@ class TestJitterModel:
         with pytest.raises(ConfigurationError):
             JitterModel(period_sigma=-0.1)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+    @pytest.mark.parametrize("name", ("period_sigma", "drift_sigma"))
+    def test_non_finite_sigma_rejected(self, name, value):
+        # ``nan > 0`` is False, so a NaN sigma would otherwise switch its
+        # jitter off silently; an infinite drift would give NaN periods.
+        with pytest.raises(ConfigurationError, match=name):
+            JitterModel(**{name: value})
+
     def test_zero_periods_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             JitterModel().period_multipliers(0, rng)
@@ -167,6 +175,28 @@ class TestSynthesizeMeasurement:
         assert again.samples is not fresh.samples
         assert reused.samples is again.samples
 
+    @pytest.mark.parametrize("reuse_buffer", (False, True), ids=("fresh", "reused"))
+    def test_samples_equal_fancy_index_gather(self, reuse_buffer):
+        """The clip-mode ``take`` gather is bit-identical to indexing the
+        envelope with the jittered tiling, the formulation it replaces."""
+        trace = _square_trace()
+        coupling = _unit_coupling(3)
+        jitter = JitterModel(period_sigma=5e-3, drift_sigma=1e-4)
+        duration_s, sample_rate_hz = 0.01, 32 / trace.duration_s
+        signal = synthesize_measurement(
+            trace, coupling, duration_s, np.random.default_rng(11), jitter=jitter,
+            sample_rate_hz=sample_rate_hz, reuse_buffer=reuse_buffer,
+        )
+        # The same jittered tiling, rebuilt step by step.
+        envelope = period_envelope(trace, coupling)
+        num_periods = int(np.ceil(duration_s / trace.duration_s * 1.1)) + 4
+        rng = np.random.default_rng(11)
+        durations = trace.duration_s * jitter.period_multipliers(num_periods, rng)
+        starts = np.concatenate(([0.0], np.cumsum(durations)))
+        times = measurement_time_grid(signal.num_samples, sample_rate_hz)
+        index = tile_period_indices(starts, durations, times, envelope.shape[1])
+        assert np.array_equal(signal.samples, envelope[:, index])
+
 
 class TestTimeGrid:
     def test_values_match_inline_expression(self):
@@ -219,6 +249,7 @@ class TestTilePeriodIndices:
             starts, durations, times, points_per_period
         )
         assert np.array_equal(fast, reference)
+        assert fast.dtype == np.int64
 
     def test_uniform_measurement_grid(self):
         """The synthesis geometry itself (regular grid, cumsum starts)

@@ -261,6 +261,21 @@ class TestMeasureBand:
         # The generators stay in lockstep: identical draws afterwards.
         assert rng_full.standard_normal(4).tolist() == rng_band.standard_normal(4).tolist()
 
+    def test_seeded_noise_is_bit_identical(self):
+        """With no signal the band sweep is pure noise: the seeded floor
+        realization equals the reference sweep's slice bit for bit, and
+        both generators end in the same state."""
+        fs = 2.56e6
+        samples = np.zeros((2, int(0.04 * fs)))
+        analyzer = self._analyzer(quiet_lab_environment())
+        rng_full = np.random.default_rng(2014)
+        rng_band = np.random.default_rng(2014)
+        full = analyzer.measure(samples, sample_rate_hz=fs, rng=rng_full)
+        band = analyzer.measure_band(samples, 80e3, 1e3, sample_rate_hz=fs, rng=rng_band)
+        mask = (full.freqs_hz >= 79e3) & (full.freqs_hz <= 81e3)
+        assert np.array_equal(band.psd_w_per_hz, full.psd_w_per_hz[mask])
+        assert rng_band.bit_generator.state == rng_full.bit_generator.state
+
     def test_interferer_spread_uses_full_grid_bin_count(self, rng):
         """An interferer wider than the measured band must divide its
         power by its full-grid bin count, not the overlap count."""

@@ -72,6 +72,16 @@ class TestSpectrumAnalyzer:
         with pytest.raises(MeasurementError):
             SpectrumAnalyzer(rbw_hz=0.0)
 
+    @pytest.mark.parametrize(
+        "setting", ("rbw_hz", "impedance"), ids=("rbw", "impedance")
+    )
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -1.0))
+    def test_non_finite_or_negative_setting_rejected(self, setting, value):
+        # A NaN RBW would otherwise fail deep in numpy with "cannot
+        # convert float NaN to integer".
+        with pytest.raises(MeasurementError, match="finite and positive"):
+            SpectrumAnalyzer(**{setting: value})
+
 
 class TestSpectrum:
     def _spectrum(self):
