@@ -9,10 +9,10 @@ events stay visible while on-chip events (L2 hits, DIV) sink into the
 floor with distance — the paper's argument for assessing vulnerability
 at attack-realistic range.
 
-The four distances run as one :func:`repro.run_study` study: a shared
-kernel-trace cache produces each pairing's activity trace once, and
-the other three distances re-measure the cached trace, so the sweep
-costs barely more than a single distance.
+The four distances run as one :func:`repro.run_study` study: each
+pairing's activity trace is produced once and measured at all four
+distances from memory, so the sweep costs barely more than a single
+distance.
 
 Run:  python examples/distance_study.py
 """
@@ -46,11 +46,11 @@ def main() -> None:
         results[distance] = {
             f"{a}/{b}": matrix.cell(a, b) for a, b in PAIRINGS
         }
-        trace_cache = matrix.metadata["execution"]["trace_cache"]
-        hits = trace_cache["memory_hits"] + trace_cache["disk_hits"]
+        phases = matrix.metadata["execution"]["cell_phase_seconds"]
+        produced = sum("prime" in cell for cell in phases.values())
         print(
             f"measured {len(PAIRINGS)} pairings at {distance * 100:.0f} cm "
-            f"({hits} cached trace(s), {trace_cache['misses']} produced)"
+            f"({produced} trace(s) produced)"
         )
 
     print()

@@ -8,8 +8,8 @@ Subcommands cover the workflows a downstream user runs most:
   a JSONL run trace and a Prometheus metrics export, and
   ``--progress``/``--no-progress`` to control the live status line;
 * ``savat study --machines core2duo --distances 0.10,0.25,0.50`` — a
-  grid of campaigns over one shared worker pool and kernel-trace cache,
-  so later distances skip trace production entirely;
+  grid of campaigns over one shared worker pool, producing each cell's
+  kernel trace once for all distances of a machine;
 * ``savat groups`` — cluster the events by SAVAT distance;
 * ``savat audit victim.s`` — static leak audit of an assembly file;
 * ``savat attack --key 10110100`` — the RSA-style attack demo.
@@ -32,6 +32,8 @@ def _event_list(text: str) -> list[str]:
     unknown token — or a value with no tokens at all — fails argument
     parsing with a one-line error naming the bad token and the valid
     choices, instead of surfacing later as a mid-campaign lookup error.
+    So does an event listed twice (``"ADD,add"``), which would make the
+    matrix's rows ambiguous.
     """
     from repro.isa.events import EVENT_ORDER
 
@@ -47,6 +49,8 @@ def _event_list(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown event {token!r}; choose from {choices}"
             )
+        if resolved in events:
+            raise argparse.ArgumentTypeError(f"event {resolved} listed twice")
         events.append(resolved)
     if not events:
         raise argparse.ArgumentTypeError(
@@ -82,12 +86,18 @@ def _distance_list(text: str) -> list[float]:
 
     Same comma-list conventions as :func:`_event_list`: whitespace is
     stripped, empty tokens are dropped, and an empty list is an error.
+    Two distances that name one calibration (equal to 4 decimals, the
+    calibration key's precision, e.g. ``0.10,0.1``) are rejected too.
     """
-    distances = [
-        _distance(token)
-        for token in (token.strip() for token in text.split(","))
-        if token
-    ]
+    distances: list[float] = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        value = _distance(token)
+        if any(round(value, 4) == round(seen, 4) for seen in distances):
+            raise argparse.ArgumentTypeError(f"distance {token!r} listed twice")
+        distances.append(value)
     if not distances:
         raise argparse.ArgumentTypeError(
             "no distances given; expected meters, e.g. 0.10,0.25,0.50"
@@ -96,7 +106,7 @@ def _distance_list(text: str) -> list[float]:
 
 
 def _machine_list(text: str) -> list[str]:
-    """Parse a ``--machines`` value into validated catalog machine names."""
+    """Parse a ``--machines`` value into distinct, validated catalog names."""
     from repro.machines.catalog import MACHINES
 
     known = {name.lower(): name for name in MACHINES}
@@ -111,6 +121,8 @@ def _machine_list(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown machine {token!r}; choose from {choices}"
             )
+        if resolved in machines:
+            raise argparse.ArgumentTypeError(f"machine {resolved} listed twice")
         machines.append(resolved)
     if not machines:
         raise argparse.ArgumentTypeError(
@@ -443,18 +455,17 @@ def _command_study(args: argparse.Namespace) -> int:
     )
     for matrix in result.matrices:
         execution = matrix.metadata["execution"]
-        trace_cache = execution.get("trace_cache") or {}
-        hits = trace_cache.get("memory_hits", 0) + trace_cache.get("disk_hits", 0)
+        trace_cache = execution["trace_cache"]
         print(
             f"  {matrix.machine} @ {matrix.distance_m * 100:.0f} cm: "
             f"{execution['wall_seconds']:.1f} s, "
-            f"trace cache {hits} hit(s) / "
-            f"{trace_cache.get('misses', 0)} miss(es)"
+            f"trace cache {trace_cache['disk_hits']} hit(s) / "
+            f"{trace_cache['misses']} miss(es)"
         )
     totals = result.trace_cache
     print(
-        f"trace cache totals: {totals['memory_hits']} memory hit(s), "
-        f"{totals['disk_hits']} disk hit(s), {totals['misses']} miss(es), "
+        f"trace cache totals: {totals['disk_hits']} disk hit(s), "
+        f"{totals['misses']} miss(es), {totals['stores']} store(s), "
         f"{totals['quarantined']} quarantined"
     )
     if args.output_dir:
@@ -589,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     study = subparsers.add_parser(
         "study",
         help="run a machines x distances grid of campaigns over one "
-        "shared worker pool and kernel-trace cache",
+        "shared worker pool, each cell's trace produced once per machine",
     )
     study.add_argument(
         "--machines",
@@ -643,15 +654,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-cache-dir",
         default=None,
         metavar="DIR",
-        help="disk tier for the shared kernel-trace cache (default: "
-        "$SAVAT_TRACE_CACHE_DIR, then <cache-dir>/traces, then a "
-        "temporary directory)",
+        help="directory of the kernel-trace cache that keeps traces for "
+        "later studies (default: $SAVAT_TRACE_CACHE_DIR, then "
+        "<cache-dir>/traces, else none; within a study each trace is "
+        "produced once for all distances either way)",
     )
     study.add_argument(
         "--no-trace-cache",
         action="store_true",
-        help="disable the kernel-trace cache (every campaign recomputes "
-        "its traces; useful for benchmarking the cache's win)",
+        help="keep no kernel traces on disk, even if --trace-cache-dir, "
+        "$SAVAT_TRACE_CACHE_DIR or --cache-dir is set",
     )
     study.add_argument(
         "--max-retries",

@@ -13,7 +13,10 @@ shared across repetitions and only the noise is re-drawn.
 Cell execution is delegated to :mod:`repro.core.executor`, which fans
 the independent cells out across worker processes and caches finished
 cells on disk, while a per-cell seed schedule keeps parallel, serial,
-and cached runs bit-identical.
+and cached runs bit-identical.  :func:`run_campaigns` measures several
+distances of one machine in one execution, producing each pair's
+kernel trace once for all of them; :func:`run_campaign` is its
+one-distance case.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from collections.abc import Sequence
 
 from repro.core.executor import (
     DEFAULT_MAX_RETRIES,
+    CampaignStats,
     ProgressCallback,
     ResultCache,
     WorkerPool,
@@ -129,14 +133,14 @@ def run_campaign(
         export, all fed by the same registry that generates the
         matrix's ``metadata["execution"]`` entry.
     trace_cache:
-        Kernel-trace cache serving the prime/core_run trace-production
-        stage (``None``: the process-wide cache configured by
-        ``SAVAT_TRACE_CACHE[_DIR]``; ``False``: disabled).  Samples are
-        bit-identical with the cache on or off.
+        On-disk kernel-trace cache serving the prime/core_run
+        trace-production stage (``None``: the one
+        ``SAVAT_TRACE_CACHE_DIR`` configures, if any; ``False``:
+        disabled).  Samples are bit-identical with the cache on or off.
     pool:
         Persistent :class:`~repro.core.executor.WorkerPool` to run the
-        campaign over (a study shares one pool across its campaigns so
-        worker trace LRUs stay warm); overrides ``workers``.
+        campaign over (a study shares one pool across its machines);
+        overrides ``workers``.
 
     Returns
     -------
@@ -148,11 +152,7 @@ def run_campaign(
         resumed cells).
     """
     config = config or MeasurementConfig()
-    if events is None:
-        resolved = [get_event(name) for name in EVENT_ORDER]
-    else:
-        resolved = [get_event(e) if isinstance(e, str) else e for e in events]
-    names = tuple(event.name for event in resolved)
+    resolved = _resolve_events(events)
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
     if isinstance(resume, (str, os.PathLike)):
@@ -176,9 +176,79 @@ def run_campaign(
         trace_cache=trace_cache,
         pool=pool,
     )
+    return _matrix(machine, resolved, config, repetitions, seed, samples, stats)
 
+
+def run_campaigns(
+    machines: Sequence[CalibratedMachine],
+    config: MeasurementConfig | None = None,
+    events: Sequence[InstructionEvent | str] | None = None,
+    repetitions: int = PAPER_REPETITIONS,
+    seed: int = 0,
+    progress: ProgressCallback | None = None,
+    workers: int = 0,
+    cache: ResultCache | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+    cell_timeout_s: float | None = None,
+    journal: bool | None = None,
+    observability: Sequence[CampaignObservability] | None = None,
+    trace_cache: TraceCache | bool | None = None,
+    pool: WorkerPool | None = None,
+) -> list[SavatMatrix]:
+    """One campaign per calibration of one machine, in one execution.
+
+    ``machines`` are calibrations of one machine spec at distinct
+    distances.  Each ordered pair's kernel trace is produced once and
+    measured at every distance, yet each returned matrix equals the
+    :func:`run_campaign` call with the same arguments bit for bit and
+    carries its own ``metadata["execution"]``.  ``journal=True`` keeps
+    one journal per campaign inside ``cache``, and ``observability``
+    takes one bundle per calibration; the other parameters are
+    :func:`run_campaign`'s.
+    """
+    config = config or MeasurementConfig()
+    resolved = _resolve_events(events)
+    results = execute_campaign(
+        list(machines),
+        resolved,
+        config=config,
+        repetitions=repetitions,
+        seed=seed,
+        workers=workers,
+        cache=cache,
+        progress=progress,
+        max_retries=max_retries,
+        cell_timeout_s=cell_timeout_s,
+        journal=journal,
+        observability=observability,
+        trace_cache=trace_cache,
+        pool=pool,
+    )
+    return [
+        _matrix(machine, resolved, config, repetitions, seed, samples, stats)
+        for machine, (samples, stats) in zip(machines, results)
+    ]
+
+
+def _resolve_events(
+    events: Sequence[InstructionEvent | str] | None,
+) -> list[InstructionEvent]:
+    if events is None:
+        return [get_event(name) for name in EVENT_ORDER]
+    return [get_event(e) if isinstance(e, str) else e for e in events]
+
+
+def _matrix(
+    machine: CalibratedMachine,
+    events: Sequence[InstructionEvent],
+    config: MeasurementConfig,
+    repetitions: int,
+    seed: int,
+    samples,
+    stats: CampaignStats,
+) -> SavatMatrix:
     return SavatMatrix(
-        events=names,
+        events=tuple(event.name for event in events),
         samples_zj=samples,
         machine=machine.name,
         distance_m=machine.distance_m,

@@ -55,20 +55,23 @@ hit/miss counters, per-cell timings, and the fault-tolerance counters
 are reported through :class:`CampaignStats` and the returned matrix
 metadata.
 
-Below the per-campaign result cache sits the **cross-campaign trace
-cache** (:mod:`repro.core.trace_cache`): the expensive ``prime`` +
-``core_run`` trace production inside :func:`simulate_cell` is keyed by
-(machine spec, ordered pair, frequency plan) — not by distance, seed,
-repetitions, or method — so campaigns that share kernels (a distance
-study, a re-seeded rerun, a ``--method full`` re-analysis) skip the
-simulation and only redo the cheap measurement stage.  Pool workers
-receive the cache's *spec* (its disk path and LRU bound, never trace
-payloads) and keep a warm per-process LRU; with a
-:class:`WorkerPool` shared across campaigns the LRU survives from one
-campaign to the next, which is what :func:`repro.core.study.run_study`
-builds on.  Per-cell counter deltas travel back in the span fragments
-and surface as ``savat_trace_cache_*`` metrics and the
-``execution["trace_cache"]`` metadata.
+The unit of work is a **cell group**: one ordered (A, B) pair whose
+kernel trace (the expensive ``prime`` + ``core_run`` stage) is produced
+once and then measured for every calibration of the machine in the
+execution.  A trace depends on the machine spec, the pair, and the
+frequency plan — not on distance, seed, repetitions, or method — so a
+multi-distance study (:func:`repro.core.study.run_study`) hands all of
+a machine's distances to one execution, and each group measures them
+from the trace in memory, each with its own seed-schedule entry, before
+dropping it.  A group is pending when any of its distances misses the
+result cache, and only those distances are measured.  Result-cache
+keys, journals, observability bundles, matrix metadata, retries and
+timeouts stay per (machine, distance), exactly as if each distance were
+its own campaign.  An optional on-disk trace cache
+(:mod:`repro.core.trace_cache`) serves traces across executions; pool
+workers receive its directory, never trace payloads, and their
+per-group counter deltas surface as ``savat_trace_cache_*`` metrics
+and the ``execution["trace_cache"]`` metadata.
 
 All instrumentation flows through :mod:`repro.obs`: the counters live
 in a :class:`~repro.obs.metrics.MetricsRegistry` (``CampaignStats`` is
@@ -217,9 +220,10 @@ class CampaignStats:
         simulated or loaded from the cache.
     trace_cache:
         Kernel-trace cache traffic this campaign caused —
-        ``memory_hits`` / ``disk_hits`` / ``misses`` / ``stores`` /
-        ``quarantined`` (see :mod:`repro.core.trace_cache`); all zero
-        when the trace cache is disabled.
+        ``disk_hits`` / ``misses`` / ``stores`` / ``quarantined`` (see
+        :mod:`repro.core.trace_cache`); all zero when no trace cache is
+        configured.  A group's traffic counts toward the first of its
+        campaigns, the one whose cell produced the trace.
     faults_injected:
         Faults fired by an injected :class:`~repro.core.faults.FaultPlan`,
         keyed by kind; empty for production runs.
@@ -230,7 +234,8 @@ class CampaignStats:
         Per-cell pipeline breakdown keyed by ``"A/B"``: seconds spent
         in the ``prime`` / ``core_run`` / ``synthesize`` / ``analyze``
         phases (see :func:`repro.core.savat.record_phase_seconds`).
-        Cache hits record no phases.
+        Cache hits record no phases, and a cell group's ``prime`` /
+        ``core_run`` count toward its first campaign only.
     """
 
     def __init__(
@@ -266,10 +271,9 @@ class CampaignStats:
             "by tier.",
             labelnames=("tier",),
         )
-        # Materialize every tier up front so the Prometheus export (and
-        # repro.obs.check's exact comparison) sees 0 samples even for a
-        # campaign that never hit a given tier.
-        self._trace_hits.labels(tier="memory")
+        # Materialize the tier up front so the Prometheus export (and
+        # repro.obs.check's exact comparison) sees a 0 sample even for a
+        # campaign that never hit it.
         self._trace_hits.labels(tier="disk")
         self._trace_misses = r.counter(
             "savat_trace_cache_misses_total",
@@ -369,7 +373,6 @@ class CampaignStats:
     def trace_cache(self) -> dict[str, int]:
         """Trace-cache traffic this campaign caused, by counter name."""
         return {
-            "memory_hits": int(self._trace_hits.labels(tier="memory").get()),
             "disk_hits": int(self._trace_hits.labels(tier="disk").get()),
             "misses": int(self._trace_misses.value()),
             "stores": int(self._trace_stores.value()),
@@ -442,14 +445,12 @@ class CampaignStats:
         self._quarantined.inc(count)
 
     def record_trace_cache(self, delta: dict[str, int]) -> None:
-        """Merge one cell's trace-cache counter delta.
+        """Merge one cell group's trace-cache counter delta.
 
         ``delta`` is a :meth:`repro.core.trace_cache.TraceCache.counters`
-        difference — taken around the cell either in-process (serial) or
-        inside the worker and shipped back in the span fragment.
+        difference — taken around the group either in-process (serial)
+        or inside the worker and shipped back in the span fragment.
         """
-        if delta.get("memory_hits"):
-            self._trace_hits.labels(tier="memory").inc(delta["memory_hits"])
         if delta.get("disk_hits"):
             self._trace_hits.labels(tier="disk").inc(delta["disk_hits"])
         if delta.get("misses"):
@@ -589,9 +590,10 @@ class ResultCache:
         """Zero the per-execution counters (cached entries are kept).
 
         :func:`execute_campaign` calls this on entry, so a cache object
-        shared across the campaigns of a study reports each campaign's
-        own hits/misses/quarantines instead of double-counting the
-        previous campaigns' traffic into the next campaign's metadata.
+        shared across the executions of a study reports each
+        execution's own hits/misses/quarantines.  Matrix metadata counts
+        per campaign regardless, from each campaign's
+        :class:`CampaignStats`.
         """
         self.hits = 0
         self.misses = 0
@@ -826,96 +828,82 @@ class CampaignJournal:
 
 
 # ----------------------------------------------------------------------
-# Cell simulation (shared by the serial path and the worker processes)
+# Cell-group simulation (shared by the serial path and the worker processes)
 # ----------------------------------------------------------------------
 def simulate_cell(
-    machine: CalibratedMachine,
+    machines: Sequence[CalibratedMachine],
     config: MeasurementConfig,
     event_a: InstructionEvent,
     event_b: InstructionEvent,
     repetitions: int,
     seed_sequence: np.random.SeedSequence,
     plan: FrequencyPlan | None = None,
-    phase_seconds: dict[str, float] | None = None,
+    phase_seconds: Sequence[dict[str, float]] | None = None,
     trace_cache: TraceCache | None = None,
-) -> np.ndarray:
-    """Simulate one (A, B) cell: plan, trace, and all repetitions.
+    elapsed_s: list[float] | None = None,
+) -> list[np.ndarray]:
+    """Simulate one cell group: the (A, B) trace once, measured per calibration.
 
-    As in the paper's multi-day repeats, the deterministic kernel
-    simulation is shared across repetitions and only the environment
-    noise is re-drawn — from this cell's private seed-schedule stream.
+    ``machines`` are calibrations of one machine spec (a study's
+    distances).  **Trace production** (the ``prime`` + ``core_run``
+    phases) is a pure function of the spec, the pair, and the plan, so
+    it runs once, through
+    :func:`repro.core.trace_cache.produce_cell_trace` (with a
+    ``trace_cache``, a kernel an earlier execution stored skips both
+    phases).  **Measurement** (the ``synthesize`` / ``analyze`` phases)
+    depends on distance, seed, repetitions, and method, and runs once
+    per calibration from the trace in memory.  As in the paper's
+    multi-day repeats, only the environment noise is re-drawn between
+    repetitions — from the cell's seed-schedule entry, which is the
+    same for every calibration, so each measurement equals a standalone
+    campaign's bit for bit.
 
-    The cell splits into two stages.  **Trace production** (the
-    ``prime`` + ``core_run`` phases) is a pure function of the machine
-    spec, the pair, and the plan, and routes through
-    :func:`repro.core.trace_cache.produce_cell_trace`: with a
-    ``trace_cache``, a repeat of the same kernel skips both phases and
-    serves the identical trace from the cache.  **Measurement** (the
-    ``synthesize`` / ``analyze`` phases) depends on distance, seed,
-    repetitions, and method, and always runs — which is why samples are
-    bit-identical with the cache on or off.
+    ``plan`` lets the executor pre-compute the frequency plan in the
+    parent process (amortizing the per-event CPI probe runs over every
+    cell); the plan is a pure function of spec, pair, and frequency, so
+    the results are identical either way.
 
-    ``plan`` lets the campaign executor pre-compute the frequency plan
-    in the parent process (amortizing the per-event CPI probe runs over
-    every cell) instead of each worker re-probing from a cold cache;
-    the plan is a pure function of machine, pair, and frequency, so the
-    results are identical either way.
+    ``phase_seconds`` (one dict per calibration, when given)
+    accumulates each measurement's pipeline breakdown, and ``elapsed_s``
+    (when given) receives each measurement's wall seconds.  The trace
+    production counts toward the first calibration only.
 
-    ``phase_seconds`` (when given) accumulates the cell's pipeline
-    breakdown — prime / core_run / synthesize / analyze seconds.  On a
-    trace-cache hit the prime/core_run phases never run, so they are
-    simply absent.
+    Returns the ``(repetitions,)`` samples per calibration, in order.
     """
-    rng = np.random.default_rng(seed_sequence)
     if plan is None:
-        plan = _plan_pair(machine, event_a, event_b, config.alternation_frequency_hz)
-    sink = phase_seconds if phase_seconds is not None else {}
-    with record_phase_seconds(sink):
-        trace, plan = produce_cell_trace(
-            machine, event_a, event_b, plan, cache=trace_cache
+        plan = _plan_pair(
+            machines[0], event_a, event_b, config.alternation_frequency_hz
         )
-        samples = measure_savat_samples(
-            machine,
-            event_a,
-            event_b,
-            config=config,
-            rng=rng,
-            trace=trace,
-            plan=plan,
-            repetitions=repetitions,
-        )
+    sinks = phase_seconds if phase_seconds is not None else [{} for _ in machines]
+    samples: list[np.ndarray] = []
+    trace = None
+    for machine, sink in zip(machines, sinks):
+        started = time.perf_counter()
+        with record_phase_seconds(sink):
+            if trace is None:
+                trace, plan = produce_cell_trace(
+                    machine, event_a, event_b, plan, cache=trace_cache
+                )
+            samples.append(
+                measure_savat_samples(
+                    machine,
+                    event_a,
+                    event_b,
+                    config=config,
+                    rng=np.random.default_rng(seed_sequence),
+                    trace=trace,
+                    plan=plan,
+                    repetitions=repetitions,
+                )
+            )
+        if elapsed_s is not None:
+            elapsed_s.append(time.perf_counter() - started)
     return samples
 
 
-#: The worker's persistent trace cache (module-level, so it survives
-#: across every campaign executed over the same pool) and the spec it
-#: was built from.
-_WORKER_TRACE_CACHE: TraceCache | None = None
-_WORKER_TRACE_CACHE_SPEC: dict | None = None
-
-
-def _worker_trace_cache(spec: dict | None) -> TraceCache | None:
-    """The per-process trace cache matching ``spec`` (memoized).
-
-    The parent ships the cache *spec* — its disk-tier path and LRU
-    bound, never trace payloads — and each worker rebuilds its own
-    :class:`~repro.core.trace_cache.TraceCache` over the shared disk
-    tier.  The cache is keyed by the spec, so a long-lived pool keeps
-    its warm LRU across campaigns that share a cache and transparently
-    rebuilds when a campaign arrives with a different one.
-    """
-    global _WORKER_TRACE_CACHE, _WORKER_TRACE_CACHE_SPEC
-    if spec is None:
-        return None
-    if _WORKER_TRACE_CACHE is None or _WORKER_TRACE_CACHE_SPEC != spec:
-        _WORKER_TRACE_CACHE = TraceCache.from_spec(spec)
-        _WORKER_TRACE_CACHE_SPEC = dict(spec)
-    return _WORKER_TRACE_CACHE
-
-
 @dataclass(frozen=True)
-class _PendingCell:
-    """One cold cell awaiting simulation."""
+class _CellGroup:
+    """One ordered pair awaiting measurement at one or more calibrations."""
 
     i: int
     j: int
@@ -923,70 +911,75 @@ class _PendingCell:
     event_b: InstructionEvent
     seed_sequence: np.random.SeedSequence
     plan: FrequencyPlan
+    #: Indices of the execution's campaigns that miss this cell.
+    members: tuple[int, ...]
+
+    @property
+    def pair(self) -> str:
+        return f"{self.event_a.name}/{self.event_b.name}"
 
 
 def _attempt(
-    machine: CalibratedMachine,
+    machines: Sequence[CalibratedMachine],
     config: MeasurementConfig,
     repetitions: int,
-    cell: _PendingCell,
+    group: _CellGroup,
     fault: CellFault | None,
     cache: TraceCache | None,
-) -> tuple[np.ndarray, dict]:
-    """Run one attempt at a cell, in-process or inside a worker.
+) -> tuple[list[np.ndarray], list[dict]]:
+    """Run one attempt at a cell group, in-process or inside a worker.
 
     ``fault`` (set only by an injected
     :class:`~repro.core.faults.FaultPlan`) raises or hangs before the
-    simulation starts.  Returns the samples and the cell's **trace span
-    fragment**: the pid that ran it, the simulation's own elapsed
-    seconds (the fault excluded; budgets are judged on the parent's
-    clock), per-phase seconds, and the trace-cache counter delta.
-    Workers never write to the trace file themselves — the parent
-    merges the fragment into the cell's ``span_end`` record, keeping the
-    trace single-writer under the process pool.
+    simulation starts.  Returns the samples and one **trace span
+    fragment** per calibration: the pid that ran it, the measurement's
+    own elapsed seconds (the fault excluded; budgets are judged on the
+    parent's clock), per-phase seconds, and — on the first — the
+    trace-cache counter delta.  Workers never write to the trace file
+    themselves — the parent merges each fragment into its campaign's
+    ``span_end`` record, keeping every trace single-writer under the
+    process pool.
     """
     if fault is not None:
         fault.apply()
-    started = time.perf_counter()
-    phases: dict[str, float] = {}
+    phases: list[dict[str, float]] = [{} for _ in machines]
+    elapsed: list[float] = []
     before = cache.counters() if cache is not None else None
     samples = simulate_cell(
-        machine, config, cell.event_a, cell.event_b, repetitions,
-        cell.seed_sequence, plan=cell.plan, phase_seconds=phases,
-        trace_cache=cache,
+        machines, config, group.event_a, group.event_b, repetitions,
+        group.seed_sequence, plan=group.plan, phase_seconds=phases,
+        trace_cache=cache, elapsed_s=elapsed,
     )
-    fragment = {
-        "worker_pid": os.getpid(),
-        "elapsed_s": time.perf_counter() - started,
-        "phase_seconds": phases,
-    }
+    pid = os.getpid()
+    fragments = [
+        {"worker_pid": pid, "elapsed_s": seconds, "phase_seconds": phase}
+        for seconds, phase in zip(elapsed, phases)
+    ]
     if cache is not None:
-        fragment["trace_cache"] = TraceCache.counter_delta(
+        fragments[0]["trace_cache"] = TraceCache.counter_delta(
             cache.counters(), before
         )
-    return samples, fragment
+    return samples, fragments
 
 
 def _cell_task(
-    machine: CalibratedMachine,
+    machines: Sequence[CalibratedMachine],
     config: MeasurementConfig,
     repetitions: int,
-    cell: _PendingCell,
+    group: _CellGroup,
     fault: CellFault | None,
-    trace_cache_spec: dict | None,
-) -> tuple[np.ndarray, dict]:
+    trace_cache_dir: str | None,
+) -> tuple[list[np.ndarray], list[dict]]:
     """Run one attempt inside a worker process.
 
-    The cell ships its campaign context (machine, config, repetitions,
-    pre-computed frequency plan) and the trace cache's spec with every
-    task — the pickles are small, and carrying them per task is what
-    lets one persistent :class:`WorkerPool` serve campaigns with
-    different machines, configs and caches back to back.
+    The group ships its execution context (calibrations, config,
+    repetitions, pre-computed frequency plan) and the trace cache's
+    directory with every task — the pickles are small, and carrying
+    them per task is what lets one persistent :class:`WorkerPool` serve
+    executions with different machines, configs and caches back to back.
     """
-    return _attempt(
-        machine, config, repetitions, cell, fault,
-        _worker_trace_cache(trace_cache_spec),
-    )
+    cache = TraceCache(trace_cache_dir) if trace_cache_dir is not None else None
+    return _attempt(machines, config, repetitions, group, fault, cache)
 
 
 def _is_retryable(error: BaseException) -> bool:
@@ -1002,18 +995,17 @@ def _is_retryable(error: BaseException) -> bool:
 
 
 class WorkerPool:
-    """A persistent worker pool that outlives individual campaigns.
+    """A persistent worker pool that outlives individual executions.
 
     A pooled :func:`execute_campaign` normally builds and tears down a
-    pool of its own, which also destroys every worker's warm in-process
-    trace LRU.  Passing one in inverts that ownership: the caller
-    (typically :func:`repro.core.study.run_study`) builds the pool
-    once, passes it to each campaign via ``execute_campaign(pool=...)``,
-    and the same worker processes — with their
-    :mod:`repro.core.trace_cache` LRUs still warm — serve every
-    campaign's cold cells.  Each task carries its campaign's trace-cache
-    *spec* (its disk path and LRU bound); trace payloads never cross
-    the process boundary.
+    pool of its own.  Passing one in inverts that ownership: the caller
+    (typically :func:`repro.core.study.run_study`, which runs one
+    execution per machine) builds the pool once, passes it to each
+    execution via ``execute_campaign(pool=...)``, and the same worker
+    processes serve every execution's cell groups.  A worker holds a
+    group's trace only while it measures that group's calibrations; each
+    task carries the trace cache's directory, and trace payloads never
+    cross the process boundary.
 
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
@@ -1033,14 +1025,12 @@ class WorkerPool:
     def drain(self, timeout: float | None = None) -> bool:
         """Wait until no submitted task is still running.
 
-        Campaigns normally consume every future they submit, but a
-        campaign aborted by :class:`~repro.errors.CellExecutionError`
-        (or an abandoned, timed-out attempt) can leave tasks running in
-        the pool's workers.  Shared state those workers write — the
-        trace cache's disk tier — must only be torn down after they
-        finish, so the study runner drains the pool before removing
-        anything.  Returns ``False`` when a timeout expired with tasks
-        still running.
+        Executions normally consume every future they submit, but one
+        aborted by :class:`~repro.errors.CellExecutionError` (or an
+        abandoned, timed-out attempt) can leave tasks running in the
+        pool's workers; a caller that shares the pool drains it before
+        removing anything those tasks write.  Returns ``False`` when a
+        timeout expired with tasks still running.
         """
         pending = set(self._outstanding)
         if not pending:
@@ -1079,8 +1069,156 @@ class WorkerPool:
 # ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
+class _Campaign:
+    """One calibration's share of an execution.
+
+    Everything kept per (machine, distance) lives here: the result-cache
+    key, the journal, the observability bundle with the stats recorded
+    into its registry, and the sample array the matrix is built from.
+    """
+
+    def __init__(
+        self,
+        machine: CalibratedMachine,
+        obs: CampaignObservability,
+        workers: int,
+        names: list[str],
+        config: MeasurementConfig,
+        repetitions: int,
+        seed: int,
+        progress: ProgressCallback | None,
+    ) -> None:
+        self.machine = machine
+        self.obs = obs
+        self.stats = CampaignStats(workers=workers, registry=obs.metrics)
+        self.names = names
+        self.repetitions = repetitions
+        self.progress = progress
+        self.samples = np.zeros((len(names), len(names), repetitions))
+        self.total = len(names) ** 2
+        self.done = 0
+        # The key identifies the campaign both on disk (cache layout)
+        # and in the journal header, so it is computed even without a
+        # cache.
+        self.key = campaign_cache_key(
+            machine.name, machine.distance_m, config, names, repetitions, seed
+        )
+        self.header = {
+            "machine": machine.name,
+            "distance_m": machine.distance_m,
+            "events": names,
+            "repetitions": repetitions,
+            "seed": seed,
+        }
+        self.journal: CampaignJournal | None = None
+        self.journaled: dict[tuple[int, int], _JournalEntry] = {}
+
+    def open_journal(
+        self, journal: str | os.PathLike | bool | None, resume: bool,
+        cache: ResultCache | None,
+    ) -> None:
+        if journal is True:
+            if cache is None:
+                raise ConfigurationError(
+                    "journal=True places the journal inside the cache's "
+                    "campaign directory and therefore needs a cache; pass "
+                    "an explicit journal path instead"
+                )
+            journal = cache.campaign_dir(self.key) / "journal.jsonl"
+        if journal:
+            self.journal = CampaignJournal(journal)
+            self.journaled = self.journal.start(
+                {
+                    "journal_version": JOURNAL_VERSION,
+                    "campaign_key": self.key,
+                    **self.header,
+                },
+                resume=resume,
+            )
+
+    def finish(
+        self,
+        i: int,
+        j: int,
+        cell_samples: np.ndarray,
+        elapsed_s: float,
+        phase_seconds: dict[str, float] | None = None,
+    ) -> None:
+        self.samples[i, j] = cell_samples
+        names = self.names
+        self.stats.record_cell(names[i], names[j], elapsed_s, phase_seconds)
+        self.done += 1
+        self.obs.cell_completed(
+            f"{names[i]}/{names[j]}", elapsed_s, self.done, self.total
+        )
+        if self.progress is not None:
+            self.progress(names[i], names[j], self.done, self.total)
+
+    def resolve(
+        self, i: int, j: int, cache: ResultCache | None,
+        fault_plan: FaultPlan | None,
+    ) -> bool:
+        """Serve cell ``(i, j)`` from the journal or the result cache.
+
+        Returns ``True`` when the cell must be measured.
+        """
+        entry = self.journaled.get((i, j))
+        if entry is not None:
+            self.stats.record_resumed()
+            self.obs.journal_resume(i, j)
+            self.finish(i, j, entry.samples, entry.elapsed_s, entry.phase_seconds)
+            return False
+        if cache is None:
+            return True
+        if fault_plan is not None:
+            corrupt = fault_plan.corrupt_fault(i, j)
+            if corrupt is not None:
+                # Overwrite (or create) the entry with garbage so the
+                # load below must quarantine and recompute.
+                path = cache.cell_path(self.key, i, j)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(CORRUPT_PAYLOAD)
+                self.stats.record_fault(corrupt.kind)
+                self.obs.fault_injected(**corrupt.trace_fields())
+        load_started = time.perf_counter()
+        quarantined_before = cache.quarantine_count
+        cached = cache.load_cell(self.key, i, j, self.repetitions)
+        newly_quarantined = cache.quarantine_count - quarantined_before
+        if newly_quarantined:
+            self.stats.record_quarantined(newly_quarantined)
+            self.obs.cache_quarantine(i, j)
+        if cached is None:
+            self.stats.record_cache_miss()
+            self.obs.cache_miss(i, j)
+            return True
+        self.stats.record_cache_hit()
+        self.obs.cache_hit(i, j)
+        elapsed = time.perf_counter() - load_started
+        if self.journal is not None:
+            self.journal.append_cell(i, j, cached, elapsed, None)
+        self.finish(i, j, cached, elapsed)
+        return False
+
+    def complete(
+        self, i: int, j: int, cell_samples: np.ndarray, fragment: dict,
+        cache: ResultCache | None,
+    ) -> None:
+        """Record one measured cell: counters, cache, journal, matrix."""
+        elapsed, phases = fragment["elapsed_s"], fragment["phase_seconds"]
+        self.stats.record_simulated(fragment["worker_pid"])
+        trace_delta = fragment.get("trace_cache")
+        if trace_delta:
+            self.stats.record_trace_cache(trace_delta)
+            self.obs.trace_cache(i, j, trace_delta)
+        if cache is not None:
+            cache.store_cell(self.key, i, j, cell_samples)
+        if self.journal is not None:
+            self.journal.append_cell(i, j, cell_samples, elapsed, phases)
+        self.finish(i, j, cell_samples, elapsed, phases)
+
+
 def execute_campaign(
-    machine: CalibratedMachine,
+    machine: CalibratedMachine | Sequence[CalibratedMachine],
     events: Sequence[InstructionEvent],
     config: MeasurementConfig | None = None,
     repetitions: int = 10,
@@ -1093,16 +1231,26 @@ def execute_campaign(
     journal: str | os.PathLike | bool | None = None,
     resume: bool = False,
     fault_plan: FaultPlan | None = None,
-    observability: CampaignObservability | None = None,
+    observability: CampaignObservability
+    | Sequence[CampaignObservability]
+    | None = None,
     trace_cache: TraceCache | bool | None = None,
     pool: WorkerPool | None = None,
-) -> tuple[np.ndarray, CampaignStats]:
-    """Measure every ordered (A, B) cell of a campaign, possibly in parallel.
+) -> tuple[np.ndarray, CampaignStats] | list[tuple[np.ndarray, CampaignStats]]:
+    """Measure every ordered (A, B) cell of one or more campaigns.
+
+    With one calibrated machine this is one campaign.  With a sequence
+    of calibrations of one machine spec (a study's distances), each is
+    its own campaign — own result-cache key, journal, observability
+    bundle, counters and samples — but every ordered pair is one **cell
+    group** whose kernel trace is produced once and measured for every
+    calibration that misses the result cache.
 
     Parameters
     ----------
     machine:
-        Calibrated machine (fixes the distance too).
+        A calibrated machine (fixes the distance too), or a sequence of
+        calibrations of one machine spec at distinct distances.
     events:
         Resolved event objects, in matrix order.
     config:
@@ -1111,7 +1259,8 @@ def execute_campaign(
         Measurements per cell.
     seed:
         Campaign seed, expanded into the per-cell schedule by
-        :func:`spawn_cell_seeds`.
+        :func:`spawn_cell_seeds` (the same schedule for every
+        calibration).
     workers:
         Worker processes; ``0`` or ``1`` runs serially in-process.
         Results are bit-identical either way.
@@ -1119,23 +1268,25 @@ def execute_campaign(
         Optional :class:`ResultCache`; hits skip simulation entirely.
     progress:
         Optional ``(event_a, event_b, done, total)`` callback invoked as
-        each cell completes (cache hits and resumed cells included).
+        each cell completes (cache hits and resumed cells included),
+        with ``done``/``total`` counted per campaign.
     max_retries:
-        Transient-fault retry budget per cell.  A retried cell replays
-        its original seed-schedule entry, so retries never change the
-        campaign's samples.
+        Transient-fault retry budget per cell group.  A retried group
+        replays its original seed-schedule entry, so retries never
+        change the samples; each of its campaigns counts the retry.
     cell_timeout_s:
-        Wall-clock budget per cell attempt, measured from submission.
+        Wall-clock budget per group attempt, measured from submission.
         An attempt that finishes over budget counts one timeout and its
         result is discarded; a running attempt that passes its deadline
         is abandoned, and an owned pool's workers are terminated at the
-        end.  Either way the cell is retried from its original seed
-        (consuming the retry budget) or the campaign fails.  Counters,
+        end.  Either way the group is retried from its original seed
+        (consuming the retry budget) or the execution fails.  Counters,
         journal contents, and samples are identical serial or pooled.
     journal:
         Path of the campaign journal to stream completed cells to, or
-        ``True`` to place ``journal.jsonl`` inside the cache's campaign
-        directory (requires ``cache``).  ``None`` disables journaling.
+        ``True`` to place ``journal.jsonl`` inside each campaign's cache
+        directory (requires ``cache``; the only journal form several
+        calibrations accept).  ``None`` disables journaling.
     resume:
         Restore completed cells from the journal instead of recomputing
         them (requires ``journal``).  The journal's version and campaign
@@ -1143,45 +1294,49 @@ def execute_campaign(
         raised; a missing journal file simply starts a fresh campaign.
     fault_plan:
         Deterministic :class:`~repro.core.faults.FaultPlan` to inject
-        (testing/debugging only).
+        (testing/debugging only); it addresses cells, so it applies to
+        every campaign of the execution.
     observability:
         :class:`~repro.obs.CampaignObservability` bundle receiving
         every execution event (trace spans, cache/journal/fault events,
         live progress) and owning the metrics registry the returned
-        :class:`CampaignStats` records into.  A registry-only bundle
-        (no trace, no progress, no metrics file) is created when
-        omitted.
+        :class:`CampaignStats` records into — one per calibration when
+        several are given.  Registry-only bundles (no trace, no
+        progress, no metrics file) are created when omitted.
     trace_cache:
-        Kernel-trace cache (:class:`~repro.core.trace_cache.TraceCache`)
-        serving the prime/core_run trace-production stage.  ``None``
-        (the default) uses the process-wide cache configured by
-        ``SAVAT_TRACE_CACHE`` / ``SAVAT_TRACE_CACHE_DIR``; ``False``
-        disables trace caching for this campaign.  Samples are
+        On-disk kernel-trace cache
+        (:class:`~repro.core.trace_cache.TraceCache`) serving the
+        prime/core_run trace-production stage across executions.
+        ``None`` (the default) uses the one ``SAVAT_TRACE_CACHE_DIR``
+        configures, if any; ``False`` disables it.  Samples are
         bit-identical with the cache on or off.
     pool:
-        A persistent :class:`WorkerPool` to fan cells out over instead
-        of creating (and tearing down) a private pool.  The pool's
-        workers keep their warm trace LRUs across campaigns; the
-        caller owns the pool's lifetime.  When given, it overrides
-        ``workers``.
+        A persistent :class:`WorkerPool` to fan cell groups out over
+        instead of creating (and tearing down) a private pool; the
+        caller owns its lifetime.  When given, it overrides ``workers``.
 
     Returns
     -------
-    tuple
+    tuple or list
         ``(samples, stats)`` — the ``(N, N, repetitions)`` sample array
-        in zJ and the execution counters/timings.
+        in zJ and the execution counters/timings — for one machine; a
+        list of them, in calibration order, for a sequence.
 
     Raises
     ------
     CellExecutionError
-        A cell failed on every attempt (or every worker slot was lost
-        to hung cells).  All cells completed before the failure have
-        already been streamed to the journal, so a ``resume`` run
+        A cell group failed on every attempt (or every worker slot was
+        lost to hung cells).  All cells completed before the failure
+        have already been streamed to the journals, so a ``resume`` run
         restarts from them.
     """
     config = config or MeasurementConfig()
+    single = isinstance(machine, CalibratedMachine)
+    machines = [machine] if single else list(machine)
     resolved = list(events)
     count = len(resolved)
+    if not machines:
+        raise ConfigurationError("execution needs at least one calibrated machine")
     if count == 0:
         raise ConfigurationError("campaign needs at least one event")
     if repetitions < 1:
@@ -1200,7 +1355,39 @@ def execute_campaign(
     if resume and not journal:
         raise ConfigurationError("resume=True needs a journal to resume from")
     workers = _validate_workers(workers)
+    for other in machines[1:]:
+        if other.spec != machines[0].spec:
+            raise ConfigurationError(
+                f"one execution measures one machine spec; got "
+                f"{machines[0].name!r} and {other.name!r}"
+            )
+    distances = [round(other.distance_m, 4) for other in machines]
+    if len(set(distances)) != len(distances):
+        raise ConfigurationError(
+            f"calibrations must be at distinct distances; got {distances}"
+        )
+    if single:
+        bundles = [observability]
+    elif isinstance(observability, CampaignObservability):
+        raise ConfigurationError(
+            "several calibrations need one observability bundle each"
+        )
+    else:
+        bundles = list(observability or [None] * len(machines))
+        if len(bundles) != len(machines):
+            raise ConfigurationError(
+                f"observability needs one bundle per calibration "
+                f"({len(machines)}), got {len(bundles)}"
+            )
+        if journal not in (None, False, True):
+            raise ConfigurationError(
+                "a journal path names one campaign; pass journal=True to "
+                "keep one journal per calibration inside the cache"
+            )
     names = [event.name for event in resolved]
+    if len(set(names)) != len(names):
+        repeated = next(name for name in names if names.count(name) > 1)
+        raise ConfigurationError(f"event {repeated} listed twice; events must be distinct")
 
     if trace_cache is False:
         resolved_trace_cache: TraceCache | None = None
@@ -1208,221 +1395,142 @@ def execute_campaign(
         resolved_trace_cache = get_process_trace_cache()
     else:
         resolved_trace_cache = trace_cache
-    trace_cache_spec = (
-        resolved_trace_cache.spec() if resolved_trace_cache is not None else None
+    trace_cache_dir = (
+        str(resolved_trace_cache.directory)
+        if resolved_trace_cache is not None
+        else None
     )
 
     effective_workers = pool.workers if pool is not None else max(workers, 1)
-    obs = observability if observability is not None else CampaignObservability()
-    stats = CampaignStats(workers=effective_workers, registry=obs.metrics)
+    campaigns = [
+        _Campaign(
+            calibrated,
+            bundle if bundle is not None else CampaignObservability(),
+            effective_workers, names, config, repetitions, seed, progress,
+        )
+        for calibrated, bundle in zip(machines, bundles)
+    ]
     if cache is not None:
         cache.begin_execution()
-    samples = np.zeros((count, count, repetitions))
     seeds = spawn_cell_seeds(seed, count)
     started = time.perf_counter()
-    total = count * count
-    done = 0
 
-    def finish(
-        i: int,
-        j: int,
-        cell_samples: np.ndarray,
-        elapsed_s: float,
-        phase_seconds: dict[str, float] | None = None,
-    ) -> None:
-        nonlocal done
-        samples[i, j] = cell_samples
-        stats.record_cell(names[i], names[j], elapsed_s, phase_seconds)
-        done += 1
-        obs.cell_completed(f"{names[i]}/{names[j]}", elapsed_s, done, total)
-        if progress is not None:
-            progress(names[i], names[j], done, total)
-
-    # The key identifies the campaign both on disk (cache layout) and in
-    # the journal header, so it is computed even for cache-less runs.
-    key = campaign_cache_key(
-        machine.name, machine.distance_m, config, names, repetitions, seed
-    )
-    if cache is not None:
-        cache.write_manifest(
-            key,
-            {
-                "schema": CACHE_SCHEMA_VERSION,
-                "machine": machine.name,
-                "distance_m": machine.distance_m,
-                "config": _config_payload(config),
-                "events": names,
-                "repetitions": repetitions,
-                "seed": seed,
-            },
+    for campaign in campaigns:
+        if cache is not None:
+            cache.write_manifest(
+                campaign.key,
+                {
+                    "schema": CACHE_SCHEMA_VERSION,
+                    "config": _config_payload(config),
+                    **campaign.header,
+                },
+            )
+        campaign.obs.campaign_start(
+            total_cells=campaign.total,
+            campaign_key=campaign.key,
+            **campaign.header,
+            workers=effective_workers,
         )
 
-    obs.campaign_start(
-        total_cells=total,
-        campaign_key=key,
-        machine=machine.name,
-        distance_m=machine.distance_m,
-        events=names,
-        repetitions=repetitions,
-        seed=seed,
-        workers=effective_workers,
-    )
-
-    campaign_journal: CampaignJournal | None = None
     owned_pool: WorkerPool | None = None
     abandoned: set = set()  # futures of hung attempts still running
     status = "failed"
     try:
-        journaled: dict[tuple[int, int], _JournalEntry] = {}
-        if journal is True:
-            if cache is None:
-                raise ConfigurationError(
-                    "journal=True places the journal inside the cache's "
-                    "campaign directory and therefore needs a cache; pass "
-                    "an explicit journal path instead"
-                )
-            journal = cache.campaign_dir(key) / "journal.jsonl"
-        if journal:
-            campaign_journal = CampaignJournal(journal)
-            journaled = campaign_journal.start(
-                {
-                    "journal_version": JOURNAL_VERSION,
-                    "campaign_key": key,
-                    "machine": machine.name,
-                    "distance_m": machine.distance_m,
-                    "events": names,
-                    "repetitions": repetitions,
-                    "seed": seed,
-                },
-                resume=resume,
-            )
+        for campaign in campaigns:
+            campaign.open_journal(journal, resume, cache)
 
         # Resolve journal and cache hits first, so the fan-out only
-        # sees the cold cells.
-        pending: list[_PendingCell] = []
+        # sees the cold cells, grouped by pair.
+        groups: list[_CellGroup] = []
         for i in range(count):
             for j in range(count):
-                entry = journaled.get((i, j))
-                if entry is not None:
-                    stats.record_resumed()
-                    obs.journal_resume(i, j)
-                    finish(i, j, entry.samples, entry.elapsed_s, entry.phase_seconds)
+                members = tuple(
+                    index
+                    for index, campaign in enumerate(campaigns)
+                    if campaign.resolve(i, j, cache, fault_plan)
+                )
+                if not members:
                     continue
-                if cache is not None and fault_plan is not None:
-                    corrupt = fault_plan.corrupt_fault(i, j)
-                    if corrupt is not None:
-                        # Overwrite (or create) the entry with garbage so
-                        # the load below must quarantine and recompute.
-                        path = cache.cell_path(key, i, j)
-                        path.parent.mkdir(parents=True, exist_ok=True)
-                        path.write_bytes(CORRUPT_PAYLOAD)
-                        stats.record_fault(corrupt.kind)
-                        obs.fault_injected(**corrupt.trace_fields())
-                load_started = time.perf_counter()
-                quarantined_before = (
-                    cache.quarantine_count if cache is not None else 0
+                # Plan in the parent: the per-event CPI probes behind
+                # _plan_pair are cached per (machine, event), so every
+                # group after the first reuses them, and workers receive
+                # finished plans instead of each re-probing from a cold
+                # cache.
+                plan = _plan_pair(
+                    machines[0],
+                    resolved[i],
+                    resolved[j],
+                    config.alternation_frequency_hz,
                 )
-                cached = (
-                    cache.load_cell(key, i, j, repetitions)
-                    if cache is not None
-                    else None
+                groups.append(
+                    _CellGroup(
+                        i, j, resolved[i], resolved[j],
+                        seeds[i * count + j], plan, members,
+                    )
                 )
-                if cache is not None:
-                    newly_quarantined = cache.quarantine_count - quarantined_before
-                    if newly_quarantined:
-                        stats.record_quarantined(newly_quarantined)
-                        obs.cache_quarantine(i, j)
-                if cached is not None:
-                    stats.record_cache_hit()
-                    obs.cache_hit(i, j)
-                    elapsed = time.perf_counter() - load_started
-                    if campaign_journal is not None:
-                        campaign_journal.append_cell(i, j, cached, elapsed, None)
-                    finish(i, j, cached, elapsed)
-                else:
-                    if cache is not None:
-                        stats.record_cache_miss()
-                        obs.cache_miss(i, j)
-                    # Plan in the parent: the per-event CPI probes behind
-                    # _plan_pair are cached per (machine, event), so every
-                    # pending cell after the first reuses them, and workers
-                    # receive finished plans instead of each re-probing
-                    # from a cold cache.
-                    plan = _plan_pair(
-                        machine,
-                        resolved[i],
-                        resolved[j],
-                        config.alternation_frequency_hz,
-                    )
-                    pending.append(
-                        _PendingCell(
-                            i, j, resolved[i], resolved[j],
-                            seeds[i * count + j], plan,
-                        )
-                    )
 
-        def complete_cell(
-            cell: _PendingCell, cell_samples: np.ndarray, fragment: dict
+        def group_machines(group: _CellGroup) -> list[CalibratedMachine]:
+            return [machines[index] for index in group.members]
+
+        def complete_group(
+            group: _CellGroup, samples: list[np.ndarray], fragments: list[dict]
         ) -> None:
-            elapsed, phases = fragment["elapsed_s"], fragment["phase_seconds"]
-            stats.record_simulated(fragment["worker_pid"])
-            trace_delta = fragment.get("trace_cache")
-            if trace_delta:
-                stats.record_trace_cache(trace_delta)
-                obs.trace_cache(cell.i, cell.j, trace_delta)
-            if cache is not None:
-                cache.store_cell(key, cell.i, cell.j, cell_samples)
-            if campaign_journal is not None:
-                campaign_journal.append_cell(
-                    cell.i, cell.j, cell_samples, elapsed, phases
+            for index, cell_samples, fragment in zip(
+                group.members, samples, fragments
+            ):
+                campaigns[index].complete(
+                    group.i, group.j, cell_samples, fragment, cache
                 )
-            finish(cell.i, cell.j, cell_samples, elapsed, phases)
 
-        def dispatch_fault(cell: _PendingCell, attempt: int) -> CellFault | None:
+        def dispatch_fault(group: _CellGroup, attempt: int) -> CellFault | None:
             if fault_plan is None:
                 return None
-            fault = fault_plan.worker_fault(cell.i, cell.j, attempt)
+            fault = fault_plan.worker_fault(group.i, group.j, attempt)
             if fault is not None:
-                stats.record_fault(fault.kind)
-                obs.fault_injected(attempt=attempt, **fault.trace_fields())
+                for index in group.members:
+                    campaigns[index].stats.record_fault(fault.kind)
+                    campaigns[index].obs.fault_injected(
+                        attempt=attempt, **fault.trace_fields()
+                    )
             return fault
 
-        def run_here(cell: _PendingCell, fault: CellFault | None) -> Future:
-            # The in-process submit: the campaign's own trace cache object
-            # (not one rebuilt from its spec), so later campaigns in this
-            # process reuse its LRU and counters.
+        def run_here(group: _CellGroup, fault: CellFault | None) -> Future:
+            # The in-process submit: the execution's own trace cache
+            # object (not one rebuilt from its directory), so its
+            # counters cover this execution.
             future: Future = Future()
             try:
                 future.set_result(_attempt(
-                    machine, config, repetitions, cell, fault,
+                    group_machines(group), config, repetitions, group, fault,
                     resolved_trace_cache,
                 ))
             except Exception as error:  # noqa: BLE001 — judged by the loop
                 future.set_exception(error)
             return future
 
-        def run_in_pool(cell: _PendingCell, fault: CellFault | None) -> Future:
+        def run_in_pool(group: _CellGroup, fault: CellFault | None) -> Future:
             return pool.submit(
-                _cell_task, machine, config, repetitions, cell, fault,
-                trace_cache_spec,
+                _cell_task, group_machines(group), config, repetitions, group,
+                fault, trace_cache_dir,
             )
 
-        if pool is None and (effective_workers <= 1 or len(pending) <= 1):
+        if pool is None and (effective_workers <= 1 or len(groups) <= 1):
             submit, slots = run_here, 1
         else:
             if pool is None:
                 pool = owned_pool = WorkerPool(
-                    min(effective_workers, len(pending))
+                    min(effective_workers, len(groups))
                 )
             submit, slots = run_in_pool, pool.workers
         _run_cells(
-            pending, submit, slots, stats, obs, dispatch_fault,
-            complete_cell, max_retries, cell_timeout_s, abandoned,
+            groups, submit, slots, campaigns, dispatch_fault,
+            complete_group, max_retries, cell_timeout_s, abandoned,
         )
         status = "ok"
     finally:
-        if campaign_journal is not None:
-            campaign_journal.close()
+        for campaign in campaigns:
+            if campaign.journal is not None:
+                campaign.journal.close()
         if owned_pool is not None:
             # A hung attempt may never return: kill the workers rather
             # than leave interpreter exit joining them.  Otherwise never
@@ -1431,25 +1539,27 @@ def execute_campaign(
                 owned_pool.terminate()
             else:
                 owned_pool.shutdown(wait=status == "ok", cancel_futures=True)
-        stats.wall_seconds = time.perf_counter() - started
-        obs.campaign_end(status=status, wall_seconds=stats.wall_seconds)
+        wall_seconds = time.perf_counter() - started
+        for campaign in campaigns:
+            campaign.stats.wall_seconds = wall_seconds
+            campaign.obs.campaign_end(status=status, wall_seconds=wall_seconds)
 
-    return samples, stats
+    results = [(campaign.samples, campaign.stats) for campaign in campaigns]
+    return results[0] if single else results
 
 
 def _run_cells(
-    pending: Sequence[_PendingCell],
-    submit: Callable[[_PendingCell, CellFault | None], Future],
+    groups: Sequence[_CellGroup],
+    submit: Callable[[_CellGroup, CellFault | None], Future],
     slots: int,
-    stats: CampaignStats,
-    obs: CampaignObservability,
-    dispatch_fault: Callable[[_PendingCell, int], CellFault | None],
-    complete_cell: Callable[[_PendingCell, np.ndarray, dict], None],
+    campaigns: Sequence[_Campaign],
+    dispatch_fault: Callable[[_CellGroup, int], CellFault | None],
+    complete_group: Callable[[_CellGroup, list[np.ndarray], list[dict]], None],
     max_retries: int,
     cell_timeout_s: float | None,
     abandoned: set,
 ) -> None:
-    """Run the cold cells with retries and timeouts, serial or pooled.
+    """Run the cold cell groups with retries and timeouts, serial or pooled.
 
     At most ``slots`` attempts are outstanding; ``submit`` either runs
     the attempt in-process (and returns a finished future) or hands it
@@ -1458,41 +1568,46 @@ def _run_cells(
     one timeout and its result is discarded; one still running past its
     deadline is abandoned — added to ``abandoned``, its slot written off
     until it returns — and counts one timeout too.  A failed or timed
-    out cell is retried from its original seed-schedule entry at the
+    out group is retried from its original seed-schedule entry at the
     *front* of the queue, so a serial run keeps row-major order with a
-    retried cell re-run before the next one.
+    retried group re-run before the next one.  Every span, retry and
+    timeout is reported to each campaign the group measures.
     """
-    queue: deque[tuple[_PendingCell, int]] = deque((cell, 0) for cell in pending)
-    outstanding: dict = {}  # future -> (cell, attempt, submitted_monotonic)
+    queue: deque[tuple[_CellGroup, int]] = deque((group, 0) for group in groups)
+    outstanding: dict = {}  # future -> (group, attempt, submitted_monotonic)
     capacity = slots
 
-    def fail(cell: _PendingCell, attempts: int, message: str) -> CellExecutionError:
-        pair = f"{cell.event_a.name}/{cell.event_b.name}"
+    def members(group: _CellGroup) -> list[_Campaign]:
+        return [campaigns[index] for index in group.members]
+
+    def fail(group: _CellGroup, attempts: int, message: str) -> CellExecutionError:
         return CellExecutionError(
-            f"cell {pair} {message} (completed cells are journaled; rerun "
-            "with resume to continue)",
-            i=cell.i, j=cell.j, pair=pair, attempts=attempts,
+            f"cell {group.pair} {message} (completed cells are journaled; "
+            "rerun with resume to continue)",
+            i=group.i, j=group.j, pair=group.pair, attempts=attempts,
         )
 
     def retry_or_fail(
-        cell: _PendingCell, attempt: int, reason: str, message: str,
+        group: _CellGroup, attempt: int, reason: str, message: str,
         error: BaseException | None = None,
     ) -> None:
         if attempt < max_retries and (error is None or _is_retryable(error)):
-            stats.record_retry()
-            obs.cell_retry(cell.i, cell.j, attempt + 1, reason=reason)
-            queue.appendleft((cell, attempt + 1))
+            for campaign in members(group):
+                campaign.stats.record_retry()
+                campaign.obs.cell_retry(group.i, group.j, attempt + 1, reason=reason)
+            queue.appendleft((group, attempt + 1))
             return
-        raise fail(cell, attempt + 1, message) from error
+        raise fail(group, attempt + 1, message) from error
 
-    def time_out(cell: _PendingCell, attempt: int, elapsed: float) -> None:
-        stats.record_timeout()
-        obs.cell_timeout(cell.i, cell.j, attempt, cell_timeout_s)
-        obs.cell_end(
-            cell.i, cell.j, attempt, status="timeout", elapsed_s=elapsed
-        )
+    def time_out(group: _CellGroup, attempt: int, elapsed: float) -> None:
+        for campaign in members(group):
+            campaign.stats.record_timeout()
+            campaign.obs.cell_timeout(group.i, group.j, attempt, cell_timeout_s)
+            campaign.obs.cell_end(
+                group.i, group.j, attempt, status="timeout", elapsed_s=elapsed
+            )
         retry_or_fail(
-            cell, attempt, "timeout",
+            group, attempt, "timeout",
             f"exceeded the {cell_timeout_s:g} s budget on all "
             f"{attempt + 1} attempt(s)",
         )
@@ -1506,17 +1621,16 @@ def _run_cells(
             abandoned.discard(future)
             capacity += 1
         while queue and len(outstanding) < capacity:
-            cell, attempt = queue.popleft()
-            fault = dispatch_fault(cell, attempt)
-            obs.cell_start(
-                cell.i, cell.j, attempt, f"{cell.event_a.name}/{cell.event_b.name}"
-            )
+            group, attempt = queue.popleft()
+            fault = dispatch_fault(group, attempt)
+            for campaign in members(group):
+                campaign.obs.cell_start(group.i, group.j, attempt, group.pair)
             submitted = time.monotonic()
-            outstanding[submit(cell, fault)] = (cell, attempt, submitted)
+            outstanding[submit(group, fault)] = (group, attempt, submitted)
         if not outstanding:
-            cell, attempt = queue[0]
+            group, attempt = queue[0]
             raise fail(
-                cell, attempt,
+                group, attempt,
                 f"cannot run: all {slots} worker slot(s) are lost to hung "
                 f"cells and {len(queue)} cell(s) remain",
             )
@@ -1535,27 +1649,29 @@ def _run_cells(
             key=lambda f: f.exception() is not None
             or late(outstanding[f][2], now),
         ):
-            cell, attempt, submitted = outstanding.pop(future)
+            group, attempt, submitted = outstanding.pop(future)
             error = future.exception()
             if error is not None:
-                obs.cell_end(
-                    cell.i, cell.j, attempt, status="error",
-                    elapsed_s=now - submitted, error=str(error),
-                )
+                for campaign in members(group):
+                    campaign.obs.cell_end(
+                        group.i, group.j, attempt, status="error",
+                        elapsed_s=now - submitted, error=str(error),
+                    )
                 retry_or_fail(
-                    cell, attempt, "error",
+                    group, attempt, "error",
                     f"failed on all {attempt + 1} attempt(s): {error}", error,
                 )
             elif late(submitted, now):
-                time_out(cell, attempt, now - submitted)
+                time_out(group, attempt, now - submitted)
             else:
-                cell_samples, fragment = future.result()
-                obs.cell_end(
-                    cell.i, cell.j, attempt, status="ok",
-                    elapsed_s=fragment["elapsed_s"], fragment=fragment,
-                )
-                complete_cell(cell, cell_samples, fragment)
-        for future, (cell, attempt, submitted) in list(outstanding.items()):
+                samples, fragments = future.result()
+                for campaign, fragment in zip(members(group), fragments):
+                    campaign.obs.cell_end(
+                        group.i, group.j, attempt, status="ok",
+                        elapsed_s=fragment["elapsed_s"], fragment=fragment,
+                    )
+                complete_group(group, samples, fragments)
+        for future, (group, attempt, submitted) in list(outstanding.items()):
             # A future that finished since the wait is judged next pass.
             if future.done() or not late(submitted, now):
                 continue
@@ -1563,7 +1679,7 @@ def _run_cells(
             if not future.cancel():
                 abandoned.add(future)
                 capacity -= 1
-            time_out(cell, attempt, now - submitted)
+            time_out(group, attempt, now - submitted)
 
 
 __all__ = [

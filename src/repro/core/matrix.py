@@ -43,6 +43,13 @@ class SavatMatrix:
 
     def __post_init__(self) -> None:
         self.events = tuple(self.events)
+        seen: set[str] = set()
+        for event in self.events:
+            if event.upper() in seen:
+                raise ConfigurationError(
+                    f"event {event!r} appears twice; matrix events must be distinct"
+                )
+            seen.add(event.upper())
         samples = np.asarray(self.samples_zj, dtype=np.float64)
         count = len(self.events)
         if samples.ndim == 2:

@@ -1,4 +1,4 @@
-"""Study runner: many campaigns, one worker pool, one trace cache.
+"""Study runner: a machines x distances grid of campaigns, one trace per cell.
 
 The paper's headline experiments are *studies*, not single campaigns —
 the same 11 events measured across machines and distances (Figs. 9–18),
@@ -6,43 +6,37 @@ and §V-B's distance sweep re-measuring identical pairs at 10/25/50/100
 cm.  The expensive part of every campaign cell (the ``prime`` +
 ``core_run`` trace production) depends only on the machine spec, the
 pair, and the frequency plan — not on distance, seed, or method — so
-every campaign after the first re-derives traces the first already
-produced.
+distance enters only through the calibrated couplings.
 
-:func:`run_study` runs the full ``machines x distances`` grid so that
-the work is paid once:
+:func:`run_study` therefore runs one execution per machine over all of
+its distances (:func:`repro.core.campaign.run_campaigns`): each ordered
+pair is a *cell group* whose trace is produced once and measured at
+every distance in memory, then dropped.  Around that:
 
-* one shared :class:`~repro.core.trace_cache.TraceCache` with a disk
-  tier serves every campaign (the second and later distances of a
-  machine skip ``prime``/``core_run`` entirely);
-* one persistent :class:`~repro.core.executor.WorkerPool` outlives the
-  individual campaigns, so worker processes keep their warm in-memory
-  trace LRUs from one campaign to the next (the parent ships the cache
-  *path* to workers, never trace payloads);
-* each campaign still gets its own result cache namespace, journal,
+* one persistent :class:`~repro.core.executor.WorkerPool` serves every
+  machine's execution (the parent ships calibrations and plans to the
+  workers, never trace payloads);
+* each campaign still gets its own result-cache namespace, journal,
   and observability bundle (per-campaign trace/metrics files under
   ``output_dir``), exactly as if it had been run standalone — samples
   are bit-identical to independent :func:`~repro.core.campaign.run_campaign`
   calls;
+* an optional on-disk :class:`~repro.core.trace_cache.TraceCache` keeps
+  the traces for later studies and re-analyses;
 * a study-level :class:`~repro.obs.metrics.MetricsRegistry` aggregates
   per-campaign wall time, cell counts, and trace-cache traffic under
   ``machine``/``distance`` labels.
-
-Campaigns run machine-major (all distances of one machine back to
-back), which maximizes trace reuse while the kernels are still warm in
-the worker LRUs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
 import time
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.core.campaign import PAPER_REPETITIONS, run_campaign
+from repro.core.campaign import PAPER_REPETITIONS, run_campaigns
 from repro.core.executor import (
     DEFAULT_MAX_RETRIES,
     ProgressCallback,
@@ -88,8 +82,7 @@ class StudyResult:
         labelled by machine and distance).
     trace_cache:
         Study-wide totals of the per-campaign trace-cache counters
-        (``memory_hits`` / ``disk_hits`` / ``misses`` / ``stores`` /
-        ``quarantined``).
+        (``disk_hits`` / ``misses`` / ``stores`` / ``quarantined``).
     """
 
     def __init__(
@@ -118,7 +111,11 @@ class StudyResult:
         )
 
     def campaign_wall_seconds(self) -> dict[tuple[str, float], float]:
-        """Per-campaign wall seconds keyed by (machine, distance)."""
+        """Per-campaign wall seconds keyed by (machine, distance).
+
+        A machine's distances run as one execution, so each reports
+        that execution's wall time.
+        """
         return {
             (matrix.machine, matrix.distance_m): float(
                 matrix.metadata["execution"]["wall_seconds"]
@@ -149,43 +146,43 @@ def run_study(
     Every campaign produces exactly the samples an independent
     :func:`~repro.core.campaign.run_campaign` call with the same
     arguments would (bit for bit) — the study only removes *redundant*
-    work: kernel traces are produced once and reused across distances
-    (and re-analyses), and one persistent worker pool serves every
-    campaign so worker trace LRUs stay warm between them.
+    work: each machine's distances run as one execution, in which every
+    cell's kernel trace is produced once and measured at each distance,
+    and one persistent worker pool serves every machine.
 
     Parameters
     ----------
     machines:
         Catalog machine names (``"core2duo"``, ...), one campaign per
-        machine per distance, machine-major order.
+        machine per distance, machine-major order.  Each name at most
+        once.
     distances_m:
-        Antenna distances in metres; each must be positive and finite
-        (validated by :func:`~repro.machines.calibrated.load_calibrated_machine`).
+        Antenna distances in metres; each must be positive and finite,
+        and no two may round to the same calibration (4 decimals).
     events / config / repetitions / seed:
         Per-campaign measurement parameters, identical for every
         campaign (the seed too: campaigns are distinguished by machine
         and distance, exactly like the paper's repeated sweeps).
     workers:
         Worker processes for the shared pool (``0``/``1``: every
-        campaign runs serially in-process; the shared trace cache still
-        removes the redundant work).
+        execution runs serially in-process, producing each trace once
+        all the same).
     cache_dir:
         Directory for the per-cell result cache.  One
         :class:`~repro.core.executor.ResultCache` is shared by all
         campaigns — campaign content-hash keys keep their cells apart,
-        and per-execution counter resets keep their metadata honest.
+        and per-campaign counters keep their metadata honest.
         Journals are placed inside each campaign's cache directory.
     trace_cache:
-        Pre-built :class:`~repro.core.trace_cache.TraceCache` to use,
-        or ``False`` to disable trace caching (every campaign then
-        recomputes its traces; useful for benchmarking the win).
-        Default: a study-owned cache whose disk tier lives in
-        ``trace_cache_dir``, falling back to ``$SAVAT_TRACE_CACHE_DIR``,
-        then ``<cache_dir>/traces``, then a temporary directory deleted
-        when the study ends.  ``SAVAT_TRACE_CACHE=0`` disables it.
+        Pre-built on-disk :class:`~repro.core.trace_cache.TraceCache`
+        keeping traces for later studies, or ``False`` for none.
+        Default: a cache in ``trace_cache_dir``, falling back to
+        ``$SAVAT_TRACE_CACHE_DIR``, then ``<cache_dir>/traces``; with
+        none of them set (or ``SAVAT_TRACE_CACHE=0``) the study keeps
+        no traces beyond their cell groups.
     trace_cache_dir:
-        Disk-tier directory for the study-owned trace cache (ignored
-        when ``trace_cache`` is given).
+        Directory for the study's trace cache (ignored when
+        ``trace_cache`` is given).
     max_retries / cell_timeout_s:
         Per-campaign fault-tolerance settings (see
         :func:`~repro.core.executor.execute_campaign`).
@@ -216,6 +213,8 @@ def run_study(
                 f"distance_m must be a positive, finite distance in metres; "
                 f"got {distance!r}"
             )
+    _reject_duplicates("machine", [name.lower() for name in machine_names])
+    _reject_duplicates("distance", [round(distance, 4) for distance in distances])
     grid = [
         (machine_name, distance)
         for machine_name in machine_names
@@ -231,11 +230,6 @@ def run_study(
         ResultCache(cache_dir) if cache_dir is not None else None
     )
 
-    # Resolve the shared trace cache.  A study wants a disk tier even
-    # when the caller did not configure one: the in-process LRU is
-    # bounded below the size of a full-event-set campaign, and pool
-    # workers can only share traces through disk.
-    temp_trace_dir: tempfile.TemporaryDirectory | None = None
     if trace_cache is False or not trace_cache_enabled():
         shared_trace_cache: TraceCache | None = None
     elif isinstance(trace_cache, TraceCache):
@@ -244,10 +238,9 @@ def run_study(
         directory = trace_cache_dir or os.environ.get(TRACE_CACHE_DIR_ENV)
         if directory is None and cache_dir is not None:
             directory = Path(cache_dir).expanduser() / "traces"
-        if directory is None:
-            temp_trace_dir = tempfile.TemporaryDirectory(prefix="savat_traces_")
-            directory = temp_trace_dir.name
-        shared_trace_cache = TraceCache(directory=directory)
+        shared_trace_cache = (
+            TraceCache(directory) if directory is not None else None
+        )
 
     registry = MetricsRegistry()
     campaigns_total = registry.counter(
@@ -270,23 +263,27 @@ def run_study(
         "Study-wide trace-cache hits, by tier.",
         labelnames=("tier",),
     )
-    study_trace_hits.labels(tier="memory")
     study_trace_hits.labels(tier="disk")
     study_trace_misses = registry.counter(
         "savat_study_trace_cache_misses_total",
         "Study-wide trace-cache misses.",
     )
 
-    totals = {
-        "memory_hits": 0,
-        "disk_hits": 0,
-        "misses": 0,
-        "stores": 0,
-        "quarantined": 0,
-    }
+    totals = {"disk_hits": 0, "misses": 0, "stores": 0, "quarantined": 0}
     output_path = Path(output_dir).expanduser() if output_dir is not None else None
     if output_path is not None:
         output_path.mkdir(parents=True, exist_ok=True)
+
+    def bundle_for(index: int, name: str, distance: float) -> CampaignObservability:
+        if observability is not None:
+            return observability[index]
+        if output_path is None:
+            return CampaignObservability()
+        stem = f"{name}_{_distance_label(distance)}"
+        return CampaignObservability(
+            trace=output_path / f"{stem}.trace.jsonl",
+            metrics_out=output_path / f"{stem}.prom",
+        )
 
     matrices: list[SavatMatrix] = []
     pool: WorkerPool | None = None
@@ -304,19 +301,10 @@ def run_study(
         ]
         if workers > 1:
             pool = WorkerPool(workers)
-        for index, ((_name, distance), machine) in enumerate(zip(grid, calibrated)):
-            if observability is not None:
-                bundle = observability[index]
-            elif output_path is not None:
-                stem = f"{machine.name}_{_distance_label(distance)}"
-                bundle = CampaignObservability(
-                    trace=output_path / f"{stem}.trace.jsonl",
-                    metrics_out=output_path / f"{stem}.prom",
-                )
-            else:
-                bundle = CampaignObservability()
-            matrix = run_campaign(
-                machine,
+        for first in range(0, len(grid), len(distances)):
+            machine_grid = calibrated[first:first + len(distances)]
+            machine_matrices = run_campaigns(
+                machine_grid,
                 config=config,
                 events=events,
                 repetitions=repetitions,
@@ -327,47 +315,39 @@ def run_study(
                 max_retries=max_retries,
                 cell_timeout_s=cell_timeout_s,
                 journal=True if shared_result_cache is not None else None,
-                observability=bundle,
+                observability=[
+                    bundle_for(first + offset, machine.name, machine.distance_m)
+                    for offset, machine in enumerate(machine_grid)
+                ],
                 trace_cache=(
                     shared_trace_cache if shared_trace_cache is not None else False
                 ),
                 pool=pool,
             )
-            matrices.append(matrix)
-            if output_path is not None:
-                stem = f"{machine.name}_{_distance_label(distance)}"
-                (output_path / f"{stem}.json").write_text(matrix.to_json())
-
-            execution = matrix.metadata["execution"]
-            label = _distance_label(distance)
-            campaigns_total.inc()
-            cells_total.inc(len(matrix.events) ** 2)
-            campaign_wall.labels(machine=machine.name, distance=label).set(
-                execution["wall_seconds"]
-            )
-            campaign_trace = execution.get("trace_cache") or {}
-            for name in totals:
-                totals[name] += int(campaign_trace.get(name, 0))
-            if campaign_trace.get("memory_hits"):
-                study_trace_hits.labels(tier="memory").inc(
-                    campaign_trace["memory_hits"]
+            for machine, matrix in zip(machine_grid, machine_matrices):
+                matrices.append(matrix)
+                label = _distance_label(machine.distance_m)
+                if output_path is not None:
+                    stem = f"{machine.name}_{label}"
+                    (output_path / f"{stem}.json").write_text(matrix.to_json())
+                execution = matrix.metadata["execution"]
+                campaigns_total.inc()
+                cells_total.inc(len(matrix.events) ** 2)
+                campaign_wall.labels(machine=machine.name, distance=label).set(
+                    execution["wall_seconds"]
                 )
-            if campaign_trace.get("disk_hits"):
-                study_trace_hits.labels(tier="disk").inc(
-                    campaign_trace["disk_hits"]
-                )
-            if campaign_trace.get("misses"):
-                study_trace_misses.inc(campaign_trace["misses"])
+                campaign_trace = execution["trace_cache"]
+                for name in totals:
+                    totals[name] += int(campaign_trace[name])
+                if campaign_trace["disk_hits"]:
+                    study_trace_hits.labels(tier="disk").inc(
+                        campaign_trace["disk_hits"]
+                    )
+                if campaign_trace["misses"]:
+                    study_trace_misses.inc(campaign_trace["misses"])
     finally:
-        # Teardown order matters when an exception unwinds mid-study:
-        # outstanding worker futures must drain *before* the temp trace
-        # directory goes away, or in-flight workers race the cleanup
-        # and die writing to it.
         if pool is not None:
-            pool.drain()
             pool.shutdown()
-        if temp_trace_dir is not None:
-            temp_trace_dir.cleanup()
         study_wall.set(time.perf_counter() - started)
 
     return StudyResult(
@@ -376,6 +356,15 @@ def run_study(
         registry=registry,
         trace_cache=totals,
     )
+
+
+def _reject_duplicates(kind: str, keys: list) -> None:
+    """One-line :class:`ConfigurationError` naming a repeated grid value."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ConfigurationError(f"study lists {kind} {key!r} more than once")
+        seen.add(key)
 
 
 __all__ = ["StudyResult", "run_study"]

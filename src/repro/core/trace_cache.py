@@ -1,4 +1,4 @@
-"""Cross-campaign kernel-trace cache: the two-tier store behind studies.
+"""Cross-campaign kernel-trace cache: an on-disk store of activity traces.
 
 The expensive part of every campaign cell — the ``prime`` and
 ``core_run`` phases that produce the switching-activity
@@ -6,17 +6,18 @@ The expensive part of every campaign cell — the ``prime`` and
 the machine *microarchitecture*, the ordered event pair, and the
 :class:`~repro.codegen.frequency.FrequencyPlan`.  Distance, campaign
 seed, repetitions, and the measurement method only enter downstream, at
-the EM projection and analysis steps.  A multi-distance study therefore
-re-derives the identical trace once per distance, and a re-seeded or
-``--method full`` re-analysis re-derives it again from zero.
+the EM projection and analysis steps.
 
-:class:`TraceCache` stores those traces once:
-
-* an **in-process LRU** (bounded; a paper-sized trace is ~3 MB) serves
-  repeat requests in the same process at dictionary-lookup cost;
-* an optional **on-disk tier** (``.npz`` payloads) shares traces across
-  processes and survives the process — campaign workers and the study
-  runner's persistent pool all read and write the same directory.
+Within one execution the campaign executor already produces each trace
+once: a *cell group* (one ordered pair) measures its trace for every
+distance of the machine in memory and then drops it (see
+:mod:`repro.core.executor`).  This cache serves what outlives an
+execution — a re-seeded rerun, a ``--method full`` re-analysis, or a
+later study over the same kernels — so it exists only where a disk tier
+is configured: ``SAVAT_TRACE_CACHE_DIR``, a study's
+``<cache-dir>/traces``, or an explicit ``TraceCache(directory)``.
+Campaign workers and a study's pool all read and write the same
+directory.
 
 Disk entries follow the executor's cache discipline via
 :mod:`repro.core.diskcache`: writes are atomic (temp file + fsync +
@@ -24,9 +25,7 @@ Disk entries follow the executor's cache discipline via
 to ``<dir>/quarantine/`` — never silently deleted — and recomputed.
 Hits are read with :func:`~repro.core.diskcache.read_npz`, which skips
 the zip CRC pass (most of ``np.load``'s cost for a 3 MB trace); every
-entry is still checked for shape and finite, positive values.  A study's
-pool workers serve each other's traces through this tier, so its read
-cost is paid on every cell of every campaign after the first.
+entry is still checked for shape and finite, non-negative activity.
 
 Keys are content hashes over everything that determines the trace:
 the trace-cache and simulator schema versions, the active simulation
@@ -39,9 +38,10 @@ reusable across campaigns.
 
 Environment knobs:
 
-* ``SAVAT_TRACE_CACHE=0`` disables the cache process-wide (it is on by
-  default, memory tier only);
-* ``SAVAT_TRACE_CACHE_DIR=DIR`` adds the on-disk tier at ``DIR``.
+* ``SAVAT_TRACE_CACHE_DIR=DIR`` gives every campaign a trace cache at
+  ``DIR`` (none by default);
+* ``SAVAT_TRACE_CACHE=0`` disables the cache process-wide, that
+  directory and a study's ``<cache-dir>/traces`` included.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import dataclasses
 import hashlib
 import json
 import os
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +70,6 @@ TRACE_CACHE_ENV = "SAVAT_TRACE_CACHE"
 
 #: Environment variable naming the on-disk tier's directory.
 TRACE_CACHE_DIR_ENV = "SAVAT_TRACE_CACHE_DIR"
-
-#: Default bound on the in-process LRU tier.  A paper-sized Core 2 Duo
-#: trace is ~3 MB (12 components x ~30k cycles of float64), so the
-#: default worst case is ~100 MB per process.
-DEFAULT_MEMORY_ENTRIES = 32
 
 _FALSY = {"0", "false", "no", "off"}
 
@@ -153,35 +147,26 @@ def trace_cache_key(
 
 
 class TraceCache:
-    """Two-tier (memory LRU + optional disk) trace store.
+    """On-disk trace store shared by every process that names its directory.
 
     Parameters
     ----------
     directory:
-        On-disk tier directory (``None``: no disk tier).  Multiple
-        processes may share it — writes are atomic and corrupt entries
-        are quarantined, exactly like the campaign result cache.
-    memory_entries:
-        Bound on the in-process LRU (``0`` disables the memory tier).
+        The cache directory.  Multiple processes may share it — writes
+        are atomic and corrupt entries are quarantined, exactly like the
+        campaign result cache.
 
     Counter semantics mirror :class:`~repro.core.executor.ResultCache`:
-    every :meth:`load` increments exactly one of ``memory_hits``,
-    ``disk_hits``, or ``misses``; a quarantined disk entry is a miss
-    that also increments ``quarantine_count``, and never a hit.  :meth:`counters` snapshots all counters (the
-    campaign executor ships per-cell snapshots from workers back to
-    the parent as span fragments) and :meth:`reset_counters` zeroes
-    them per execution.
+    every :meth:`load` increments exactly one of ``disk_hits`` or
+    ``misses``; a quarantined entry is a miss that also increments
+    ``quarantine_count``, and never a hit.  :meth:`counters` snapshots
+    all counters (the campaign executor ships per-group snapshots from
+    workers back to the parent as span fragments) and
+    :meth:`reset_counters` zeroes them.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike | None = None,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-    ) -> None:
-        self.directory = Path(directory).expanduser() if directory is not None else None
-        self.memory_entries = int(memory_entries)
-        self._memory: OrderedDict[str, tuple[ActivityTrace, int, float]] = OrderedDict()
-        self.memory_hits = 0
+    def __init__(self, directory: str | os.PathLike) -> None:
+        self.directory = Path(directory).expanduser()
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
@@ -192,36 +177,12 @@ class TraceCache:
     # Paths
     # ------------------------------------------------------------------
     def entry_path(self, key: str) -> Path:
-        """File path of one cached trace (disk tier only)."""
-        if self.directory is None:
-            raise ValueError("trace cache has no disk tier")
+        """File path of one cached trace."""
         return self.directory / f"trace_{key}.npz"
 
     def quarantine_dir(self) -> Path:
-        """Directory corrupt disk entries are moved to."""
-        if self.directory is None:
-            raise ValueError("trace cache has no disk tier")
+        """Directory corrupt entries are moved to."""
         return self.directory / "quarantine"
-
-    def spec(self) -> dict | None:
-        """Picklable construction recipe for worker processes.
-
-        The campaign executor ships this — the cache *path*, never the
-        traces themselves — to pool workers, which rebuild their own
-        :class:`TraceCache` over the shared disk tier.
-        """
-        return {
-            "directory": str(self.directory) if self.directory is not None else None,
-            "memory_entries": self.memory_entries,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "TraceCache":
-        """Rebuild a cache from :meth:`spec` (used by pool workers)."""
-        return cls(
-            directory=spec.get("directory"),
-            memory_entries=spec.get("memory_entries", DEFAULT_MEMORY_ENTRIES),
-        )
 
     # ------------------------------------------------------------------
     # Counters
@@ -229,7 +190,6 @@ class TraceCache:
     def counters(self) -> dict[str, int]:
         """Snapshot of all counters (JSON-ready)."""
         return {
-            "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "stores": self.stores,
@@ -238,7 +198,6 @@ class TraceCache:
 
     def reset_counters(self) -> None:
         """Zero all counters (cached entries are kept)."""
-        self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
@@ -261,19 +220,12 @@ class TraceCache:
         plan from them, so a cache hit returns exactly what
         :func:`~repro.core.savat.simulate_alternation_period` returned.
         """
-        entry = self._memory.get(key)
-        if entry is not None:
-            self._memory.move_to_end(key)
-            self.memory_hits += 1
-            return entry
-        if self.directory is not None:
-            entry = self._load_disk(key)
-            if entry is not None:
-                self._remember(key, entry)
-                self.disk_hits += 1
-                return entry
-        self.misses += 1
-        return None
+        entry = self._load_disk(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.disk_hits += 1
+        return entry
 
     def _load_disk(self, key: str) -> tuple[ActivityTrace, int, float] | None:
         path = self.entry_path(key)
@@ -291,6 +243,7 @@ class TraceCache:
         if (
             payload.ndim != 2
             or not np.all(np.isfinite(payload))
+            or np.any(payload < 0.0)
             or not (np.isfinite(clock_hz) and clock_hz > 0)
             or inst_loop_count < 1
             or not (np.isfinite(predicted_hz) and predicted_hz > 0)
@@ -319,34 +272,20 @@ class TraceCache:
         inst_loop_count: int,
         predicted_frequency_hz: float,
     ) -> None:
-        """Persist one trace into every tier (atomically on disk)."""
-        entry = (trace, int(inst_loop_count), float(predicted_frequency_hz))
-        self._remember(key, entry)
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            atomic_write(
-                self.directory,
-                self.entry_path(key),
-                lambda handle: np.savez(
-                    handle,
-                    data=trace.data,
-                    clock_hz=np.float64(trace.clock_hz),
-                    inst_loop_count=np.int64(inst_loop_count),
-                    predicted_frequency_hz=np.float64(predicted_frequency_hz),
-                ),
-            )
+        """Persist one trace (atomically)."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        atomic_write(
+            self.directory,
+            self.entry_path(key),
+            lambda handle: np.savez(
+                handle,
+                data=trace.data,
+                clock_hz=np.float64(trace.clock_hz),
+                inst_loop_count=np.int64(inst_loop_count),
+                predicted_frequency_hz=np.float64(predicted_frequency_hz),
+            ),
+        )
         self.stores += 1
-
-    def _remember(self, key: str, entry: tuple[ActivityTrace, int, float]) -> None:
-        if self.memory_entries <= 0:
-            return
-        self._memory[key] = entry
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._memory)
 
 
 # ----------------------------------------------------------------------
@@ -406,44 +345,25 @@ def produce_cell_trace(
 # ----------------------------------------------------------------------
 # Process-level default cache
 # ----------------------------------------------------------------------
-_PROCESS_CACHE: TraceCache | None = None
-_PROCESS_CACHE_CONFIG: tuple | None = None
-
-
 def get_process_trace_cache(environ: dict | None = None) -> TraceCache | None:
-    """The process-wide default cache, configured from the environment.
+    """The cache ``SAVAT_TRACE_CACHE_DIR`` configures, or ``None``.
 
-    Returns ``None`` when ``SAVAT_TRACE_CACHE`` disables the cache.
-    The singleton is rebuilt when the environment configuration changes
-    (tests monkeypatch the knobs), but otherwise persists, which is
-    what lets a long-lived process — or a study's pool worker — reuse
-    traces across campaigns.
+    ``None`` when no directory is set or ``SAVAT_TRACE_CACHE`` disables
+    the cache.  The environment is read on every call, so a changed
+    setting takes effect at the next campaign.
     """
-    global _PROCESS_CACHE, _PROCESS_CACHE_CONFIG
     environ = os.environ if environ is None else environ
-    if not trace_cache_enabled(environ):
+    directory = environ.get(TRACE_CACHE_DIR_ENV)
+    if not directory or not trace_cache_enabled(environ):
         return None
-    config = (environ.get(TRACE_CACHE_DIR_ENV) or None,)
-    if _PROCESS_CACHE is None or _PROCESS_CACHE_CONFIG != config:
-        _PROCESS_CACHE = TraceCache(directory=config[0])
-        _PROCESS_CACHE_CONFIG = config
-    return _PROCESS_CACHE
-
-
-def clear_process_trace_cache() -> None:
-    """Drop the process-wide default cache (mostly for tests)."""
-    global _PROCESS_CACHE, _PROCESS_CACHE_CONFIG
-    _PROCESS_CACHE = None
-    _PROCESS_CACHE_CONFIG = None
+    return TraceCache(directory)
 
 
 __all__ = [
-    "DEFAULT_MEMORY_ENTRIES",
     "TRACE_CACHE_DIR_ENV",
     "TRACE_CACHE_ENV",
     "TRACE_CACHE_SCHEMA_VERSION",
     "TraceCache",
-    "clear_process_trace_cache",
     "get_process_trace_cache",
     "produce_cell_trace",
     "trace_cache_enabled",

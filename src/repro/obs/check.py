@@ -60,7 +60,6 @@ EXECUTION_GAUGES = {
 
 #: execution["trace_cache"] entries and the (metric, labels) behind each.
 TRACE_CACHE_COUNTERS = {
-    "memory_hits": ("savat_trace_cache_hits_total", (("tier", "memory"),)),
     "disk_hits": ("savat_trace_cache_hits_total", (("tier", "disk"),)),
     "misses": ("savat_trace_cache_misses_total", ()),
     "stores": ("savat_trace_cache_stores_total", ()),

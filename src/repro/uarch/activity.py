@@ -313,7 +313,6 @@ class ActivityRecorder:
         """
         if num_cycles <= 0:
             raise SimulationError(f"trace length must be positive, got {num_cycles}")
-        flat = np.zeros(NUM_COMPONENTS * num_cycles, dtype=np.float64)
         components, starts, durations, amounts = self._gather()
         visible = starts < num_cycles
         starts = starts[visible]
@@ -321,20 +320,31 @@ class ActivityRecorder:
         lengths = np.minimum(starts + durations[visible], num_cycles) - starts
         cells = components[visible] * num_cycles + starts
 
-        # ``np.add.at`` applies its entries in sequence, so only each
-        # cell's own order matters: ascending amount for the singles (ties
-        # are equal values), (start, length, amount) for the rest.
+        # One index/weight stream for ``np.bincount``, which adds its
+        # weights into each bin in stream order starting from 0.0, so
+        # only each cell's own order matters: ascending amount for the
+        # singles (ties are equal values), then (start, length, amount)
+        # for the rest.  The stream is filled in place, so at most one
+        # stream-sized temporary is alive besides it.
         single = lengths == 1
-        single_amounts = amounts[single]
-        order = np.argsort(single_amounts)
-        np.add.at(flat, cells[single][order], single_amounts[order])
+        single_order = np.argsort(amounts[single])
+        singles = single_order.size
 
         multi = ~single
         order = np.lexsort((amounts[multi], lengths[multi], cells[multi]))
-        cells = cells[multi][order]
+        multi_cells = cells[multi][order]
         lengths = lengths[multi][order]
-        amounts = amounts[multi][order]
-        steps = np.arange(lengths.sum(), dtype=np.int64)
-        steps -= np.repeat(np.cumsum(lengths) - lengths, lengths)
-        np.add.at(flat, np.repeat(cells, lengths) + steps, np.repeat(amounts, lengths))
+        multi_amounts = amounts[multi][order]
+        expanded = int(lengths.sum())
+
+        index = np.empty(singles + expanded, dtype=np.int64)
+        weights = np.empty(singles + expanded, dtype=np.float64)
+        index[:singles] = cells[single][single_order]
+        weights[:singles] = amounts[single][single_order]
+        # Cell of each expanded step: its event's cell plus its offset
+        # into the event, ``arange`` minus the event's first position.
+        index[singles:] = np.repeat(multi_cells - (np.cumsum(lengths) - lengths), lengths)
+        index[singles:] += np.arange(expanded, dtype=np.int64)
+        weights[singles:] = np.repeat(multi_amounts, lengths)
+        flat = np.bincount(index, weights=weights, minlength=NUM_COMPONENTS * num_cycles)
         return ActivityTrace(flat.reshape(NUM_COMPONENTS, num_cycles), self.clock_hz)

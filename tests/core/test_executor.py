@@ -29,6 +29,7 @@ from repro.core.savat import MeasurementConfig
 from repro.core.study import run_study
 from repro.errors import CellExecutionError, ConfigurationError
 from repro.isa.events import get_event
+from repro.machines.calibrated import load_calibrated_machine
 
 #: A fast config for executor tests: a 10x higher alternation frequency
 #: shrinks the simulated period 10x without changing the code paths.
@@ -183,6 +184,10 @@ class TestExecuteCampaignValidation:
         with pytest.raises(ConfigurationError):
             execute_campaign(core2duo_10cm, [get_event("ADD")], repetitions=0)
 
+    def test_rejects_an_event_listed_twice(self, core2duo_10cm):
+        with pytest.raises(ConfigurationError, match="event ADD listed twice"):
+            execute_campaign(core2duo_10cm, [get_event("ADD"), get_event("add")])
+
     def test_rejects_resume_without_a_journal(self, core2duo_10cm):
         with pytest.raises(ConfigurationError, match="resume.*journal"):
             _run(core2duo_10cm, resume=True)
@@ -191,6 +196,37 @@ class TestExecuteCampaignValidation:
     def test_rejects_bad_seed(self, core2duo_10cm, seed):
         with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
             execute_campaign(core2duo_10cm, [get_event("ADD")], repetitions=1, seed=seed)
+
+
+class TestSeveralCalibrationsValidation:
+    """One execution over several calibrations takes one machine spec at
+    distinct distances, and per-campaign outputs for each of them."""
+
+    def test_rejects_two_machine_specs(self, core2duo_10cm):
+        pentium = load_calibrated_machine("pentium3m", 0.10)
+        with pytest.raises(ConfigurationError, match="one machine spec"):
+            execute_campaign([core2duo_10cm, pentium], [get_event("ADD")])
+
+    def test_rejects_one_distance_twice(self, core2duo_10cm):
+        with pytest.raises(ConfigurationError, match="distinct distances"):
+            execute_campaign([core2duo_10cm, core2duo_10cm], [get_event("ADD")])
+
+    def test_rejects_a_shared_journal_path(self, core2duo_10cm, core2duo_100cm, tmp_path):
+        with pytest.raises(ConfigurationError, match="journal"):
+            execute_campaign(
+                [core2duo_10cm, core2duo_100cm], [get_event("ADD")],
+                journal=tmp_path / "journal.jsonl",
+            )
+
+    def test_rejects_one_bundle_for_several(self, core2duo_10cm, core2duo_100cm):
+        from repro.obs import CampaignObservability
+
+        for bundles in (CampaignObservability(), [CampaignObservability()]):
+            with pytest.raises(ConfigurationError, match="bundle"):
+                execute_campaign(
+                    [core2duo_10cm, core2duo_100cm], [get_event("ADD")],
+                    observability=bundles,
+                )
 
 
 class TestWorkersValidation:

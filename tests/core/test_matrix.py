@@ -36,6 +36,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             _matrix().index("DIV")
 
+    def test_duplicate_events_rejected(self):
+        with pytest.raises(ConfigurationError, match="'add' appears twice"):
+            SavatMatrix(("ADD", "add"), np.ones((2, 2)), "m", 0.1)
+
 
 class TestStatistics:
     def test_mean_and_std_shapes(self):

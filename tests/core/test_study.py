@@ -1,20 +1,23 @@
-"""Tests for the shared-pool study runner.
+"""Tests for the study runner: one trace per cell group.
 
 A study is only allowed to remove *redundant* work: every campaign in
 the grid must produce bit-identical samples to a standalone
-``run_campaign`` with the same arguments, whether the study runs
-serially or over the shared worker pool, and the second and later
-distances of a machine must be served entirely from the shared
-kernel-trace cache.
+``run_campaign`` with the same arguments — serial or pooled, with
+either measurement method, and with the result cache cold, warm, or
+partly warm — while each cell's kernel trace is produced once for all
+distances of a machine.
 """
 
-import tempfile
+import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from repro.core import savat
 from repro.core import study as study_module
 from repro.core.campaign import run_campaign
+from repro.core.executor import campaign_cache_key
 from repro.core.savat import MeasurementConfig
 from repro.core.study import StudyResult, run_study
 from repro.core.trace_cache import TraceCache
@@ -22,8 +25,12 @@ from repro.errors import ConfigurationError
 from repro.machines.calibrated import load_calibrated_machine
 
 FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
+FULL_CONFIG = MeasurementConfig(
+    alternation_frequency_hz=800e3, method="full", duration_s=0.01
+)
 
 EVENTS = ("ADD", "SUB")
+CELLS = len(EVENTS) ** 2
 SEED = 3
 REPETITIONS = 2
 DISTANCES = (0.10, 0.50)
@@ -42,6 +49,48 @@ def _study(**overrides) -> StudyResult:
     return run_study(**parameters)
 
 
+def _standalone(distance, config=FAST_CONFIG):
+    return run_campaign(
+        load_calibrated_machine("core2duo", distance),
+        config=config,
+        events=EVENTS,
+        repetitions=REPETITIONS,
+        seed=SEED,
+        trace_cache=False,
+    )
+
+
+def _phases(matrix) -> set[str]:
+    return set(matrix.metadata["execution"]["phase_seconds"])
+
+
+@pytest.fixture
+def prime_calls(monkeypatch):
+    """Counts ``prime_alternation_steady_state`` calls in this process.
+
+    A cell whose frequency is re-tuned primes once per simulation
+    attempt, so the count per trace is the same for every run of a cell
+    but not always one.
+    """
+    calls = []
+    prime = savat.prime_alternation_steady_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return prime(*args, **kwargs)
+
+    monkeypatch.setattr(savat, "prime_alternation_steady_state", counting)
+    return calls
+
+
+def _standalone_prime_calls(prime_calls, distance, config=FAST_CONFIG) -> int:
+    del prime_calls[:]
+    _standalone(distance, config)
+    count = len(prime_calls)
+    del prime_calls[:]
+    return count
+
+
 @pytest.mark.slow
 class TestStudySamples:
     @pytest.fixture(scope="class")
@@ -50,27 +99,16 @@ class TestStudySamples:
 
     def test_matches_standalone_campaigns_bit_for_bit(self, serial_study):
         for distance in DISTANCES:
-            machine = load_calibrated_machine("core2duo", distance)
-            standalone = run_campaign(
-                machine,
-                config=FAST_CONFIG,
-                events=EVENTS,
-                repetitions=REPETITIONS,
-                seed=SEED,
-                trace_cache=False,
-            )
             matrix = serial_study.matrix_for("core2duo", distance)
-            assert np.array_equal(standalone.samples_zj, matrix.samples_zj)
+            assert np.array_equal(
+                _standalone(distance).samples_zj, matrix.samples_zj
+            )
 
     def test_second_distance_skips_trace_production(self, serial_study):
-        cells = len(EVENTS) ** 2
-        first, second = (
-            matrix.metadata["execution"]["trace_cache"]
-            for matrix in serial_study.matrices
-        )
-        assert first["misses"] == cells
-        assert second["misses"] == 0
-        assert second["memory_hits"] + second["disk_hits"] == cells
+        first, second = serial_study.matrices
+        assert {"prime", "core_run"} <= _phases(first)
+        assert _phases(second) == {"analyze"}
+        assert second.metadata["execution"]["cells_simulated"] == CELLS
 
     def test_pool_study_equals_serial_study(self, serial_study):
         pooled = _study(workers=2)
@@ -80,8 +118,7 @@ class TestStudySamples:
             assert np.array_equal(
                 serial_matrix.samples_zj, pooled_matrix.samples_zj
             )
-        second = pooled.matrices[1].metadata["execution"]["trace_cache"]
-        assert second["misses"] == 0
+        assert _phases(pooled.matrices[1]) == {"analyze"}
 
     def test_matrix_for_unknown_campaign_raises(self, serial_study):
         with pytest.raises(ConfigurationError):
@@ -100,7 +137,7 @@ class TestStudySamples:
     def test_registry_counts_campaigns_and_cells(self, serial_study):
         registry = serial_study.registry.to_prometheus()
         assert "savat_study_campaigns_total 2" in registry
-        assert f"savat_study_cells_total {2 * len(EVENTS) ** 2}" in registry
+        assert f"savat_study_cells_total {2 * CELLS}" in registry
 
     def test_campaign_wall_seconds_accessor(self, serial_study):
         walls = serial_study.campaign_wall_seconds()
@@ -109,21 +146,95 @@ class TestStudySamples:
 
 
 @pytest.mark.slow
+class TestStudyEqualsStandaloneCampaigns:
+    """Serial and pooled, both methods, result cache cold/warm/partly warm."""
+
+    @pytest.fixture(scope="class")
+    def standalone(self):
+        return {
+            (config.method, distance): _standalone(distance, config).samples_zj
+            for config in (FAST_CONFIG, FULL_CONFIG)
+            for distance in DISTANCES
+        }
+
+    @staticmethod
+    def _assert_equal(study, standalone, method):
+        for distance in DISTANCES:
+            assert np.array_equal(
+                study.matrix_for("core2duo", distance).samples_zj,
+                standalone[(method, distance)],
+            ), (method, distance)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("config", [FAST_CONFIG, FULL_CONFIG], ids=["analytic", "full"])
+    def test_cold_and_warm_result_cache(self, standalone, tmp_path, config, workers):
+        cold = _study(config=config, workers=workers, cache_dir=tmp_path)
+        self._assert_equal(cold, standalone, config.method)
+        warm = _study(config=config, workers=workers, cache_dir=tmp_path)
+        self._assert_equal(warm, standalone, config.method)
+        for matrix in warm.matrices:
+            assert matrix.metadata["execution"]["cells_simulated"] == 0
+
+    @pytest.mark.parametrize("config", [FAST_CONFIG, FULL_CONFIG], ids=["analytic", "full"])
+    def test_partly_warm_result_cache(
+        self, standalone, tmp_path, prime_calls, config
+    ):
+        _study(config=config, cache_dir=tmp_path)
+        key = campaign_cache_key(
+            "core2duo", 0.50, config, list(EVENTS), REPETITIONS, SEED
+        )
+        for path in (tmp_path / key).glob("cell_*.npz"):
+            path.unlink()
+        one_campaign = _standalone_prime_calls(prime_calls, 0.50, config)
+        # No trace cache, so the far distance's traces are produced anew.
+        partly = _study(config=config, cache_dir=tmp_path, trace_cache=False)
+        self._assert_equal(partly, standalone, config.method)
+        near, far = (matrix.metadata["execution"] for matrix in partly.matrices)
+        assert near["cache_hits"] == CELLS and near["cells_simulated"] == 0
+        assert far["cache_misses"] == CELLS and far["cells_simulated"] == CELLS
+        # Only the far distance was measured, and each of its traces
+        # was produced once.
+        assert len(prime_calls) == one_campaign
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workers", [0, 2])
+def test_prime_runs_once_per_cell_whatever_the_distances(prime_calls, workers):
+    one_campaign = _standalone_prime_calls(prime_calls, 0.10)
+    assert one_campaign >= CELLS
+    for distances in ((0.10,), (0.10, 0.50, 1.00)):
+        del prime_calls[:]
+        study = _study(distances_m=distances, workers=workers)
+        if workers:
+            # Pool workers prime out of this process's sight; the cells
+            # that did are the ones that record a prime phase.
+            primed = [
+                pair
+                for matrix in study.matrices
+                for pair, phases in matrix.metadata["execution"][
+                    "cell_phase_seconds"
+                ].items()
+                if "prime" in phases
+            ]
+            assert len(primed) == CELLS
+        else:
+            assert len(prime_calls) == one_campaign
+
+
+@pytest.mark.slow
 class TestStudyResultCache:
     def test_result_cache_counters_are_per_campaign(self, tmp_path):
-        """The shared result cache resets its counters per campaign
-        execution, so each matrix reports its own traffic rather than a
-        running study-wide total."""
-        cells = len(EVENTS) ** 2
+        """The shared result cache counts per campaign, so each matrix
+        reports its own traffic rather than a study-wide total."""
         cold = _study(cache_dir=tmp_path)
         for matrix in cold.matrices:
             execution = matrix.metadata["execution"]
             assert execution["cache_hits"] == 0
-            assert execution["cache_misses"] == cells
+            assert execution["cache_misses"] == CELLS
         warm = _study(cache_dir=tmp_path)
         for matrix in warm.matrices:
             execution = matrix.metadata["execution"]
-            assert execution["cache_hits"] == cells
+            assert execution["cache_hits"] == CELLS
             assert execution["cache_misses"] == 0
             assert execution["cells_simulated"] == 0
         for cold_matrix, warm_matrix in zip(cold.matrices, warm.matrices):
@@ -133,22 +244,27 @@ class TestStudyResultCache:
 
     def test_trace_cache_disk_tier_defaults_inside_cache_dir(self, tmp_path):
         _study(cache_dir=tmp_path)
-        assert list((tmp_path / "traces").glob("trace_*.npz"))
+        assert len(list((tmp_path / "traces").glob("trace_*.npz"))) == CELLS
 
     def test_explicit_trace_cache_dir_wins(self, tmp_path):
         _study(cache_dir=tmp_path / "cache", trace_cache_dir=tmp_path / "traces")
         assert list((tmp_path / "traces").glob("trace_*.npz"))
         assert not (tmp_path / "cache" / "traces").exists()
 
-    def test_prebuilt_trace_cache_is_used(self):
-        cache = TraceCache()
-        _study(trace_cache=cache)
-        assert cache.counters()["stores"] == len(EVENTS) ** 2
+    def test_prebuilt_trace_cache_is_used(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        study = _study(trace_cache=cache)
+        # One trace per cell for both distances, stored by the first.
+        assert cache.counters()["stores"] == CELLS
+        first, second = (
+            matrix.metadata["execution"]["trace_cache"] for matrix in study.matrices
+        )
+        assert first["misses"] == first["stores"] == CELLS
+        assert second == {"disk_hits": 0, "misses": 0, "stores": 0, "quarantined": 0}
 
     def test_trace_cache_off_recomputes_every_campaign(self):
         study = _study(trace_cache=False)
         assert study.trace_cache == {
-            "memory_hits": 0,
             "disk_hits": 0,
             "misses": 0,
             "stores": 0,
@@ -170,8 +286,6 @@ class TestStudyOutputs:
                 (tmp_path / f"{stem}.prom").read_text()
             )
             assert errors == []
-            import json
-
             payload = json.loads((tmp_path / f"{stem}.json").read_text())
             execution = payload["metadata"]["execution"]
             assert check_against_execution(samples, execution) == []
@@ -179,43 +293,35 @@ class TestStudyOutputs:
 
 @pytest.mark.slow
 class TestStudyTeardown:
-    def test_failing_mid_grid_removes_its_temp_trace_dir(
-        self, tmp_path, monkeypatch
-    ):
-        # With no cache_dir the study keeps its trace cache in a
-        # temporary directory; the second grid entry fails, and the pool
-        # must drain before that directory is removed.
+    def test_failing_study_leaves_no_files_or_workers(self, tmp_path, monkeypatch):
+        # The first machine runs over the pool; the second fails.  The
+        # study keeps no traces without a cache directory, so nothing
+        # is left in TMPDIR, and the pool's workers are gone.
         monkeypatch.delenv("SAVAT_TRACE_CACHE_DIR", raising=False)
         monkeypatch.setenv("TMPDIR", str(tmp_path))
-        monkeypatch.setattr(tempfile, "tempdir", None)
-        seen: set[str] = set()
-
-        def record(*_):
-            seen.update(path.name for path in tmp_path.glob("savat_traces_*"))
-
-        campaign = study_module.run_campaign
+        run_campaigns = study_module.run_campaigns
         calls = []
 
-        def second_campaign_fails(machine, **kwargs):
-            calls.append(machine)
+        def second_machine_fails(machines, **kwargs):
+            calls.append(machines)
             if len(calls) == 2:
-                raise ConfigurationError("second grid entry fails")
-            return campaign(machine, **kwargs)
+                raise ConfigurationError("second machine fails")
+            return run_campaigns(machines, **kwargs)
 
-        monkeypatch.setattr(study_module, "run_campaign", second_campaign_fails)
-        with pytest.raises(ConfigurationError):
+        monkeypatch.setattr(study_module, "run_campaigns", second_machine_fails)
+        with pytest.raises(ConfigurationError, match="second machine fails"):
             run_study(
-                ["core2duo"],
-                [0.10, 0.50],
+                ["core2duo", "pentium3m"],
+                [0.10],
                 events=EVENTS,
                 config=FAST_CONFIG,
                 repetitions=REPETITIONS,
                 seed=SEED,
                 workers=2,
-                progress=record,
             )
-        assert seen, "the study never created its temporary trace directory"
-        assert list(tmp_path.glob("savat_traces_*")) == []
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestStudyValidation:
@@ -230,6 +336,14 @@ class TestStudyValidation:
     def test_bad_distance_rejected_before_any_campaign(self):
         with pytest.raises(ConfigurationError):
             run_study(["core2duo"], [0.10, -1.0], events=EVENTS)
+
+    def test_duplicate_distance_rejected(self):
+        with pytest.raises(ConfigurationError, match="distance 0.1 more than once"):
+            run_study(["core2duo"], [0.10, 0.1], events=EVENTS)
+
+    def test_duplicate_machine_rejected(self):
+        with pytest.raises(ConfigurationError, match="machine 'core2duo'"):
+            run_study(["core2duo", "Core2Duo"], [0.10], events=EVENTS)
 
     def test_uncalibratable_grid_point_fails_before_the_pool_starts(
         self, monkeypatch

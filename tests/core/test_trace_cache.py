@@ -24,7 +24,6 @@ from repro.core.campaign import run_campaign
 from repro.core.savat import MeasurementConfig, _plan_pair
 from repro.core.trace_cache import (
     TraceCache,
-    clear_process_trace_cache,
     get_process_trace_cache,
     produce_cell_trace,
     trace_cache_enabled,
@@ -172,14 +171,13 @@ class TestTraceCacheKey:
 
 
 class TestTraceCacheTiers:
-    def test_miss_then_memory_hit(self, core2duo_10cm_module, pair, plan):
+    def test_miss_then_disk_hit(self, core2duo_10cm_module, pair, plan, tmp_path):
         event_a, event_b = pair
-        cache = TraceCache()
+        cache = TraceCache(tmp_path)
         cold_trace, cold_plan = produce_cell_trace(
             core2duo_10cm_module, event_a, event_b, plan, cache=cache
         )
         assert cache.counters() == {
-            "memory_hits": 0,
             "disk_hits": 0,
             "misses": 1,
             "stores": 1,
@@ -188,7 +186,7 @@ class TestTraceCacheTiers:
         warm_trace, warm_plan = produce_cell_trace(
             core2duo_10cm_module, event_a, event_b, plan, cache=cache
         )
-        assert cache.counters()["memory_hits"] == 1
+        assert cache.counters()["disk_hits"] == 1
         assert np.array_equal(warm_trace.data, cold_trace.data)
         assert warm_trace.clock_hz == cold_trace.clock_hz
         assert warm_plan == cold_plan
@@ -209,52 +207,14 @@ class TestTraceCacheTiers:
         assert reader.counters()["misses"] == 0
         assert np.array_equal(warm_trace.data, cold_trace.data)
         assert warm_plan == cold_plan
-        # The disk hit was promoted into memory: a repeat stays local.
-        produce_cell_trace(
-            core2duo_10cm_module, event_a, event_b, plan, cache=reader
-        )
-        assert reader.counters()["memory_hits"] == 1
-
-    def test_memory_only_cache_forgets_across_instances(
-        self, core2duo_10cm_module, pair, plan
-    ):
-        event_a, event_b = pair
-        produce_cell_trace(
-            core2duo_10cm_module, event_a, event_b, plan, cache=TraceCache()
-        )
-        fresh = TraceCache()
-        produce_cell_trace(
-            core2duo_10cm_module, event_a, event_b, plan, cache=fresh
-        )
-        assert fresh.counters()["misses"] == 1
-
-    def test_lru_evicts_oldest_entry(self, core2duo_10cm_module, plan):
-        cache = TraceCache(memory_entries=1)
-        for names in (("ADD", "SUB"), ("ADD", "MUL")):
-            event_a, event_b = (get_event(name) for name in names)
-            cell_plan = _plan_pair(
-                core2duo_10cm_module,
-                event_a,
-                event_b,
-                FAST_CONFIG.alternation_frequency_hz,
-            )
-            produce_cell_trace(
-                core2duo_10cm_module, event_a, event_b, cell_plan, cache=cache
-            )
-        assert len(cache) == 1
-        # The first pair was evicted; with no disk tier it must miss.
-        event_a, event_b = get_event("ADD"), get_event("SUB")
-        produce_cell_trace(core2duo_10cm_module, event_a, event_b, plan, cache=cache)
-        assert cache.counters()["misses"] == 3
 
     def test_counter_delta(self):
-        before = {"memory_hits": 1, "disk_hits": 0, "misses": 2, "stores": 2, "quarantined": 0}
-        after = {"memory_hits": 3, "disk_hits": 1, "misses": 2, "stores": 2, "quarantined": 0}
+        before = {"disk_hits": 0, "misses": 2, "stores": 2, "quarantined": 0}
+        after = {"disk_hits": 1, "misses": 2, "stores": 3, "quarantined": 0}
         assert TraceCache.counter_delta(after, before) == {
-            "memory_hits": 2,
             "disk_hits": 1,
             "misses": 0,
-            "stores": 0,
+            "stores": 1,
             "quarantined": 0,
         }
 
@@ -334,11 +294,37 @@ class TestCorruptEntries:
         assert np.array_equal(recovered_trace.data, cold_trace.data)
 
 
+    @pytest.mark.slow
+    def test_negative_activity_is_quarantined_and_samples_unchanged(
+        self, core2duo_10cm_module, tmp_path
+    ):
+        """Activity is never negative, so an entry holding some is
+        corrupt: it is quarantined, the trace recomputed, and the
+        campaign's samples equal a run without the cache."""
+        baseline = _run(core2duo_10cm_module)
+        cache = TraceCache(tmp_path)
+        _run(core2duo_10cm_module, trace_cache=cache)
+        entry = sorted(tmp_path.glob("trace_*.npz"))[0]
+        with np.load(entry) as stored:
+            fields = dict(stored)
+        fields["data"] = fields["data"].copy()
+        fields["data"][0, 0] = -1e-12
+        with open(entry, "wb") as handle:
+            np.savez(handle, **fields)
+
+        rerun = _run(core2duo_10cm_module, trace_cache=TraceCache(tmp_path))
+        counters = rerun.metadata["execution"]["trace_cache"]
+        assert counters["quarantined"] == 1
+        assert counters["misses"] == 1
+        assert counters["disk_hits"] == len(EVENTS) ** 2 - 1
+        assert np.array_equal(rerun.samples_zj, baseline.samples_zj)
+
+
 class TestProcessCache:
-    def test_disabled_by_environment(self, monkeypatch):
+    def test_disabled_by_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("SAVAT_TRACE_CACHE", "0")
         assert not trace_cache_enabled()
-        clear_process_trace_cache()
         assert get_process_trace_cache() is None
         monkeypatch.setenv("SAVAT_TRACE_CACHE", "1")
         assert trace_cache_enabled()
@@ -346,16 +332,12 @@ class TestProcessCache:
     def test_rebuilt_when_directory_changes(self, monkeypatch, tmp_path):
         monkeypatch.delenv("SAVAT_TRACE_CACHE", raising=False)
         monkeypatch.delenv("SAVAT_TRACE_CACHE_DIR", raising=False)
-        clear_process_trace_cache()
-        memory_only = get_process_trace_cache()
-        assert memory_only is not None
-        assert memory_only.directory is None
-        assert get_process_trace_cache() is memory_only
-        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path))
-        rebuilt = get_process_trace_cache()
-        assert rebuilt is not memory_only
-        assert rebuilt.directory == tmp_path
-        clear_process_trace_cache()
+        # Without a directory there is no cache: no tier lives in memory.
+        assert get_process_trace_cache() is None
+        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path / "a"))
+        assert get_process_trace_cache().directory == tmp_path / "a"
+        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path / "b"))
+        assert get_process_trace_cache().directory == tmp_path / "b"
 
 
 def _run(machine, **overrides):
@@ -372,10 +354,10 @@ def _run(machine, **overrides):
 
 @pytest.mark.slow
 class TestCampaignBitIdentity:
-    def test_cache_on_equals_cache_off_across_two_distances(self):
+    def test_cache_on_equals_cache_off_across_two_distances(self, tmp_path):
         """The acceptance property: a shared trace cache serving two
         distances changes nothing about either campaign's samples."""
-        cache = TraceCache()
+        cache = TraceCache(tmp_path)
         for distance in (0.10, 0.50):
             machine = load_calibrated_machine("core2duo", distance)
             baseline = _run(machine)
@@ -384,21 +366,21 @@ class TestCampaignBitIdentity:
         # The second distance was served entirely from the cache.
         second = cached.metadata["execution"]["trace_cache"]
         assert second["misses"] == 0
-        assert second["memory_hits"] == len(EVENTS) ** 2
+        assert second["disk_hits"] == len(EVENTS) ** 2
 
     @pytest.mark.parametrize("method", ["analytic", "full"])
-    def test_both_methods(self, core2duo_10cm, method):
+    def test_both_methods(self, core2duo_10cm, method, tmp_path):
         config = MeasurementConfig(
             alternation_frequency_hz=800e3, method=method, duration_s=0.01
         )
         baseline = _run(core2duo_10cm, config=config)
-        cached = _run(core2duo_10cm, config=config, trace_cache=TraceCache())
+        cached = _run(core2duo_10cm, config=config, trace_cache=TraceCache(tmp_path))
         assert np.array_equal(baseline.samples_zj, cached.samples_zj)
 
-    def test_reference_path(self, core2duo_10cm):
+    def test_reference_path(self, core2duo_10cm, tmp_path):
         with use_reference_path():
             baseline = _run(core2duo_10cm)
-            cached = _run(core2duo_10cm, trace_cache=TraceCache())
+            cached = _run(core2duo_10cm, trace_cache=TraceCache(tmp_path))
         assert np.array_equal(baseline.samples_zj, cached.samples_zj)
 
     def test_pool_execution_with_disk_tier(self, core2duo_10cm, tmp_path):
@@ -410,21 +392,19 @@ class TestCampaignBitIdentity:
         # Workers persisted their traces through the shared disk tier.
         assert list(tmp_path.glob("trace_*.npz"))
 
-    def test_campaign_metadata_counters(self, core2duo_10cm):
-        cache = TraceCache()
+    def test_campaign_metadata_counters(self, core2duo_10cm, tmp_path):
+        cache = TraceCache(tmp_path)
         cold = _run(core2duo_10cm, trace_cache=cache)
         warm = _run(core2duo_10cm, trace_cache=cache)
         cells = len(EVENTS) ** 2
         assert cold.metadata["execution"]["trace_cache"] == {
-            "memory_hits": 0,
             "disk_hits": 0,
             "misses": cells,
             "stores": cells,
             "quarantined": 0,
         }
         assert warm.metadata["execution"]["trace_cache"] == {
-            "memory_hits": cells,
-            "disk_hits": 0,
+            "disk_hits": cells,
             "misses": 0,
             "stores": 0,
             "quarantined": 0,

@@ -35,6 +35,10 @@ class TestEventList:
         assert "unknown event 'bogus'" in str(excinfo.value)
         assert "ADD" in str(excinfo.value)  # valid choices listed
 
+    def test_duplicate_event_rejected(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="event ADD listed twice"):
+            _event_list("ADD,add")
+
     def test_bare_commas_are_an_error_not_an_empty_campaign(self):
         with pytest.raises(argparse.ArgumentTypeError) as excinfo:
             _event_list(",,")
@@ -419,10 +423,21 @@ class TestDistanceArguments:
         with pytest.raises(argparse.ArgumentTypeError, match="no distances"):
             _distance_list(",,")
 
+    def test_distance_list_rejects_one_calibration_twice(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="'0.1' listed twice"):
+            _distance_list("0.10,0.1")
+        with pytest.raises(argparse.ArgumentTypeError, match="listed twice"):
+            _distance_list("0.25,0.250001")
+        assert _distance_list("0.25,0.2501") == [0.25, 0.2501]
+
 
 class TestMachineList:
     def test_parses_and_normalizes(self):
         assert _machine_list("core2duo, PENTIUM3M") == ["core2duo", "pentium3m"]
+
+    def test_duplicate_machine_rejected(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="core2duo listed twice"):
+            _machine_list("core2duo,CORE2DUO")
 
     def test_unknown_machine_names_itself_and_the_choices(self):
         with pytest.raises(argparse.ArgumentTypeError) as excinfo:
@@ -484,13 +499,14 @@ class TestStudyParser:
         assert "trace cache totals" in output
 
     @pytest.mark.slow
-    def test_study_json_format(self, capsys, core2duo_10cm):
+    def test_study_json_format(self, capsys, core2duo_10cm, tmp_path):
         code = main(
             [
                 "study",
                 "--distances", "0.10",
                 "--events", "ADD,SUB",
                 "--repetitions", "2",
+                "--trace-cache-dir", str(tmp_path),
                 "--format", "json",
             ]
         )
