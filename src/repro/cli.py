@@ -155,12 +155,13 @@ def _workers(text: str) -> int:
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """Execution flags shared by ``campaign``, ``study`` and ``groups``."""
     parser.add_argument(
         "--workers",
         type=_workers,
         default=0,
         metavar="N",
-        help="worker processes for the campaign fan-out (0 or 1: serial; "
+        help="worker processes for the cell fan-out (0 or 1: serial; "
         "results are bit-identical either way)",
     )
     parser.add_argument(
@@ -194,6 +195,17 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "hung cell is abandoned and retried on a fresh worker "
         "(default: no budget)",
     )
+    parser.add_argument(
+        "--trace-cache-dir",
+        default=os.environ.get("SAVAT_TRACE_CACHE_DIR"),
+        metavar="DIR",
+        help="keep kernel traces in DIR for later runs; samples are "
+        "unchanged (default: $SAVAT_TRACE_CACHE_DIR, none if unset)",
+    )
+
+
+def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    """Journal, fault and observability flags of ``campaign`` and ``groups``."""
     parser.add_argument(
         "--journal",
         nargs="?",
@@ -241,12 +253,30 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _execution_kwargs(args: argparse.Namespace) -> dict:
+    """Keyword arguments of :func:`_add_execution_arguments`' flags.
+
+    The trace cache is built here, so a ``--trace-cache-dir`` that is
+    not a directory fails before any calibration or cell.
+    """
+    from repro.core.trace_cache import TraceCache
+
+    return {
+        "workers": args.workers,
+        "cache_dir": None if args.no_cache else args.cache_dir,
+        "max_retries": args.max_retries,
+        "cell_timeout_s": args.cell_timeout,
+        "trace_cache": (
+            TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None
+        ),
+    }
+
+
 def _campaign_execution_kwargs(args: argparse.Namespace) -> dict:
-    """Executor keyword arguments shared by campaign-running commands."""
+    """Executor keyword arguments of ``campaign`` and ``groups``."""
     from repro.core.faults import FaultPlan
     from repro.obs import CampaignObservability
 
-    cache_dir = None if args.no_cache else args.cache_dir
     journal = args.journal
     if args.resume and journal is None:
         journal = True
@@ -256,10 +286,7 @@ def _campaign_execution_kwargs(args: argparse.Namespace) -> dict:
         progress=args.progress,
     )
     return {
-        "workers": args.workers,
-        "cache_dir": cache_dir,
-        "max_retries": args.max_retries,
-        "cell_timeout_s": args.cell_timeout,
+        **_execution_kwargs(args),
         "journal": journal,
         "resume": args.resume,
         "fault_plan": (
@@ -395,6 +422,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
     from repro.core.campaign import run_campaign
     from repro.machines.calibrated import load_calibrated_machine
 
+    execution = _campaign_execution_kwargs(args)
     machine = load_calibrated_machine(args.machine, args.distance)
     campaign = run_campaign(
         machine,
@@ -402,7 +430,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
         events=args.events,
         repetitions=args.repetitions,
         seed=args.seed,
-        **_campaign_execution_kwargs(args),
+        **execution,
     )
     if args.format == "csv":
         print(campaign.to_csv())
@@ -426,13 +454,8 @@ def _command_study(args: argparse.Namespace) -> int:
         config=_measurement_config(args),
         repetitions=args.repetitions,
         seed=args.seed,
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        trace_cache=False if args.no_trace_cache else None,
-        trace_cache_dir=args.trace_cache_dir,
-        max_retries=args.max_retries,
-        cell_timeout_s=args.cell_timeout,
         output_dir=args.output_dir,
+        **_execution_kwargs(args),
     )
     if args.format == "json":
         print(
@@ -478,13 +501,14 @@ def _command_groups(args: argparse.Namespace) -> int:
     from repro.core.clustering import find_groups, group_representatives
     from repro.machines.calibrated import load_calibrated_machine
 
+    execution = _campaign_execution_kwargs(args)
     machine = load_calibrated_machine(args.machine, args.distance)
     campaign = run_campaign(
         machine,
         config=_measurement_config(args),
         repetitions=args.repetitions,
         seed=args.seed,
-        **_campaign_execution_kwargs(args),
+        **execution,
     )
     groups = find_groups(campaign, num_groups=args.num_groups)
     print(f"SAVAT clusters on {machine.describe()}:")
@@ -595,6 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--format", choices=("table", "csv", "json"), default="table")
     _add_measurement_arguments(campaign)
     _add_execution_arguments(campaign)
+    _add_campaign_arguments(campaign)
     campaign.set_defaults(handler=_command_campaign)
 
     study = subparsers.add_parser(
@@ -629,57 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--seed", type=int, default=0)
     study.add_argument("--format", choices=("table", "json"), default="table")
     _add_measurement_arguments(study)
-    study.add_argument(
-        "--workers",
-        type=_workers,
-        default=0,
-        metavar="N",
-        help="worker processes for the shared pool serving every campaign "
-        "(0 or 1: serial; results are bit-identical either way)",
-    )
-    study.add_argument(
-        "--cache-dir",
-        default=os.environ.get("SAVAT_CACHE_DIR"),
-        metavar="DIR",
-        help="on-disk result cache shared by all campaigns "
-        "(default: $SAVAT_CACHE_DIR, no caching if unset)",
-    )
-    study.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache even if --cache-dir or "
-        "$SAVAT_CACHE_DIR is set",
-    )
-    study.add_argument(
-        "--trace-cache-dir",
-        default=None,
-        metavar="DIR",
-        help="directory of the kernel-trace cache that keeps traces for "
-        "later studies (default: $SAVAT_TRACE_CACHE_DIR, then "
-        "<cache-dir>/traces, else none; within a study each trace is "
-        "produced once for all distances either way)",
-    )
-    study.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="keep no kernel traces on disk, even if --trace-cache-dir, "
-        "$SAVAT_TRACE_CACHE_DIR or --cache-dir is set",
-    )
-    study.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="per-cell retry budget for transient worker faults "
-        "(default: 2)",
-    )
-    study.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per cell attempt (default: no budget)",
-    )
+    _add_execution_arguments(study)
     study.add_argument(
         "--output-dir",
         default=None,
@@ -696,6 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     groups.add_argument("--seed", type=int, default=0)
     _add_measurement_arguments(groups)
     _add_execution_arguments(groups)
+    _add_campaign_arguments(groups)
     groups.set_defaults(handler=_command_groups)
 
     audit = subparsers.add_parser("audit", help="static leak audit of an .s file")

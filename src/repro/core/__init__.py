@@ -46,7 +46,6 @@ from repro.core.savat import (
 from repro.core.study import StudyResult, run_study
 from repro.core.trace_cache import (
     TraceCache,
-    get_process_trace_cache,
     produce_cell_trace,
     trace_cache_key,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "compare_methodologies",
     "estimate_sequence_savat",
     "find_groups",
-    "get_process_trace_cache",
     "group_representatives",
     "measure_savat",
     "measure_savat_samples",

@@ -60,7 +60,7 @@ def run_campaign(
     resume: bool | str | os.PathLike = False,
     fault_plan: FaultPlan | None = None,
     observability: CampaignObservability | None = None,
-    trace_cache: TraceCache | bool | None = None,
+    trace_cache: TraceCache | None = None,
     pool: WorkerPool | None = None,
 ) -> SavatMatrix:
     """Measure the full pairwise SAVAT matrix.
@@ -133,10 +133,10 @@ def run_campaign(
         export, all fed by the same registry that generates the
         matrix's ``metadata["execution"]`` entry.
     trace_cache:
-        On-disk kernel-trace cache serving the prime/core_run
-        trace-production stage (``None``: the one
-        ``SAVAT_TRACE_CACHE_DIR`` configures, if any; ``False``:
-        disabled).  Samples are bit-identical with the cache on or off.
+        On-disk :class:`~repro.core.trace_cache.TraceCache` serving the
+        prime/core_run trace-production stage across executions
+        (``None``: none).  Samples are bit-identical with the cache on
+        or off.
     pool:
         Persistent :class:`~repro.core.executor.WorkerPool` to run the
         campaign over (a study shares one pool across its machines);
@@ -192,7 +192,7 @@ def run_campaigns(
     cell_timeout_s: float | None = None,
     journal: bool | None = None,
     observability: Sequence[CampaignObservability] | None = None,
-    trace_cache: TraceCache | bool | None = None,
+    trace_cache: TraceCache | None = None,
     pool: WorkerPool | None = None,
 ) -> list[SavatMatrix]:
     """One campaign per calibration of one machine, in one execution.

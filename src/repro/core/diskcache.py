@@ -18,8 +18,9 @@ Both persistent caches in the executor stack — the per-cell campaign
   the caller simply recomputes the entry.
 
 This module is the single implementation of both rules, plus
-:func:`read_npz`, the trace cache's fast reader for its ``.npz``
-entries.
+:func:`require_directory`, the up-front check both caches make on
+their directory, and :func:`read_npz`, the trace cache's fast reader
+for its ``.npz`` entries.
 """
 
 from __future__ import annotations
@@ -33,10 +34,30 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 #: Fixed-size part of a zip local file header; the member name and the
 #: extra field follow it, then the member's bytes.
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
 _LOCAL_SIGNATURE = b"PK\x03\x04"
+
+
+def require_directory(path: Path, what: str) -> None:
+    """Fail with one line unless ``path`` is, or can become, a directory.
+
+    ``path`` need not exist yet, but its nearest existing ancestor (the
+    path itself included) must be a directory.  A cache pointed at a
+    file would otherwise fail on every entry it touches — each miss
+    taken for a corrupt entry, each store for a transient fault.
+    """
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigurationError(
+                    f"{what} {str(path)!r} is unusable: "
+                    f"{str(existing)!r} is not a directory"
+                )
+            return
 
 
 def atomic_write(directory: Path, target: Path, writer: Callable) -> None:
@@ -127,4 +148,4 @@ def read_npz(path: Path) -> dict[str, np.ndarray]:
     return arrays
 
 
-__all__ = ["atomic_write", "quarantine_entry", "read_npz"]
+__all__ = ["atomic_write", "quarantine_entry", "read_npz", "require_directory"]

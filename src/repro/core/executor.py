@@ -67,11 +67,12 @@ dropping it.  A group is pending when any of its distances misses the
 result cache, and only those distances are measured.  Result-cache
 keys, journals, observability bundles, matrix metadata, retries and
 timeouts stay per (machine, distance), exactly as if each distance were
-its own campaign.  An optional on-disk trace cache
-(:mod:`repro.core.trace_cache`) serves traces across executions; pool
-workers receive its directory, never trace payloads, and their
-per-group counter deltas surface as ``savat_trace_cache_*`` metrics
-and the ``execution["trace_cache"]`` metadata.
+its own campaign.  An on-disk trace cache
+(:mod:`repro.core.trace_cache`), when the caller passes one, serves
+traces across executions; pool workers receive its directory, never
+trace payloads, and their per-group counter deltas surface as
+``savat_trace_cache_*`` metrics and the ``execution["trace_cache"]``
+metadata.
 
 All instrumentation flows through :mod:`repro.obs`: the counters live
 in a :class:`~repro.obs.metrics.MetricsRegistry` (``CampaignStats`` is
@@ -101,7 +102,7 @@ import numpy as np
 
 from repro.codegen.frequency import FrequencyPlan
 from repro.core.diskcache import atomic_write as _atomic_write
-from repro.core.diskcache import quarantine_entry
+from repro.core.diskcache import quarantine_entry, require_directory
 from repro.core.faults import CORRUPT_PAYLOAD, CellFault, FaultPlan
 from repro.core.savat import (
     MeasurementConfig,
@@ -109,11 +110,7 @@ from repro.core.savat import (
     measure_savat_samples,
     record_phase_seconds,
 )
-from repro.core.trace_cache import (
-    TraceCache,
-    get_process_trace_cache,
-    produce_cell_trace,
-)
+from repro.core.trace_cache import TraceCache, produce_cell_trace
 from repro.errors import CellExecutionError, ConfigurationError, JournalError
 from repro.isa.events import InstructionEvent
 from repro.machines.calibrated import CalibratedMachine
@@ -577,10 +574,14 @@ class ResultCache:
     ``quarantine_count`` and ``misses`` exactly once each and never
     ``hits`` — identically in serial and pool campaigns (the cache is
     only ever consulted by the parent process).
+
+    A ``cache_dir`` that exists and is not a directory raises
+    :class:`~repro.errors.ConfigurationError` at construction.
     """
 
     def __init__(self, cache_dir: str | os.PathLike) -> None:
         self.cache_dir = Path(cache_dir).expanduser()
+        require_directory(self.cache_dir, "result cache directory")
         self.hits = 0
         self.misses = 0
         self.quarantine_count = 0
@@ -1012,31 +1013,11 @@ class WorkerPool:
 
     def __init__(self, workers: int) -> None:
         self.workers = max(_validate_workers(workers), 1)
-        self._outstanding: set = set()
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
 
     def submit(self, fn, /, *args):
         """Submit one task to the pool (``ProcessPoolExecutor.submit``)."""
-        future = self._pool.submit(fn, *args)
-        self._outstanding.add(future)
-        future.add_done_callback(self._outstanding.discard)
-        return future
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Wait until no submitted task is still running.
-
-        Executions normally consume every future they submit, but one
-        aborted by :class:`~repro.errors.CellExecutionError` (or an
-        abandoned, timed-out attempt) can leave tasks running in the
-        pool's workers; a caller that shares the pool drains it before
-        removing anything those tasks write.  Returns ``False`` when a
-        timeout expired with tasks still running.
-        """
-        pending = set(self._outstanding)
-        if not pending:
-            return True
-        done, not_done = wait(pending, timeout=timeout)
-        return not not_done
+        return self._pool.submit(fn, *args)
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         """Shut the pool down (idempotent)."""
@@ -1234,7 +1215,7 @@ def execute_campaign(
     observability: CampaignObservability
     | Sequence[CampaignObservability]
     | None = None,
-    trace_cache: TraceCache | bool | None = None,
+    trace_cache: TraceCache | None = None,
     pool: WorkerPool | None = None,
 ) -> tuple[np.ndarray, CampaignStats] | list[tuple[np.ndarray, CampaignStats]]:
     """Measure every ordered (A, B) cell of one or more campaigns.
@@ -1306,10 +1287,9 @@ def execute_campaign(
     trace_cache:
         On-disk kernel-trace cache
         (:class:`~repro.core.trace_cache.TraceCache`) serving the
-        prime/core_run trace-production stage across executions.
-        ``None`` (the default) uses the one ``SAVAT_TRACE_CACHE_DIR``
-        configures, if any; ``False`` disables it.  Samples are
-        bit-identical with the cache on or off.
+        prime/core_run trace-production stage across executions;
+        ``None`` (the default) keeps no traces beyond their cell
+        groups.  Samples are bit-identical with the cache on or off.
     pool:
         A persistent :class:`WorkerPool` to fan cell groups out over
         instead of creating (and tearing down) a private pool; the
@@ -1389,16 +1369,8 @@ def execute_campaign(
         repeated = next(name for name in names if names.count(name) > 1)
         raise ConfigurationError(f"event {repeated} listed twice; events must be distinct")
 
-    if trace_cache is False:
-        resolved_trace_cache: TraceCache | None = None
-    elif trace_cache is None or trace_cache is True:
-        resolved_trace_cache = get_process_trace_cache()
-    else:
-        resolved_trace_cache = trace_cache
     trace_cache_dir = (
-        str(resolved_trace_cache.directory)
-        if resolved_trace_cache is not None
-        else None
+        str(trace_cache.directory) if trace_cache is not None else None
     )
 
     effective_workers = pool.workers if pool is not None else max(workers, 1)
@@ -1502,7 +1474,7 @@ def execute_campaign(
             try:
                 future.set_result(_attempt(
                     group_machines(group), config, repetitions, group, fault,
-                    resolved_trace_cache,
+                    trace_cache,
                 ))
             except Exception as error:  # noqa: BLE001 — judged by the loop
                 future.set_exception(error)

@@ -24,7 +24,7 @@ consults at well-defined points:
 
 Plans are constructed programmatically (the test suites) or parsed from
 a compact spec string (the ``savat campaign --inject-faults`` debug
-flag and the ``SAVAT_INJECT_FAULTS`` environment variable)::
+flag, whose default is ``$SAVAT_INJECT_FAULTS``)::
 
     raise@0,1;hang@1,2:2.5;corrupt@2,0;raise@3,3x2
 
@@ -35,16 +35,12 @@ attempts instead of just the first.
 
 from __future__ import annotations
 
-import os
 import re
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ReproError
-
-#: Environment variable the CLI and test harness read fault specs from.
-FAULT_PLAN_ENVIRONMENT_VARIABLE = "SAVAT_INJECT_FAULTS"
 
 #: Fault kinds a plan may contain.
 FAULT_KINDS = ("raise", "hang", "corrupt")
@@ -209,16 +205,6 @@ class FaultPlan:
             )
         return cls(faults)
 
-    @classmethod
-    def from_environment(cls, environ: dict | None = None) -> "FaultPlan | None":
-        """The plan configured via ``SAVAT_INJECT_FAULTS``, if any."""
-        spec = (environ if environ is not None else os.environ).get(
-            FAULT_PLAN_ENVIRONMENT_VARIABLE
-        )
-        if not spec:
-            return None
-        return cls.from_spec(spec)
-
     def to_spec(self) -> str:
         """The compact spec string (round-trips through the parser)."""
         return ";".join(fault.to_spec() for fault in self.faults)
@@ -272,7 +258,6 @@ __all__ = [
     "CORRUPT_PAYLOAD",
     "DEFAULT_HANG_SECONDS",
     "FAULT_KINDS",
-    "FAULT_PLAN_ENVIRONMENT_VARIABLE",
     "CellFault",
     "FaultInjectedError",
     "FaultPlan",

@@ -572,7 +572,6 @@ def prime_alternation_steady_state(core, spec) -> tuple[int, int]:
 def simulate_alternation_period(
     machine: CalibratedMachine,
     plan: FrequencyPlan,
-    adjust_frequency: bool = True,
 ) -> tuple[ActivityTrace, FrequencyPlan]:
     """One steady-state alternation period's activity trace.
 
@@ -607,7 +606,7 @@ def simulate_alternation_period(
 
         achieved = core.clock_hz / max(result.cycles, 1)
         relative_error = abs(achieved - plan.target_frequency_hz) / plan.target_frequency_hz
-        if not adjust_frequency or relative_error <= FREQUENCY_TOLERANCE:
+        if relative_error <= FREQUENCY_TOLERANCE:
             break
         retuned_count = max(
             round(spec.inst_loop_count * achieved / plan.target_frequency_hz), 1

@@ -21,11 +21,9 @@ every distance in memory, then dropped.  Around that:
   ``output_dir``), exactly as if it had been run standalone — samples
   are bit-identical to independent :func:`~repro.core.campaign.run_campaign`
   calls;
-* an optional on-disk :class:`~repro.core.trace_cache.TraceCache` keeps
-  the traces for later studies and re-analyses;
-* a study-level :class:`~repro.obs.metrics.MetricsRegistry` aggregates
-  per-campaign wall time, cell counts, and trace-cache traffic under
-  ``machine``/``distance`` labels.
+* an on-disk :class:`~repro.core.trace_cache.TraceCache`, when the
+  caller passes one, keeps the traces for later studies and
+  re-analyses.
 """
 
 from __future__ import annotations
@@ -46,15 +44,10 @@ from repro.core.executor import (
 )
 from repro.core.matrix import SavatMatrix
 from repro.core.savat import MeasurementConfig
-from repro.core.trace_cache import (
-    TRACE_CACHE_DIR_ENV,
-    TraceCache,
-    trace_cache_enabled,
-)
+from repro.core.trace_cache import TraceCache
 from repro.errors import ConfigurationError
 from repro.isa.events import InstructionEvent
 from repro.obs import CampaignObservability
-from repro.obs.metrics import MetricsRegistry
 
 
 def _distance_label(distance_m: float) -> str:
@@ -77,25 +70,24 @@ class StudyResult:
         campaign would.
     wall_seconds:
         Wall-clock duration of the whole study.
-    registry:
-        The study-level metrics registry (``savat_study_*`` families
-        labelled by machine and distance).
-    trace_cache:
-        Study-wide totals of the per-campaign trace-cache counters
-        (``disk_hits`` / ``misses`` / ``stores`` / ``quarantined``).
     """
 
-    def __init__(
-        self,
-        matrices: list[SavatMatrix],
-        wall_seconds: float,
-        registry: MetricsRegistry,
-        trace_cache: dict[str, int],
-    ) -> None:
+    def __init__(self, matrices: list[SavatMatrix], wall_seconds: float) -> None:
         self.matrices = matrices
         self.wall_seconds = wall_seconds
-        self.registry = registry
-        self.trace_cache = trace_cache
+
+    @property
+    def trace_cache(self) -> dict[str, int]:
+        """Study-wide sums of the per-campaign trace-cache counters.
+
+        Keys as in ``metadata["execution"]["trace_cache"]``:
+        ``disk_hits`` / ``misses`` / ``stores`` / ``quarantined``.
+        """
+        totals: dict[str, int] = {}
+        for matrix in self.matrices:
+            for name, value in matrix.metadata["execution"]["trace_cache"].items():
+                totals[name] = totals.get(name, 0) + int(value)
+        return totals
 
     def matrix_for(self, machine: str, distance_m: float) -> SavatMatrix:
         """The campaign matrix for one (machine, distance) pair."""
@@ -133,8 +125,7 @@ def run_study(
     seed: int = 0,
     workers: int = 0,
     cache_dir: str | os.PathLike | None = None,
-    trace_cache: TraceCache | bool | None = None,
-    trace_cache_dir: str | os.PathLike | None = None,
+    trace_cache: TraceCache | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     cell_timeout_s: float | None = None,
     progress: ProgressCallback | None = None,
@@ -174,15 +165,9 @@ def run_study(
         and per-campaign counters keep their metadata honest.
         Journals are placed inside each campaign's cache directory.
     trace_cache:
-        Pre-built on-disk :class:`~repro.core.trace_cache.TraceCache`
-        keeping traces for later studies, or ``False`` for none.
-        Default: a cache in ``trace_cache_dir``, falling back to
-        ``$SAVAT_TRACE_CACHE_DIR``, then ``<cache_dir>/traces``; with
-        none of them set (or ``SAVAT_TRACE_CACHE=0``) the study keeps
-        no traces beyond their cell groups.
-    trace_cache_dir:
-        Directory for the study's trace cache (ignored when
-        ``trace_cache`` is given).
+        On-disk :class:`~repro.core.trace_cache.TraceCache` keeping
+        traces for later studies, shared by every campaign; ``None``
+        (the default) keeps no traces beyond their cell groups.
     max_retries / cell_timeout_s:
         Per-campaign fault-tolerance settings (see
         :func:`~repro.core.executor.execute_campaign`).
@@ -230,46 +215,6 @@ def run_study(
         ResultCache(cache_dir) if cache_dir is not None else None
     )
 
-    if trace_cache is False or not trace_cache_enabled():
-        shared_trace_cache: TraceCache | None = None
-    elif isinstance(trace_cache, TraceCache):
-        shared_trace_cache = trace_cache
-    else:
-        directory = trace_cache_dir or os.environ.get(TRACE_CACHE_DIR_ENV)
-        if directory is None and cache_dir is not None:
-            directory = Path(cache_dir).expanduser() / "traces"
-        shared_trace_cache = (
-            TraceCache(directory) if directory is not None else None
-        )
-
-    registry = MetricsRegistry()
-    campaigns_total = registry.counter(
-        "savat_study_campaigns_total", "Campaigns the study completed."
-    )
-    cells_total = registry.counter(
-        "savat_study_cells_total",
-        "Cells measured across all campaigns (simulated, cached, or resumed).",
-    )
-    study_wall = registry.gauge(
-        "savat_study_wall_seconds", "Wall-clock duration of the whole study."
-    )
-    campaign_wall = registry.gauge(
-        "savat_study_campaign_wall_seconds",
-        "Per-campaign wall seconds.",
-        labelnames=("machine", "distance"),
-    )
-    study_trace_hits = registry.counter(
-        "savat_study_trace_cache_hits_total",
-        "Study-wide trace-cache hits, by tier.",
-        labelnames=("tier",),
-    )
-    study_trace_hits.labels(tier="disk")
-    study_trace_misses = registry.counter(
-        "savat_study_trace_cache_misses_total",
-        "Study-wide trace-cache misses.",
-    )
-
-    totals = {"disk_hits": 0, "misses": 0, "stores": 0, "quarantined": 0}
     output_path = Path(output_dir).expanduser() if output_dir is not None else None
     if output_path is not None:
         output_path.mkdir(parents=True, exist_ok=True)
@@ -319,42 +264,20 @@ def run_study(
                     bundle_for(first + offset, machine.name, machine.distance_m)
                     for offset, machine in enumerate(machine_grid)
                 ],
-                trace_cache=(
-                    shared_trace_cache if shared_trace_cache is not None else False
-                ),
+                trace_cache=trace_cache,
                 pool=pool,
             )
             for machine, matrix in zip(machine_grid, machine_matrices):
                 matrices.append(matrix)
-                label = _distance_label(machine.distance_m)
                 if output_path is not None:
-                    stem = f"{machine.name}_{label}"
+                    stem = f"{machine.name}_{_distance_label(machine.distance_m)}"
                     (output_path / f"{stem}.json").write_text(matrix.to_json())
-                execution = matrix.metadata["execution"]
-                campaigns_total.inc()
-                cells_total.inc(len(matrix.events) ** 2)
-                campaign_wall.labels(machine=machine.name, distance=label).set(
-                    execution["wall_seconds"]
-                )
-                campaign_trace = execution["trace_cache"]
-                for name in totals:
-                    totals[name] += int(campaign_trace[name])
-                if campaign_trace["disk_hits"]:
-                    study_trace_hits.labels(tier="disk").inc(
-                        campaign_trace["disk_hits"]
-                    )
-                if campaign_trace["misses"]:
-                    study_trace_misses.inc(campaign_trace["misses"])
     finally:
         if pool is not None:
             pool.shutdown()
-        study_wall.set(time.perf_counter() - started)
 
     return StudyResult(
-        matrices=matrices,
-        wall_seconds=float(study_wall.value()),
-        registry=registry,
-        trace_cache=totals,
+        matrices=matrices, wall_seconds=time.perf_counter() - started
     )
 
 

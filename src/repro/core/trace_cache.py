@@ -13,11 +13,11 @@ once: a *cell group* (one ordered pair) measures its trace for every
 distance of the machine in memory and then drops it (see
 :mod:`repro.core.executor`).  This cache serves what outlives an
 execution — a re-seeded rerun, a ``--method full`` re-analysis, or a
-later study over the same kernels — so it exists only where a disk tier
-is configured: ``SAVAT_TRACE_CACHE_DIR``, a study's
-``<cache-dir>/traces``, or an explicit ``TraceCache(directory)``.
-Campaign workers and a study's pool all read and write the same
-directory.
+later study over the same kernels — so it exists only where the caller
+passes one: ``trace_cache=TraceCache(directory)`` to the campaign and
+study entry points, or ``savat campaign|study|groups --trace-cache-dir
+DIR`` (default ``$SAVAT_TRACE_CACHE_DIR``).  Campaign workers and a
+study's pool all read and write the same directory.
 
 Disk entries follow the executor's cache discipline via
 :mod:`repro.core.diskcache`: writes are atomic (temp file + fsync +
@@ -35,13 +35,6 @@ content* (not just its name), the ordered pair, and every
 ``FrequencyPlan`` field.  Nothing distance-, seed-, repetition-, or
 method-dependent participates, which is exactly what makes the entries
 reusable across campaigns.
-
-Environment knobs:
-
-* ``SAVAT_TRACE_CACHE_DIR=DIR`` gives every campaign a trace cache at
-  ``DIR`` (none by default);
-* ``SAVAT_TRACE_CACHE=0`` disables the cache process-wide, that
-  directory and a study's ``<cache-dir>/traces`` included.
 """
 
 from __future__ import annotations
@@ -55,7 +48,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.codegen.frequency import FrequencyPlan
-from repro.core.diskcache import atomic_write, quarantine_entry, read_npz
+from repro.core.diskcache import (
+    atomic_write,
+    quarantine_entry,
+    read_npz,
+    require_directory,
+)
 from repro.isa.events import InstructionEvent
 from repro.machines.calibrated import CalibratedMachine
 from repro.uarch.activity import ActivityTrace
@@ -64,20 +62,6 @@ from repro.uarch.fastpath import UARCH_SCHEMA_VERSION, fast_path_enabled
 #: Bump whenever the cache payload layout or the key composition
 #: changes; old entries then miss instead of replaying stale traces.
 TRACE_CACHE_SCHEMA_VERSION = 1
-
-#: Environment variable that disables the trace cache when set falsy.
-TRACE_CACHE_ENV = "SAVAT_TRACE_CACHE"
-
-#: Environment variable naming the on-disk tier's directory.
-TRACE_CACHE_DIR_ENV = "SAVAT_TRACE_CACHE_DIR"
-
-_FALSY = {"0", "false", "no", "off"}
-
-
-def trace_cache_enabled(environ: dict | None = None) -> bool:
-    """Whether the trace cache is enabled (default: yes)."""
-    environ = os.environ if environ is None else environ
-    return environ.get(TRACE_CACHE_ENV, "").strip().lower() not in _FALSY
 
 
 def _spec_payload(machine: CalibratedMachine) -> dict:
@@ -152,9 +136,12 @@ class TraceCache:
     Parameters
     ----------
     directory:
-        The cache directory.  Multiple processes may share it — writes
-        are atomic and corrupt entries are quarantined, exactly like the
-        campaign result cache.
+        The cache directory, created on the first store.  Multiple
+        processes may share it — writes are atomic and corrupt entries
+        are quarantined, exactly like the campaign result cache.  A
+        path that exists and is not a directory raises
+        :class:`~repro.errors.ConfigurationError` here, before any
+        cell runs.
 
     Counter semantics mirror :class:`~repro.core.executor.ResultCache`:
     every :meth:`load` increments exactly one of ``disk_hits`` or
@@ -167,6 +154,7 @@ class TraceCache:
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory).expanduser()
+        require_directory(self.directory, "trace cache directory")
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
@@ -342,30 +330,9 @@ def produce_cell_trace(
     return trace, final_plan
 
 
-# ----------------------------------------------------------------------
-# Process-level default cache
-# ----------------------------------------------------------------------
-def get_process_trace_cache(environ: dict | None = None) -> TraceCache | None:
-    """The cache ``SAVAT_TRACE_CACHE_DIR`` configures, or ``None``.
-
-    ``None`` when no directory is set or ``SAVAT_TRACE_CACHE`` disables
-    the cache.  The environment is read on every call, so a changed
-    setting takes effect at the next campaign.
-    """
-    environ = os.environ if environ is None else environ
-    directory = environ.get(TRACE_CACHE_DIR_ENV)
-    if not directory or not trace_cache_enabled(environ):
-        return None
-    return TraceCache(directory)
-
-
 __all__ = [
-    "TRACE_CACHE_DIR_ENV",
-    "TRACE_CACHE_ENV",
     "TRACE_CACHE_SCHEMA_VERSION",
     "TraceCache",
-    "get_process_trace_cache",
     "produce_cell_trace",
-    "trace_cache_enabled",
     "trace_cache_key",
 ]

@@ -43,14 +43,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.trace import TRACE_SCHEMA_VERSION, TraceWriter, validate_trace
 
-#: Environment variable naming the Prometheus text file to write
-#: (equivalent to ``savat campaign --metrics-out FILE``).
-METRICS_OUT_ENVIRONMENT_VARIABLE = "SAVAT_METRICS_OUT"
-
-#: Environment variable naming the JSONL trace file to write
-#: (equivalent to ``savat campaign --trace FILE``).
-TRACE_ENVIRONMENT_VARIABLE = "SAVAT_TRACE"
-
 
 class CampaignObservability:
     """Bundles metrics, tracing, and progress behind executor hooks.
@@ -91,15 +83,6 @@ class CampaignObservability:
         self.progress_stream = progress_stream
         self.progress: ProgressReporter | None = None
         self._ended = False
-
-    @classmethod
-    def from_environment(cls, environ: dict | None = None) -> "CampaignObservability":
-        """Build one from ``SAVAT_TRACE`` / ``SAVAT_METRICS_OUT``."""
-        environ = os.environ if environ is None else environ
-        return cls(
-            trace=environ.get(TRACE_ENVIRONMENT_VARIABLE) or None,
-            metrics_out=environ.get(METRICS_OUT_ENVIRONMENT_VARIABLE) or None,
-        )
 
     # ------------------------------------------------------------------
     # Campaign lifecycle
@@ -249,8 +232,6 @@ class CampaignObservability:
 
 
 __all__ = [
-    "METRICS_OUT_ENVIRONMENT_VARIABLE",
-    "TRACE_ENVIRONMENT_VARIABLE",
     "TRACE_SCHEMA_VERSION",
     "CampaignObservability",
     "MetricsRegistry",

@@ -4,8 +4,7 @@ The executor's contract is that the per-cell seed schedule — not the
 execution order — determines every noise draw, so fanning a campaign
 out across worker processes must reproduce the serial samples bit for
 bit, and the same seed must always yield the same matrix.  The
-``workers`` validation, worker-pool drain, and leak checks live here
-too.
+``workers`` validation and leak checks live here too.
 """
 
 import multiprocessing
@@ -52,11 +51,6 @@ def _run(machine, **overrides):
     )
     parameters.update(overrides)
     return run_campaign(machine, **parameters)
-
-
-def _sleep(seconds: float) -> float:
-    time.sleep(seconds)
-    return seconds
 
 
 def _savat_segments() -> list[str]:
@@ -262,20 +256,6 @@ class TestWorkersValidation:
     def test_worker_pool_rejects_bad_counts(self):
         with pytest.raises(ConfigurationError, match="workers"):
             WorkerPool(-1)
-
-
-@pytest.mark.slow
-class TestWorkerPoolDrain:
-    def test_drain_with_no_outstanding_tasks(self):
-        with WorkerPool(2) as pool:
-            assert pool.drain() is True
-
-    def test_drain_waits_for_outstanding_tasks(self):
-        with WorkerPool(2) as pool:
-            future = pool.submit(_sleep, 0.5)
-            assert pool.drain(timeout=0.05) is False
-            assert pool.drain() is True
-            assert future.done()
 
 
 @pytest.mark.slow

@@ -13,6 +13,7 @@ import pytest
 from repro.core.campaign import run_campaign
 from repro.core.executor import ResultCache, campaign_cache_key
 from repro.core.savat import MeasurementConfig
+from repro.errors import ConfigurationError
 
 FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
 
@@ -35,6 +36,14 @@ def _run(machine, cache_dir, **overrides):
 
 def _execution(matrix):
     return matrix.metadata["execution"]
+
+
+def test_a_file_is_not_a_cache_directory(tmp_path):
+    path = tmp_path / "file"
+    path.write_text("")
+    for directory in (path, path / "below"):
+        with pytest.raises(ConfigurationError, match="is not a directory"):
+            ResultCache(directory)
 
 
 @pytest.mark.slow

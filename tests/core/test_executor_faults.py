@@ -88,11 +88,6 @@ class TestFaultPlanSpec:
         with pytest.raises(ConfigurationError):
             FaultPlan.from_spec(spec)
 
-    def test_from_environment(self):
-        plan = FaultPlan.from_environment({"SAVAT_INJECT_FAULTS": "raise@0,1"})
-        assert plan is not None and plan.worker_fault(0, 1, 0) is not None
-        assert FaultPlan.from_environment({}) is None
-
     def test_worker_fault_ignores_corrupt_entries(self):
         plan = FaultPlan.from_spec("corrupt@0,0")
         assert plan.worker_fault(0, 0, 0) is None

@@ -169,9 +169,7 @@ class TestKeptTracesOnly:
     @staticmethod
     def _campaign(machine):
         events = [get_event("ADD"), get_event("LDM")]
-        return execute_campaign(
-            machine, events, config=FAST_CONFIG, repetitions=1, trace_cache=False
-        )
+        return execute_campaign(machine, events, config=FAST_CONFIG, repetitions=1)
 
     def test_finish_runs_once_per_kept_trace(self, core2duo_10cm, monkeypatch):
         calls = {"run": 0, "finish": 0}

@@ -56,7 +56,6 @@ def _standalone(distance, config=FAST_CONFIG):
         events=EVENTS,
         repetitions=REPETITIONS,
         seed=SEED,
-        trace_cache=False,
     )
 
 
@@ -134,11 +133,6 @@ class TestStudySamples:
         }
         assert serial_study.trace_cache == summed
 
-    def test_registry_counts_campaigns_and_cells(self, serial_study):
-        registry = serial_study.registry.to_prometheus()
-        assert "savat_study_campaigns_total 2" in registry
-        assert f"savat_study_cells_total {2 * CELLS}" in registry
-
     def test_campaign_wall_seconds_accessor(self, serial_study):
         walls = serial_study.campaign_wall_seconds()
         assert set(walls) == {("core2duo", 0.10), ("core2duo", 0.50)}
@@ -187,7 +181,7 @@ class TestStudyEqualsStandaloneCampaigns:
             path.unlink()
         one_campaign = _standalone_prime_calls(prime_calls, 0.50, config)
         # No trace cache, so the far distance's traces are produced anew.
-        partly = _study(config=config, cache_dir=tmp_path, trace_cache=False)
+        partly = _study(config=config, cache_dir=tmp_path)
         self._assert_equal(partly, standalone, config.method)
         near, far = (matrix.metadata["execution"] for matrix in partly.matrices)
         assert near["cache_hits"] == CELLS and near["cells_simulated"] == 0
@@ -242,13 +236,13 @@ class TestStudyResultCache:
                 cold_matrix.samples_zj, warm_matrix.samples_zj
             )
 
-    def test_trace_cache_disk_tier_defaults_inside_cache_dir(self, tmp_path):
-        _study(cache_dir=tmp_path)
+    def test_explicit_trace_cache_dir_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path / "env"))
+        _study(
+            cache_dir=tmp_path / "cache", trace_cache=TraceCache(tmp_path / "traces")
+        )
         assert len(list((tmp_path / "traces").glob("trace_*.npz"))) == CELLS
-
-    def test_explicit_trace_cache_dir_wins(self, tmp_path):
-        _study(cache_dir=tmp_path / "cache", trace_cache_dir=tmp_path / "traces")
-        assert list((tmp_path / "traces").glob("trace_*.npz"))
+        assert not (tmp_path / "env").exists()
         assert not (tmp_path / "cache" / "traces").exists()
 
     def test_prebuilt_trace_cache_is_used(self, tmp_path):
@@ -262,14 +256,20 @@ class TestStudyResultCache:
         assert first["misses"] == first["stores"] == CELLS
         assert second == {"disk_hits": 0, "misses": 0, "stores": 0, "quarantined": 0}
 
-    def test_trace_cache_off_recomputes_every_campaign(self):
-        study = _study(trace_cache=False)
+    def test_trace_cache_off_recomputes_every_campaign(self, tmp_path, monkeypatch):
+        """Without ``trace_cache`` a study keeps no traces: neither the
+        result cache's directory nor ``$SAVAT_TRACE_CACHE_DIR`` gives it
+        a trace cache."""
+        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path / "env"))
+        study = _study(cache_dir=tmp_path / "cache")
         assert study.trace_cache == {
             "disk_hits": 0,
             "misses": 0,
             "stores": 0,
             "quarantined": 0,
         }
+        assert not (tmp_path / "env").exists()
+        assert not (tmp_path / "cache" / "traces").exists()
 
 
 @pytest.mark.slow
@@ -297,7 +297,6 @@ class TestStudyTeardown:
         # The first machine runs over the pool; the second fails.  The
         # study keeps no traces without a cache directory, so nothing
         # is left in TMPDIR, and the pool's workers are gone.
-        monkeypatch.delenv("SAVAT_TRACE_CACHE_DIR", raising=False)
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         run_campaigns = study_module.run_campaigns
         calls = []

@@ -22,13 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import run_campaign
 from repro.core.savat import MeasurementConfig, _plan_pair
-from repro.core.trace_cache import (
-    TraceCache,
-    get_process_trace_cache,
-    produce_cell_trace,
-    trace_cache_enabled,
-    trace_cache_key,
-)
+from repro.core.trace_cache import TraceCache, produce_cell_trace, trace_cache_key
+from repro.errors import ConfigurationError
 from repro.isa.events import get_event
 from repro.machines.calibrated import load_calibrated_machine
 from repro.uarch.fastpath import use_reference_path
@@ -320,24 +315,27 @@ class TestCorruptEntries:
         assert np.array_equal(rerun.samples_zj, baseline.samples_zj)
 
 
-class TestProcessCache:
-    def test_disabled_by_environment(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("SAVAT_TRACE_CACHE", "0")
-        assert not trace_cache_enabled()
-        assert get_process_trace_cache() is None
-        monkeypatch.setenv("SAVAT_TRACE_CACHE", "1")
-        assert trace_cache_enabled()
+class TestCacheDirectory:
+    def test_a_file_is_rejected_up_front(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        for directory in (path, path / "below"):
+            with pytest.raises(ConfigurationError, match="is not a directory"):
+                TraceCache(directory)
+        # A directory that does not exist yet is created on the first store.
+        assert not TraceCache(tmp_path / "new" / "traces").directory.exists()
 
-    def test_rebuilt_when_directory_changes(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("SAVAT_TRACE_CACHE", raising=False)
-        monkeypatch.delenv("SAVAT_TRACE_CACHE_DIR", raising=False)
-        # Without a directory there is no cache: no tier lives in memory.
-        assert get_process_trace_cache() is None
-        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path / "a"))
-        assert get_process_trace_cache().directory == tmp_path / "a"
-        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path / "b"))
-        assert get_process_trace_cache().directory == tmp_path / "b"
+    def test_library_campaign_ignores_the_environment(
+        self, core2duo_10cm, monkeypatch, tmp_path
+    ):
+        """``$SAVAT_TRACE_CACHE_DIR`` is the CLI's default, not the
+        library's: without ``trace_cache`` a campaign keeps no traces."""
+        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", str(tmp_path))
+        matrix = _run(core2duo_10cm)
+        assert matrix.metadata["execution"]["trace_cache"] == {
+            "disk_hits": 0, "misses": 0, "stores": 0, "quarantined": 0,
+        }
+        assert list(tmp_path.iterdir()) == []
 
 
 def _run(machine, **overrides):
@@ -346,7 +344,6 @@ def _run(machine, **overrides):
         repetitions=REPETITIONS,
         seed=SEED,
         config=FAST_CONFIG,
-        trace_cache=False,
     )
     parameters.update(overrides)
     return run_campaign(machine, **parameters)

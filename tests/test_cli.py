@@ -189,8 +189,16 @@ class TestParser:
 
     def test_cache_dir_defaults_from_environment(self, monkeypatch):
         monkeypatch.setenv("SAVAT_CACHE_DIR", "/tmp/from-env")
-        args = build_parser().parse_args(["campaign"])
-        assert args.cache_dir == "/tmp/from-env"
+        monkeypatch.setenv("SAVAT_TRACE_CACHE_DIR", "/tmp/traces-from-env")
+        monkeypatch.setenv("SAVAT_INJECT_FAULTS", "raise@0,1")
+        for command in ("campaign", "study", "groups"):
+            args = build_parser().parse_args([command])
+            assert args.cache_dir == "/tmp/from-env"
+            assert args.trace_cache_dir == "/tmp/traces-from-env"
+            if command != "study":
+                assert args.inject_faults == "raise@0,1"
+        args = build_parser().parse_args(["campaign", "--trace-cache-dir", "/tmp/t"])
+        assert args.trace_cache_dir == "/tmp/t"
 
     def test_groups_accepts_execution_flags(self):
         args = build_parser().parse_args(["groups", "--workers", "2"])
@@ -302,6 +310,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--trace-cache-dir"],
+            ["study", "--trace-cache-dir"],
+            ["study", "--cache-dir"],
+        ],
+        ids=["campaign-trace-cache", "study-trace-cache", "study-result-cache"],
+    )
+    def test_cache_directory_that_is_a_file_fails_cleanly(self, capsys, tmp_path, argv):
+        path = tmp_path / "file"
+        path.write_text("")
+        code = main([*argv, str(path), "--events", "ADD,SUB", "--repetitions", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and "is not a directory" in err[0]
 
     def test_campaign_csv(self, capsys, core2duo_10cm):
         code = main(
@@ -458,7 +483,6 @@ class TestStudyParser:
         assert args.events is None
         assert args.workers == 0
         assert args.format == "table"
-        assert not args.no_trace_cache
 
     def test_flags(self, tmp_path):
         args = build_parser().parse_args(
@@ -470,7 +494,6 @@ class TestStudyParser:
                 "--workers", "4",
                 "--trace-cache-dir", str(tmp_path / "traces"),
                 "--output-dir", str(tmp_path / "out"),
-                "--no-trace-cache",
                 "--format", "json",
             ]
         )
@@ -478,11 +501,11 @@ class TestStudyParser:
         assert args.distances == [0.10, 0.25, 1.0]
         assert args.events == ["ADD", "SUB"]
         assert args.workers == 4
-        assert args.no_trace_cache
+        assert args.trace_cache_dir == str(tmp_path / "traces")
         assert args.format == "json"
 
     @pytest.mark.slow
-    def test_study_command_runs_end_to_end(self, capsys, core2duo_10cm):
+    def test_study_command_runs_end_to_end(self, capsys, core2duo_10cm, tmp_path):
         code = main(
             [
                 "study",
@@ -491,12 +514,15 @@ class TestStudyParser:
                 "--repetitions", "2",
                 "--seed", "3",
                 "--method", "analytic",
+                "--cache-dir", str(tmp_path),
             ]
         )
         output = capsys.readouterr().out
         assert code == 0
         assert "2 campaign(s)" in output
         assert "trace cache totals" in output
+        # The result cache's directory holds results only.
+        assert not (tmp_path / "traces").exists()
 
     @pytest.mark.slow
     def test_study_json_format(self, capsys, core2duo_10cm, tmp_path):
