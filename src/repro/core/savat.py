@@ -756,7 +756,7 @@ def measure_savat_samples(
             envelope = period_envelope(trace, machine.coupling)
         for repetition in range(repetitions):
             signal_power, noise_residual, _spectrum = _measure_by_synthesis(
-                machine, trace, config, rng, envelope=envelope, reuse_buffer=True
+                machine, trace, config, rng, envelope=envelope
             )
             total_power = _combine_powers(
                 machine, event_a, event_b, config, rng,
@@ -817,7 +817,6 @@ def _measure_by_synthesis(
     config: MeasurementConfig,
     rng: np.random.Generator | None,
     envelope: np.ndarray | None = None,
-    reuse_buffer: bool = False,
 ) -> tuple[float, float, Spectrum]:
     """Full signal-path measurement: synthesize, analyze, integrate.
 
@@ -833,6 +832,11 @@ def _measure_by_synthesis(
     whole sweep should force the reference path.  ``envelope``
     optionally carries a precomputed :func:`period_envelope` so batched
     repetitions skip re-projecting the jitter-independent trace.
+
+    ``synthesize`` only draws the jittered tiling; the samples are
+    computed inside ``analyze``, where the band analyzer fills them
+    segment by segment into its workspace (the reference analyzer
+    materializes the whole capture first).
     """
     jitter = config.jitter
     if rng is None:
@@ -845,7 +849,6 @@ def _measure_by_synthesis(
             rng=rng,
             jitter=jitter,
             envelope=envelope,
-            reuse_buffer=reuse_buffer,
         )
     with _phase("analyze"):
         analyzer = SpectrumAnalyzer(

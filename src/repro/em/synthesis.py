@@ -6,15 +6,16 @@ shifted from the intended one and *drifts* during the measurement
 (OS interference, DVFS, timer activity), dispersing the received power
 over tens to hundreds of hertz.  Synthesis therefore tiles the simulated
 one-period activity envelope over the measurement interval with a
-per-period jitter/drift model, producing per-mode voltage sample streams
-that the spectrum-analyzer model then digests exactly like a real
-instrument would.
+per-period jitter/drift model.  The result describes per-mode voltage
+sample streams rather than holding them: the spectrum-analyzer model
+fills its workspace from that description chunk by chunk and then
+digests the samples exactly like a real instrument would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,45 +29,38 @@ DEFAULT_ENVELOPE_SAMPLES = 64
 #: Default sample rate as a multiple of the alternation frequency.
 DEFAULT_OVERSAMPLING = 32
 
-#: Cached sample-time grids, keyed by (num_samples, sample_rate_hz).
-#: All repetitions of a cell share one grid (the capture geometry is
-#: jitter-independent), and campaigns revisit the same geometry whenever
-#: two pairs tune to the same achieved frequency.
-_TIME_GRID_CACHE: dict[tuple[int, float], np.ndarray] = {}
-_TIME_GRID_CACHE_SIZE = 4
+#: Samples per :meth:`SynthesizedSignal.fill` step.  Each step builds
+#: its sample times, phases and envelope indices as a few chunk-sized
+#: temporaries that stay in cache, instead of capture-sized arrays.
+FILL_CHUNK_SAMPLES = 1 << 15
 
 
-def measurement_time_grid(num_samples: int, sample_rate_hz: float) -> np.ndarray:
-    """Sample times ``arange(num_samples) / sample_rate_hz``, cached.
+def sample_boundaries(
+    starts: np.ndarray, num_samples: int, sample_rate_hz: float
+) -> np.ndarray:
+    """First sample index of each period start, without the time grid.
 
-    Returns a shared read-only array: building a 2.5M-entry grid per
-    repetition is pure waste since the grid only depends on the capture
-    geometry.  Values are bit-identical to the inline expression.
+    Equal to ``np.searchsorted(np.arange(num_samples) / sample_rate_hz,
+    starts, "left")``: for each start, the smallest ``k`` whose sample
+    time ``k / sample_rate_hz`` is ``>= start`` (``num_samples`` when no
+    sample is).  Sample times are monotone in ``k``, so an arithmetic
+    guess is walked to the exact boundary with the same float division
+    the grid would make; the guess is off by at most a rounding step.
     """
-    key = (int(num_samples), float(sample_rate_hz))
-    cached = _TIME_GRID_CACHE.get(key)
-    if cached is None:
-        if len(_TIME_GRID_CACHE) >= _TIME_GRID_CACHE_SIZE:
-            _TIME_GRID_CACHE.pop(next(iter(_TIME_GRID_CACHE)))
-        cached = np.arange(num_samples) / sample_rate_hz
-        cached.setflags(write=False)
-        _TIME_GRID_CACHE[key] = cached
-    return cached
-
-
-#: Single-slot output buffer for ``reuse_buffer`` synthesis, keyed by
-#: (modes, num_samples).
-_SAMPLE_BUFFER: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _sample_buffer(modes: int, num_samples: int) -> np.ndarray:
-    key = (modes, num_samples)
-    buffer = _SAMPLE_BUFFER.get(key)
-    if buffer is None:
-        _SAMPLE_BUFFER.clear()
-        buffer = np.empty(key)
-        _SAMPLE_BUFFER[key] = buffer
-    return buffer
+    starts = np.asarray(starts, dtype=np.float64)
+    guess = np.clip(np.ceil(starts * sample_rate_hz), 0, num_samples)
+    boundaries = guess.astype(np.int64)
+    while True:
+        down = (boundaries > 0) & ((boundaries - 1) / sample_rate_hz >= starts)
+        if not down.any():
+            break
+        boundaries[down] -= 1
+    while True:
+        up = (boundaries < num_samples) & (boundaries / sample_rate_hz < starts)
+        if not up.any():
+            break
+        boundaries[up] += 1
+    return boundaries
 
 
 def tile_period_indices(
@@ -91,7 +85,9 @@ def tile_period_indices(
     grid instead of the other way round (``P log N`` comparisons instead
     of ``N log P``) and expands the per-period start/duration with
     ``np.repeat`` — the same float values land in the same arithmetic,
-    only far fewer gathers run.
+    only far fewer gathers run.  ``times`` must not start before
+    ``starts[0]``; :meth:`SynthesizedSignal.fill` applies this to one
+    chunk of the capture at a time, with the periods that chunk overlaps.
     """
     num_periods = len(durations)
     boundaries = np.searchsorted(times, starts, side="left")
@@ -170,26 +166,98 @@ class JitterModel:
 class SynthesizedSignal:
     """Per-mode voltage streams covering one measurement interval.
 
-    ``samples`` has shape ``(num_modes, num_samples)``; the spectrum
-    analyzer sums mode powers (incoherent carriers — see
-    :mod:`repro.em.coupling`).
+    The signal is held as the jittered tiling that defines it — the
+    ``(num_modes, P)`` period envelope, the period ``starts`` (one more
+    than ``durations``) and ``durations`` in seconds, the sample rate and
+    the sample count — not as a sample array.  :meth:`fill` writes any
+    run of samples, so the band analyzer streams a capture through its
+    workspace without a capture-sized copy; :attr:`samples` materializes
+    the whole ``(num_modes, num_samples)`` capture for the reference
+    analyzer and plots.  The spectrum analyzer sums mode powers
+    (incoherent carriers — see :mod:`repro.em.coupling`).
     """
 
-    samples: np.ndarray
+    envelope: np.ndarray
+    starts: np.ndarray
+    durations: np.ndarray
     sample_rate_hz: float
+    num_samples: int
     nominal_frequency_hz: float
+    #: First sample of each period start (:func:`sample_boundaries`).
+    boundaries: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.boundaries = sample_boundaries(
+            self.starts, self.num_samples, self.sample_rate_hz
+        )
 
     @property
     def num_modes(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.samples.shape[1]
+        return self.envelope.shape[0]
 
     @property
     def duration_s(self) -> float:
         return self.num_samples / self.sample_rate_hz
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole capture, shape ``(num_modes, num_samples)``.
+
+        Materialized on every access; the band analyzer never asks for
+        it.
+        """
+        out = np.empty((self.num_modes, self.num_samples))
+        self.fill(out, 0)
+        return out
+
+    def fill(self, out: np.ndarray, start: int) -> None:
+        """Write samples ``[start, start + out.shape[-1])`` into ``out``.
+
+        ``out`` has shape ``(num_modes, n)`` and may be a strided view
+        (a slice of a wider workspace).  Sample ``k`` lies at time
+        ``k / sample_rate_hz`` in the period its boundary search puts it
+        in (samples past the last start belong to the last period); its
+        value is the envelope point at the truncated, clipped phase
+        :func:`tile_period_indices` computes.  Every sample is the same
+        value whichever run it is filled in.
+        """
+        stop = start + out.shape[-1]
+        if out.shape[0] != self.num_modes or not 0 <= start <= stop <= self.num_samples:
+            raise MeasurementError(
+                f"cannot fill samples [{start}, {stop}) of modes {out.shape[0]} "
+                f"from a ({self.num_modes}, {self.num_samples}) capture"
+            )
+        num_periods = len(self.durations)
+        points_per_period = self.envelope.shape[1]
+        for chunk_start in range(start, stop, FILL_CHUNK_SAMPLES):
+            chunk_stop = min(chunk_start + FILL_CHUNK_SAMPLES, stop)
+            # The periods this chunk overlaps: from the last one starting
+            # at or before its first sample to the first one starting at
+            # or after its end (the last period absorbs the tail).
+            first = min(
+                int(np.searchsorted(self.boundaries, chunk_start, "right")) - 1,
+                num_periods - 1,
+            )
+            last = min(
+                int(np.searchsorted(self.boundaries, chunk_stop, "left")), num_periods
+            )
+            times = np.arange(chunk_start, chunk_stop) / self.sample_rate_hz
+            index = tile_period_indices(
+                self.starts[first : last + 1],
+                self.durations[first:last],
+                times,
+                points_per_period,
+            )
+            # The indices are already clipped into range, so
+            # ``mode="clip"`` changes no value; it spares the default
+            # ``mode="raise"`` its hidden temporary behind ``out=``.
+            np.take(
+                self.envelope,
+                index,
+                axis=1,
+                out=out[:, chunk_start - start : chunk_stop - start],
+                mode="clip",
+            )
 
 
 def period_envelope(
@@ -221,9 +289,12 @@ def synthesize_measurement(
     sample_rate_hz: float | None = None,
     envelope_samples: int = DEFAULT_ENVELOPE_SAMPLES,
     envelope: np.ndarray | None = None,
-    reuse_buffer: bool = False,
 ) -> SynthesizedSignal:
     """Tile one alternation period into a full measurement interval.
+
+    Draws the jittered period starts and durations and returns the
+    :class:`SynthesizedSignal` they define; samples are computed only
+    when a consumer fills or materializes them.
 
     Parameters
     ----------
@@ -249,20 +320,23 @@ def synthesize_measurement(
         The envelope is jitter-independent, so callers measuring many
         repetitions of one cell compute it once and pass it here; only
         the jittered tiling differs per repetition.
-    reuse_buffer:
-        Write the output samples into a shared process-wide buffer
-        instead of a fresh allocation.  Only safe when the returned
-        signal is fully consumed before the next ``reuse_buffer`` call
-        (the batched repetition loop does this); the default always
-        allocates.
 
     Raises
     ------
     MeasurementError
-        If the duration is non-positive.
+        If the duration is not finite and positive, or a given sample
+        rate is not finite and positive.
     """
-    if duration_s <= 0:
-        raise MeasurementError(f"measurement duration must be positive, got {duration_s}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise MeasurementError(
+            f"measurement duration must be finite and positive, got {duration_s}"
+        )
+    if sample_rate_hz is not None and not (
+        math.isfinite(sample_rate_hz) and sample_rate_hz > 0
+    ):
+        raise MeasurementError(
+            f"sample rate must be finite and positive, got {sample_rate_hz}"
+        )
     jitter = jitter or JitterModel()
     nominal_period_s = trace.duration_s
     nominal_frequency = 1.0 / nominal_period_s
@@ -271,7 +345,6 @@ def synthesize_measurement(
 
     if envelope is None:
         envelope = period_envelope(trace, couplings, envelope_samples)
-    points_per_period = envelope.shape[1]
 
     # Generate enough jittered periods to cover the interval.
     num_periods = int(np.ceil(duration_s / nominal_period_s * 1.1)) + 4
@@ -279,17 +352,11 @@ def synthesize_measurement(
     durations = nominal_period_s * multipliers
     starts = np.concatenate(([0.0], np.cumsum(durations)))
 
-    num_samples = int(round(duration_s * sample_rate_hz))
-    times = measurement_time_grid(num_samples, sample_rate_hz)
-    envelope_index = tile_period_indices(starts, durations, times, points_per_period)
-
-    # The indices are already clipped into range, so ``mode="clip"``
-    # changes no value; it spares the default ``mode="raise"`` its
-    # hidden full-size temporary behind every ``out=`` gather.
-    out = _sample_buffer(envelope.shape[0], num_samples) if reuse_buffer else None
-    samples = np.take(envelope, envelope_index, axis=1, out=out, mode="clip")
     return SynthesizedSignal(
-        samples=samples,
+        envelope=envelope,
+        starts=starts,
+        durations=durations,
         sample_rate_hz=float(sample_rate_hz),
+        num_samples=int(round(duration_s * sample_rate_hz)),
         nominal_frequency_hz=nominal_frequency,
     )

@@ -25,16 +25,37 @@ analyzer within the pipeline's 1e-9 agreement budget.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import MeasurementError
+from repro.em.synthesis import SynthesizedSignal
 
 
 def hann_window(length: int) -> np.ndarray:
-    """Hann window of ``length`` samples."""
+    """Hann window of ``length`` samples, bit-identical to ``np.hanning``.
+
+    Evaluates numpy's ``0.5 + 0.5 * cos(pi * n / (M - 1))`` over
+    ``n = arange(1 - M, M, 2)`` in place, in one array: ``np.hanning``
+    makes five window-sized temporaries, and for a 1 s capture each is
+    20 MB.  Freeing such blocks would raise glibc's mmap threshold,
+    after which later mid-size temporaries stay on the heap and a
+    process's peak RSS depends on its allocation order.
+    """
     if length <= 0:
         raise MeasurementError(f"window length must be positive, got {length}")
-    return np.hanning(length)
+    if length == 1:
+        return np.ones(1)
+    m = float(length)
+    window = np.arange(1 - m, m, 2)
+    window *= np.pi
+    window /= m - 1
+    np.cos(window, out=window)
+    window *= 0.5
+    window += 0.5
+    return window
 
 
 def periodogram_psd(
@@ -149,14 +170,21 @@ def band_power(
 #: Cached Hann windows and their energy (sum of squares), keyed by
 #: length.  A campaign evaluates the same multi-megasample window for
 #: every repetition; rebuilding it costs more than the band transform.
+#: One slot: each cell tunes to its own achieved frequency, so its
+#: capture length is its own, and a second window would be dead weight.
 _HANN_CACHE: dict[int, tuple[np.ndarray, float]] = {}
-_HANN_CACHE_SIZE = 4
+_HANN_CACHE_SIZE = 1
 
 #: Shared zero-padded sample workspaces for the band estimators, keyed
 #: by (modes, padded_length).  The tail beyond the signal stays zero;
-#: only the signal prefix is rewritten per call.
+#: only the signal prefix is rewritten per call.  One slot, for the same
+#: reason as the window cache (a 1 s capture's workspace is 61 MB).
 _WORKSPACE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_WORKSPACE_CACHE_SIZE = 2
+_WORKSPACE_CACHE_SIZE = 1
+
+#: Samples per demean-and-window step over a staged segment: both
+#: operations run on a chunk while it is still in cache.
+_STAGE_CHUNK_SAMPLES = 1 << 15
 
 
 def _cached_hann(length: int) -> tuple[np.ndarray, float]:
@@ -248,9 +276,13 @@ def band_bin_range(
     Raises
     ------
     MeasurementError
-        If the band does not overlap the spectrum's frequency range
-        (mirroring :func:`band_power`).
+        If the band edges are not finite, or the band does not overlap
+        the spectrum's frequency range (mirroring :func:`band_power`).
     """
+    if not (math.isfinite(f_center_hz) and math.isfinite(half_width_hz)):
+        raise MeasurementError(
+            f"band {f_center_hz} +/- {half_width_hz} Hz must have finite edges"
+        )
     if half_width_hz <= 0:
         raise MeasurementError(f"band half-width must be positive, got {half_width_hz}")
     bin_width = rfft_bin_width(num_samples, sample_rate_hz)
@@ -450,11 +482,18 @@ class ZoomBandPlan:
         """
         both = blocks @ self._weights
         k = self.order + 1
-        moments = both[..., :k] + 1j * both[..., k:]
+        # real + 1j * imag, added in place (addition commutes exactly);
+        # each intermediate is dropped as soon as the next exists.
+        moments = 1j * both[..., k:]
+        moments += both[..., :k]
+        del both
         chirped = moments.transpose(0, 2, 1) * self._chirp_in
+        del moments
         spectrum = np.fft.fft(chirped, n=self._fft_length, axis=-1)
+        del chirped
         spectrum *= self._kernel_fft
         convolved = np.fft.ifft(spectrum, axis=-1)[..., : self.num_bins]
+        del spectrum
         return np.einsum("mdk,dk->mk", convolved, self._post)
 
 
@@ -495,7 +534,7 @@ def band_periodogram_psd(
     full-length allocations.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    modes, num_samples = samples.shape[0], samples.shape[-1]
+    num_samples = samples.shape[-1]
     if num_samples < 2:
         raise MeasurementError(f"need >= 2 samples for a PSD, got {num_samples}")
     if sample_rate_hz <= 0:
@@ -512,12 +551,55 @@ def band_periodogram_psd(
         plan = get_zoom_plan(num_samples, k_lo, k_hi)
     elif (plan.num_samples, plan.k_lo, plan.k_hi) != (num_samples, k_lo, k_hi):
         raise MeasurementError("zoom plan does not match the requested geometry")
+    return _staged_band_periodogram(
+        _array_fill(samples),
+        0,
+        samples.shape[0],
+        sample_rate_hz,
+        window,
+        window_sumsq,
+        plan,
+    )
+
+
+def _array_fill(samples: np.ndarray) -> Callable[[np.ndarray, int], None]:
+    """A :meth:`~repro.em.synthesis.SynthesizedSignal.fill` for an array."""
+
+    def fill(out: np.ndarray, start: int) -> None:
+        np.copyto(out, samples[:, start : start + out.shape[-1]])
+
+    return fill
+
+
+def _staged_band_periodogram(
+    fill: Callable[[np.ndarray, int], None],
+    start: int,
+    modes: int,
+    sample_rate_hz: float,
+    window: np.ndarray,
+    window_sumsq: float,
+    plan: ZoomBandPlan,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The band periodogram of the segment starting at sample ``start``.
+
+    ``fill(out, start)`` writes the raw ``(modes, plan.num_samples)``
+    segment into the signal prefix of the shared zero-padded workspace;
+    the per-mode mean is taken there, and demeaning and windowing run
+    in place, chunk by chunk, before the moment product reads the whole
+    workspace.
+    """
+    num_samples = plan.num_samples
     workspace = _workspace(modes, plan.padded_length)
     if num_samples < plan.padded_length:
         workspace[:, num_samples:] = 0.0
     staged = workspace[:, :num_samples]
-    np.subtract(samples, samples.mean(axis=-1, keepdims=True), out=staged)
-    staged *= window
+    fill(staged, start)
+    mean = staged.mean(axis=-1, keepdims=True)
+    for chunk_start in range(0, num_samples, _STAGE_CHUNK_SAMPLES):
+        chunk_stop = chunk_start + _STAGE_CHUNK_SAMPLES
+        chunk = staged[:, chunk_start:chunk_stop]
+        np.subtract(chunk, mean, out=chunk)
+        chunk *= window[chunk_start:chunk_stop]
     scale = 1.0 / (sample_rate_hz * window_sumsq)
     spectrum = plan.transform_blocks(
         workspace.reshape(modes, plan.num_blocks, plan.block)
@@ -525,15 +607,15 @@ def band_periodogram_psd(
     psd = (np.abs(spectrum) ** 2).sum(axis=0) * scale
     # One-sided correction, identical net factors to the reference path
     # (x2 everywhere except DC and, for even lengths, Nyquist).
-    first_doubled = 1 if k_lo == 0 else 0
+    first_doubled = 1 if plan.k_lo == 0 else 0
     psd[first_doubled:] *= 2.0
-    if num_samples % 2 == 0 and k_hi == num_samples // 2:
+    if num_samples % 2 == 0 and plan.k_hi == num_samples // 2:
         psd[-1] /= 2.0
     return plan.frequencies(sample_rate_hz), psd
 
 
 def band_welch_psd(
-    samples: np.ndarray,
+    samples: np.ndarray | SynthesizedSignal,
     sample_rate_hz: float,
     segment_length: int,
     k_lo: int,
@@ -547,9 +629,21 @@ def band_welch_psd(
     averaging all mirror the reference estimator; the bin range applies
     to the segment-length grid (the RBW grid), exactly as slicing the
     reference output would.
+
+    ``samples`` is a sample array or a
+    :class:`~repro.em.synthesis.SynthesizedSignal`.  A signal fills each
+    segment straight into the analyzer workspace, so no capture-sized
+    array exists; the result equals that of its materialized
+    ``samples`` bit for bit.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    num_samples = samples.shape[-1]
+    if isinstance(samples, SynthesizedSignal):
+        modes, num_samples = samples.num_modes, samples.num_samples
+        fill = samples.fill
+    else:
+        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        modes, num_samples = samples.shape
+        fill = _array_fill(samples)
+
     if segment_length < 2:
         raise MeasurementError(f"segment length must be >= 2, got {segment_length}")
     if segment_length > num_samples:
@@ -558,23 +652,26 @@ def band_welch_psd(
         )
     if not 0.0 <= overlap < 1.0:
         raise MeasurementError(f"overlap must be in [0, 1), got {overlap}")
+    if sample_rate_hz <= 0:
+        raise MeasurementError(f"sample rate must be positive, got {sample_rate_hz}")
     if plan is None:
         plan = get_zoom_plan(segment_length, k_lo, k_hi)
+    elif (plan.num_samples, plan.k_lo, plan.k_hi) != (segment_length, k_lo, k_hi):
+        raise MeasurementError("zoom plan does not match the requested geometry")
     step = max(int(segment_length * (1.0 - overlap)), 1)
     window, window_sumsq = _cached_hann(segment_length)
     accumulated: np.ndarray | None = None
     count = 0
     freqs: np.ndarray | None = None
     for start in range(0, num_samples - segment_length + 1, step):
-        segment = samples[:, start : start + segment_length]
-        freqs, psd = band_periodogram_psd(
-            segment,
+        freqs, psd = _staged_band_periodogram(
+            fill,
+            start,
+            modes,
             sample_rate_hz,
-            k_lo,
-            k_hi,
-            window=window,
-            plan=plan,
-            window_sumsq=window_sumsq,
+            window,
+            window_sumsq,
+            plan,
         )
         accumulated = psd if accumulated is None else accumulated + psd
         count += 1

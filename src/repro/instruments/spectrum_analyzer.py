@@ -113,8 +113,9 @@ class SpectrumAnalyzer:
             expected (mean) noise PSD is added, making the sweep
             deterministic.
         """
-        samples, sample_rate_hz = self._resolve_input(signal, sample_rate_hz)
-        segment_length = self._segment_length(samples, sample_rate_hz)
+        source, num_samples, sample_rate_hz = self._resolve_input(signal, sample_rate_hz)
+        samples = source.samples if isinstance(source, SynthesizedSignal) else source
+        segment_length = self._segment_length(num_samples, sample_rate_hz)
         freqs, psd_v2 = welch_psd(samples, sample_rate_hz, segment_length)
         psd_w = psd_v2 / self.impedance
         psd_w = psd_w + self._noise_psd(freqs, rng)
@@ -139,14 +140,19 @@ class SpectrumAnalyzer:
         lockstep) and then sliced, and interferer power is spread over
         the full-grid bin counts.  Only the signal transform itself is
         band-limited — which is where all the time goes.
+
+        A :class:`~repro.em.synthesis.SynthesizedSignal` is never
+        materialized: each Welch segment is filled straight into the
+        band estimator's workspace, with the same result as measuring
+        its ``samples``.
         """
-        samples, sample_rate_hz = self._resolve_input(signal, sample_rate_hz)
-        segment_length = self._segment_length(samples, sample_rate_hz)
+        source, num_samples, sample_rate_hz = self._resolve_input(signal, sample_rate_hz)
+        segment_length = self._segment_length(num_samples, sample_rate_hz)
         k_lo, k_hi = band_bin_range(
             segment_length, sample_rate_hz, f_center_hz, half_width_hz
         )
         freqs, psd_v2 = band_welch_psd(
-            samples, sample_rate_hz, segment_length, k_lo, k_hi
+            source, sample_rate_hz, segment_length, k_lo, k_hi
         )
         psd_w = psd_v2 / self.impedance
         psd_w = psd_w + self._noise_psd_band(
@@ -158,17 +164,17 @@ class SpectrumAnalyzer:
         self,
         signal: SynthesizedSignal | np.ndarray,
         sample_rate_hz: float | None,
-    ) -> tuple[np.ndarray, float]:
+    ) -> tuple[SynthesizedSignal | np.ndarray, int, float]:
+        """The signal or 2-D sample array, its sample count and rate."""
         if isinstance(signal, SynthesizedSignal):
-            return signal.samples, signal.sample_rate_hz
-        samples = np.asarray(signal, dtype=np.float64)
+            return signal, signal.num_samples, signal.sample_rate_hz
+        samples = np.atleast_2d(np.asarray(signal, dtype=np.float64))
         if sample_rate_hz is None:
             raise MeasurementError("sample_rate_hz is required for raw sample input")
-        return samples, sample_rate_hz
+        return samples, samples.shape[-1], sample_rate_hz
 
-    def _segment_length(self, samples: np.ndarray, sample_rate_hz: float) -> int:
+    def _segment_length(self, num_samples: int, sample_rate_hz: float) -> int:
         segment_length = int(round(sample_rate_hz / self.rbw_hz))
-        num_samples = np.atleast_2d(samples).shape[-1]
         if segment_length > num_samples:
             raise MeasurementError(
                 f"RBW {self.rbw_hz} Hz needs {segment_length} samples "

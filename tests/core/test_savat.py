@@ -1,6 +1,7 @@
 """Tests for the pairwise SAVAT measurement pipeline."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.core.savat import (
     _plan_pair,
     clear_cpi_cache,
     measure_savat,
+    measure_savat_samples,
     simulate_alternation_period,
 )
 from repro.errors import ConfigurationError
@@ -146,6 +148,37 @@ class TestSynthesisMethod:
         assert result.spectrum is not None
         peak = result.spectrum.peak_hz(75e3, 85e3)
         assert peak == pytest.approx(result.achieved_frequency_hz, rel=0.02)
+
+
+@pytest.mark.slow
+class TestStreamedCapture:
+    def test_warm_full_cell_allocates_no_capture(self, core2duo_10cm):
+        """The paper's 1 s, 1 Hz RBW full-method cell never holds a
+        capture-sized array: once the analyzer's workspace, window and
+        zoom plan exist, measuring a cell again allocates less at its
+        peak than one mode of the capture would take."""
+        plan = _plan_pair(core2duo_10cm, get_event("ADD"), get_event("LDM"), 80e3)
+        trace, plan = simulate_alternation_period(core2duo_10cm, plan)
+        config = MeasurementConfig(method="full")
+
+        def cell(seed):
+            return measure_savat_samples(
+                core2duo_10cm, "ADD", "LDM", config,
+                rng=np.random.default_rng(seed), trace=trace, plan=plan,
+                repetitions=2,
+            )
+
+        warm = cell(1)
+        tracemalloc.start()
+        try:
+            again = cell(1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again, warm)
+        num_samples = round(config.duration_s * 32 / trace.duration_s)
+        assert num_samples > 2_000_000
+        assert peak < 8 * num_samples
 
 
 @pytest.mark.slow

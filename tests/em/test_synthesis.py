@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.em.coupling import CouplingMatrix, band_power_from_modes, fourier_coefficient
+from repro.em import synthesis
 from repro.em.synthesis import (
     JitterModel,
-    measurement_time_grid,
     period_envelope,
+    sample_boundaries,
     synthesize_measurement,
     tile_period_indices,
 )
@@ -135,6 +136,26 @@ class TestSynthesizeMeasurement:
         with pytest.raises(MeasurementError):
             synthesize_measurement(_square_trace(), _unit_coupling(), 0.0, rng)
 
+    @pytest.mark.parametrize("duration_s", (float("nan"), float("inf"), -float("inf")))
+    def test_non_finite_duration_rejected(self, rng, duration_s):
+        # A NaN duration used to end in "cannot convert float NaN to
+        # integer", an infinite one in OverflowError.
+        with pytest.raises(MeasurementError, match="duration") as raised:
+            synthesize_measurement(_square_trace(), _unit_coupling(), duration_s, rng)
+        assert "\n" not in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "sample_rate_hz", (0.0, -5.0, float("nan"), float("inf"))
+    )
+    def test_bad_sample_rate_rejected(self, rng, sample_rate_hz):
+        # A zero or negative rate used to return an empty capture.
+        with pytest.raises(MeasurementError, match="sample rate") as raised:
+            synthesize_measurement(
+                _square_trace(), _unit_coupling(), 0.01, rng,
+                sample_rate_hz=sample_rate_hz,
+            )
+        assert "\n" not in str(raised.value)
+
     def test_multimode(self, rng):
         signal = synthesize_measurement(
             _square_trace(), _unit_coupling(3), duration_s=0.005, rng=rng
@@ -153,61 +174,104 @@ class TestSynthesizeMeasurement:
         )
         assert np.array_equal(baseline.samples, hoisted.samples)
 
-    def test_reuse_buffer_is_value_identical(self, rng):
-        """The shared-buffer gather returns the same sample values as a
-        fresh allocation (only the memory is recycled)."""
+    @staticmethod
+    def _jittered_signal(coupling, seed=11, duration_s=0.01):
         trace = _square_trace()
-        coupling = _unit_coupling(2)
-        fresh = synthesize_measurement(
-            trace, coupling, duration_s=0.01,
-            rng=np.random.default_rng(5),
+        jitter = JitterModel(period_sigma=5e-3, drift_sigma=1e-4)
+        return synthesize_measurement(
+            trace, coupling, duration_s, np.random.default_rng(seed), jitter=jitter,
+            sample_rate_hz=32 / trace.duration_s,
         )
-        reused = synthesize_measurement(
-            trace, coupling, duration_s=0.01,
-            rng=np.random.default_rng(5), reuse_buffer=True,
-        )
-        assert np.array_equal(fresh.samples, reused.samples)
-        # A second reuse call recycles the same backing memory.
-        again = synthesize_measurement(
-            trace, coupling, duration_s=0.01,
-            rng=np.random.default_rng(6), reuse_buffer=True,
-        )
-        assert again.samples is not fresh.samples
-        assert reused.samples is again.samples
 
-    @pytest.mark.parametrize("reuse_buffer", (False, True), ids=("fresh", "reused"))
-    def test_samples_equal_fancy_index_gather(self, reuse_buffer):
-        """The clip-mode ``take`` gather is bit-identical to indexing the
-        envelope with the jittered tiling, the formulation it replaces."""
+    def test_samples_equal_fancy_index_gather(self):
+        """The streamed samples are bit-identical to gathering the
+        envelope at the whole-grid tiling indices."""
         trace = _square_trace()
         coupling = _unit_coupling(3)
-        jitter = JitterModel(period_sigma=5e-3, drift_sigma=1e-4)
         duration_s, sample_rate_hz = 0.01, 32 / trace.duration_s
-        signal = synthesize_measurement(
-            trace, coupling, duration_s, np.random.default_rng(11), jitter=jitter,
-            sample_rate_hz=sample_rate_hz, reuse_buffer=reuse_buffer,
-        )
+        signal = self._jittered_signal(coupling, duration_s=duration_s)
         # The same jittered tiling, rebuilt step by step.
         envelope = period_envelope(trace, coupling)
+        jitter = JitterModel(period_sigma=5e-3, drift_sigma=1e-4)
         num_periods = int(np.ceil(duration_s / trace.duration_s * 1.1)) + 4
         rng = np.random.default_rng(11)
         durations = trace.duration_s * jitter.period_multipliers(num_periods, rng)
         starts = np.concatenate(([0.0], np.cumsum(durations)))
-        times = measurement_time_grid(signal.num_samples, sample_rate_hz)
+        times = np.arange(signal.num_samples) / sample_rate_hz
         index = tile_period_indices(starts, durations, times, envelope.shape[1])
         assert np.array_equal(signal.samples, envelope[:, index])
 
+    @pytest.mark.parametrize("chunk", (1, 7, 31, 1 << 15))
+    def test_fill_any_run_matches_samples(self, monkeypatch, chunk):
+        """Every run of samples fills the same values, whatever the
+        chunking: runs and chunks start and end inside periods, and the
+        sample count is no multiple of the chunk."""
+        signal = self._jittered_signal(_unit_coupling(2), seed=3)
+        monkeypatch.setattr(synthesis, "FILL_CHUNK_SAMPLES", chunk)
+        whole = signal.samples
+        assert whole.shape == (2, signal.num_samples)
+        assert signal.num_samples % 7 != 0
+        for start, stop in ((0, 1), (5, 40), (33, 1000), (999, signal.num_samples)):
+            # A strided view, as the band analyzer's workspace slice is.
+            workspace = np.full((2, stop - start + 9), -1.0)
+            view = workspace[:, 4 : 4 + stop - start]
+            signal.fill(view, start)
+            assert np.array_equal(view, whole[:, start:stop])
+            assert np.all(workspace[:, :4] == -1.0)
+            assert np.all(workspace[:, 4 + stop - start :] == -1.0)
 
-class TestTimeGrid:
-    def test_values_match_inline_expression(self):
-        grid = measurement_time_grid(1000, 2.56e6)
-        assert np.array_equal(grid, np.arange(1000) / 2.56e6)
+    def test_deterministic_tiling_fills_the_same_samples(self):
+        signal = synthesize_measurement(
+            _square_trace(), _unit_coupling(2), 0.01, None, jitter=JitterModel(0.0, 0.0)
+        )
+        out = np.empty((2, 100))
+        signal.fill(out, 250)
+        assert np.array_equal(out, signal.samples[:, 250:350])
 
-    def test_cached_and_read_only(self):
-        first = measurement_time_grid(512, 1e6)
-        assert measurement_time_grid(512, 1e6) is first
-        with pytest.raises(ValueError):
-            first[0] = 1.0
+    def test_fill_outside_the_capture_rejected(self):
+        signal = synthesize_measurement(
+            _square_trace(), _unit_coupling(), 0.01, None, jitter=JitterModel(0.0, 0.0)
+        )
+        end = signal.num_samples
+        for modes, start, length in ((2, 0, 10), (1, -1, 10), (1, end - 5, 10)):
+            with pytest.raises(MeasurementError, match="cannot fill"):
+                signal.fill(np.empty((modes, length)), start)
+
+
+class TestSampleBoundaries:
+    @given(
+        num_samples=st.integers(0, 5000),
+        sample_rate_hz=st.floats(1e3, 1e8),
+        fractions=st.lists(st.floats(-0.1, 1.2), min_size=1, max_size=40),
+        jitter=st.sampled_from((0.0, 0.5, 1.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_searchsorted_on_the_grid(
+        self, num_samples, sample_rate_hz, fractions, jitter
+    ):
+        """Property: the grid-free search equals ``searchsorted`` on the
+        materialized time grid, including starts exactly on a sample
+        time (``jitter=0``) and a quarter or half step past one."""
+        grid = np.arange(num_samples) / sample_rate_hz
+        span = max(num_samples, 1) / sample_rate_hz
+        starts = np.sort(np.array(fractions)) * span
+        on_grid = np.round(np.array(fractions) * num_samples) + jitter / 2
+        on_grid /= sample_rate_hz
+        for candidate in (starts, np.sort(on_grid)):
+            expected = np.searchsorted(grid, candidate, "left")
+            assert np.array_equal(
+                sample_boundaries(candidate, num_samples, sample_rate_hz), expected
+            )
+
+    def test_synthesis_geometry(self):
+        """Jittered cumsum starts on a 1 s, 32x-oversampled capture."""
+        rng = np.random.default_rng(2014)
+        fs = 32 * 80e3
+        durations = JitterModel().period_multipliers(88004, rng) / 80e3
+        starts = np.concatenate(([0.0], np.cumsum(durations)))
+        num_samples = int(round(fs))
+        expected = np.searchsorted(np.arange(num_samples) / fs, starts, "left")
+        assert np.array_equal(sample_boundaries(starts, num_samples, fs), expected)
 
 
 def _reference_tile_indices(starts, durations, times, points_per_period):
@@ -257,7 +321,7 @@ class TestTilePeriodIndices:
         duration = 1.0 / 80e3
         durations = np.full(10, duration)
         starts = np.concatenate(([0.0], np.cumsum(durations)))
-        times = measurement_time_grid(320, 32 * 80e3)
+        times = np.arange(320) / (32 * 80e3)
         indices = tile_period_indices(starts, durations, times, 64)
         reference = _reference_tile_indices(starts, durations, times, 64)
         assert np.array_equal(indices, reference)

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.em import synthesis
+from repro.em.coupling import CouplingMatrix
 from repro.em.environment import (
     NoiseEnvironment,
     RadioInterferer,
@@ -33,7 +35,10 @@ from repro.instruments.signal_processing import (
     rfft_bin_width,
     welch_psd,
 )
+from repro.instruments import signal_processing
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
+from repro.uarch.activity import ActivityTrace
+from repro.uarch.components import NUM_COMPONENTS
 
 
 def _mixed_signal(rng, modes, num_samples, fs):
@@ -78,6 +83,21 @@ class TestBandBinRange:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(MeasurementError):
             band_bin_range(1024, 1e4, 1e3, 0.0)
+
+    @pytest.mark.parametrize(
+        "f_center, half_width",
+        ((float("nan"), 10.0), (1e3, float("nan")), (float("inf"), 10.0),
+         (1e3, float("inf")), (-float("inf"), 10.0)),
+    )
+    def test_non_finite_edges_rejected(self, f_center, half_width):
+        # A NaN edge used to select the DC bin alone (the reference
+        # band_power raises); an infinite one ended in OverflowError.
+        with pytest.raises(MeasurementError, match="finite"):
+            band_bin_range(1024, 1e4, f_center, half_width)
+        with pytest.raises(MeasurementError, match="finite"):
+            SpectrumAnalyzer().measure_band(
+                np.ones(1024), f_center, half_width, sample_rate_hz=1024.0
+            )
 
     def test_bin_width_matches_rfftfreq(self):
         for n in (7, 64, 1023, 2_562_392):
@@ -303,3 +323,68 @@ class TestMeasureBand:
         assert band.band_power_w(80e3, 1e3) == pytest.approx(
             full.band_power_w(80e3, 1e3), rel=1e-9
         )
+
+
+def _synthesized(duration_s, rng, modes=3):
+    """A capture of a random one-period activity trace at 80 kHz."""
+    shape_rng = np.random.default_rng(2014)
+    trace = ActivityTrace(shape_rng.random((NUM_COMPONENTS, 1000)), clock_hz=80e6)
+    coupling = CouplingMatrix(shape_rng.random((modes, NUM_COMPONENTS)), distance_m=0.1)
+    jitter = None if rng is not None else synthesis.JitterModel(0.0, 0.0)
+    return synthesis.synthesize_measurement(
+        trace, coupling, duration_s, rng, jitter=jitter
+    )
+
+
+class TestStreamedSignal:
+    """measure_band(signal) fills its workspace from the signal's tiling
+    and must equal measuring the materialized samples bit for bit."""
+
+    @pytest.mark.parametrize("jittered", (True, False), ids=("jittered", "rng_none"))
+    @pytest.mark.parametrize(
+        "rbw_hz, duration_s",
+        # One segment; two RBW lengths (three half-overlapped segments).
+        ((25.0, 0.04), (25.0, 2 / 25.0)),
+        ids=("one_segment", "welch"),
+    )
+    @pytest.mark.parametrize(
+        "chunks",
+        # The module constants, then small odd chunks: the 102,400 or
+        # 204,800-sample captures are no multiple of them and jittered
+        # 32-sample periods straddle every chunk edge.
+        (None, (997, 1531)),
+        ids=("default_chunks", "odd_chunks"),
+    )
+    def test_equals_measuring_the_samples(
+        self, monkeypatch, jittered, rbw_hz, duration_s, chunks
+    ):
+        if chunks is not None:
+            monkeypatch.setattr(synthesis, "FILL_CHUNK_SAMPLES", chunks[0])
+            monkeypatch.setattr(signal_processing, "_STAGE_CHUNK_SAMPLES", chunks[1])
+        rng = np.random.default_rng(5) if jittered else None
+        signal = _synthesized(duration_s, rng)
+        assert signal.num_samples % 997 and signal.num_samples % 1531
+        analyzer = SpectrumAnalyzer(rbw_hz=rbw_hz, environment=quiet_lab_environment())
+        rng_streamed = np.random.default_rng(7)
+        rng_array = np.random.default_rng(7)
+        f_center = signal.nominal_frequency_hz
+        streamed = analyzer.measure_band(signal, f_center, 1e3, rng=rng_streamed)
+        materialized = analyzer.measure_band(
+            signal.samples, f_center, 1e3,
+            sample_rate_hz=signal.sample_rate_hz, rng=rng_array,
+        )
+        assert np.array_equal(streamed.freqs_hz, materialized.freqs_hz)
+        assert np.array_equal(streamed.psd_w_per_hz, materialized.psd_w_per_hz)
+        assert rng_streamed.bit_generator.state == rng_array.bit_generator.state
+
+    def test_welch_reads_every_segment(self):
+        """The multi-segment capture really averages distinct segments:
+        its streamed band PSD differs from its first segment's alone."""
+        signal = _synthesized(2 / 25.0, np.random.default_rng(5))
+        segment = int(round(signal.sample_rate_hz / 25.0))
+        k_lo, k_hi = band_bin_range(segment, signal.sample_rate_hz, 80e3, 1e3)
+        _, welch = band_welch_psd(signal, signal.sample_rate_hz, segment, k_lo, k_hi)
+        _, first = band_welch_psd(
+            signal.samples[:, :segment], signal.sample_rate_hz, segment, k_lo, k_hi
+        )
+        assert not np.array_equal(welch, first)

@@ -19,6 +19,21 @@ def _tone(amplitude=1.0, frequency=1000.0, fs=65536.0, duration=1.0):
     return amplitude * np.cos(2 * np.pi * frequency * t)
 
 
+class TestHannWindow:
+    @pytest.mark.parametrize("length", (1, 2, 3, 64, 1023, 2_562_392))
+    def test_bit_identical_to_numpy(self, length):
+        assert np.array_equal(hann_window(length), np.hanning(length))
+
+    @given(length=st.integers(1, 20_000))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_numpy_property(self, length):
+        assert np.array_equal(hann_window(length), np.hanning(length))
+
+    def test_nonpositive_length_rejected(self):
+        with pytest.raises(MeasurementError):
+            hann_window(0)
+
+
 class TestPeriodogram:
     def test_tone_power_recovered(self):
         fs = 65536.0
