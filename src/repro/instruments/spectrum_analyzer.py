@@ -171,6 +171,10 @@ class SpectrumAnalyzer:
         samples = np.atleast_2d(np.asarray(signal, dtype=np.float64))
         if sample_rate_hz is None:
             raise MeasurementError("sample_rate_hz is required for raw sample input")
+        if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+            raise MeasurementError(
+                f"sample_rate_hz must be finite and positive, got {sample_rate_hz}"
+            )
         return samples, samples.shape[-1], sample_rate_hz
 
     def _segment_length(self, num_samples: int, sample_rate_hz: float) -> int:

@@ -45,7 +45,7 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -285,15 +285,154 @@ class _PairProblem(NamedTuple):
     num_modes: int
 
 
+def _norm(vector: np.ndarray) -> np.floating:
+    """Euclidean norm of a 1-D array, by ``numpy.linalg.norm``'s formula."""
+    return np.sqrt(vector.dot(vector))
+
+
+def _trust_region_step(
+    uf: np.ndarray,
+    s: np.ndarray,
+    V: np.ndarray,
+    full_rank: bool,
+    Delta: float,
+    alpha: float,
+) -> tuple[np.ndarray, float]:
+    """Moré's step for the trust region ``|p| <= Delta``; returns ``(p, alpha)``.
+
+    ``J = U diag(s) V.T`` is the Jacobian's thin SVD and ``uf = U.T f``.
+    ``p`` solves ``(J.T J + alpha I) p = -J.T f`` with ``|p| ~ Delta``
+    (``alpha = 0``, the Gauss-Newton step, when that fits), and ``alpha``
+    seeds the next solve.  This is scipy's ``solve_lsq_trust_region``.
+    """
+    suf = s * uf
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    if full_rank:
+        p = -V.dot(uf / s)
+        if _norm(p) <= Delta:
+            return p, 0.0
+
+    alpha_upper = _norm(suf) / Delta
+    alpha_lower = 0.0
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    elif alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+
+    for _iteration in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < 0.01 * Delta:
+            break
+
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= Delta / _norm(p)
+    return p, alpha
+
+
+def _trust_region_fit(
+    residuals: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    max_nfev: int,
+) -> tuple[np.ndarray, float]:
+    """Minimize ``0.5 * |residuals(x)|^2`` from ``x0``; returns ``(x, cost)``.
+
+    This is scipy's ``least_squares`` with ``method="trf"`` cut down to
+    the case calibration uses: no bounds, linear loss, ``x_scale=1``,
+    the exact trust-region solver and the default ``ftol = xtol = gtol =
+    1e-8``.  It follows scipy 1.17's ``trf_no_bounds`` operation for
+    operation and takes the same ``scipy.linalg.svd``, so it returns the
+    same bits as ``least_squares``; that SVD is its only import.
+    Adapted from SciPy (BSD-3-Clause, Copyright (c) the SciPy
+    Developers).
+    """
+    from scipy.linalg import svd
+
+    x = np.array(x0, dtype=float)
+    f = residuals(x)
+    if not np.all(np.isfinite(f)):
+        raise CalibrationError("calibration residuals are not finite at the starting point")
+    J = jacobian(x)
+    nfev = 1
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    Delta = _norm(x)
+    if Delta == 0:
+        Delta = 1.0
+    alpha = 0.0
+
+    while not np.abs(g).max() < 1e-8 and nfev < max_nfev:
+        U, s, VT = svd(J, full_matrices=False)
+        uf = U.T.dot(f)
+        full_rank = m >= n and s[-1] > np.finfo(float).eps * m * s[0]
+        converged = False
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            step, alpha = _trust_region_step(uf, s, VT.T, full_rank, Delta, alpha)
+            J_step = J.dot(step)
+            predicted_reduction = -(0.5 * np.dot(J_step, J_step) + np.dot(step, g))
+            x_new = x + step
+            f_new = residuals(x_new)
+            nfev += 1
+            step_norm = _norm(step)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_norm
+                continue
+
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * Delta:
+                Delta_new = Delta * 2.0
+
+            converged = (
+                actual_reduction < 1e-8 * cost and ratio > 0.25
+            ) or step_norm < 1e-8 * (1e-8 + _norm(x))
+            if converged:
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            if not converged and nfev < max_nfev:
+                J = jacobian(x)
+                g = J.T.dot(f)
+        if converged:
+            break
+    return x, cost
+
+
 def _fit_restart(problem: _PairProblem, start: np.ndarray) -> tuple[np.ndarray, float]:
     """One least-squares restart from ``start``; returns ``(x, cost)``.
 
     Module-level so pool workers can run it.
     """
-    from scipy.optimize import least_squares
-
     pair_design, pair_geometry, pair_noise, pair_reference, num_modes = problem
     num_components = pair_design.shape[1]
+    log_reference = np.log(pair_reference)
 
     def predict(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         levels = pair_design @ weights.T  # (num_pairs, M)
@@ -301,7 +440,7 @@ def _fit_restart(problem: _PairProblem, start: np.ndarray) -> tuple[np.ndarray, 
 
     def residuals(flat: np.ndarray) -> np.ndarray:
         predicted, _levels = predict(flat.reshape(num_modes, num_components))
-        return np.log(predicted) - np.log(pair_reference)
+        return np.log(predicted) - log_reference
 
     def jacobian(flat: np.ndarray) -> np.ndarray:
         weights = flat.reshape(num_modes, num_components)
@@ -313,10 +452,7 @@ def _fit_restart(problem: _PairProblem, start: np.ndarray) -> tuple[np.ndarray, 
         )
         return rows.reshape(len(pair_reference), num_modes * num_components)
 
-    solution = least_squares(
-        residuals, start.ravel(), jac=jacobian, method="trf", max_nfev=3000
-    )
-    return solution.x, solution.cost
+    return _trust_region_fit(residuals, jacobian, start.ravel(), max_nfev=3000)
 
 
 def refine_coupling_weights(
@@ -338,12 +474,19 @@ def refine_coupling_weights(
     few randomized restarts (deterministic seed) to escape the
     occasional poor local minimum.
 
+    Each restart is fitted by :func:`_trust_region_fit`, scipy's
+    trust-region-reflective ``least_squares`` reduced to this unbounded
+    problem.  It returns ``least_squares``'s bits and imports only
+    ``scipy.linalg``, never ``scipy.optimize``.
+
     The restarts are independent, so they run at the same time: this
     process fits the unperturbed start while a forked process pool fits
     the perturbed ones.  Every start is drawn up front in trial order
     and the lowest cost wins, ties going to the earliest trial, so the
     result is bit-identical to fitting them one after another.  An
-    exception from any restart propagates once every worker has exited.
+    exception from any restart propagates once every worker has exited;
+    a restart whose residuals are not finite at its start raises
+    :class:`CalibrationError`.
 
     Parameters
     ----------
@@ -363,9 +506,9 @@ def refine_coupling_weights(
     """
     if restarts < 1:
         raise CalibrationError(f"restarts must be at least 1, got {restarts}")
-    # Workers are forked from this process: importing the optimizer
+    # Workers are forked from this process: importing the SVD's module
     # here means none of them imports it again.
-    import scipy.optimize  # noqa: F401
+    import scipy.linalg  # noqa: F401
 
     num_modes = initial_weights.shape[0]
     rates_centered = activity_rates - activity_rates.mean(axis=0)
@@ -423,9 +566,18 @@ def calibrate(
     With ``refine=True`` (default), the MDS/least-squares initialization
     is polished by :func:`refine_coupling_weights`.
     """
-    profiles = profile_all_events(spec)
     names = EVENT_ORDER
     count = len(names)
+    values = reference.values_zj
+    bad = ~(np.isfinite(values) & (values > 0)) & ~np.eye(count, dtype=bool)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise CalibrationError(
+            f"reference matrix {reference.machine}@{reference.distance_m:g} m needs "
+            f"finite, positive off-diagonal entries; {names[i]}/{names[j]} is "
+            f"{values[i, j]!r} zJ"
+        )
+    profiles = profile_all_events(spec)
 
     reference_j = reference.symmetrized() * ZEPTOJOULE
     self_noise = {name: float(reference_j[i, i]) / 2.0 for i, name in enumerate(names)}

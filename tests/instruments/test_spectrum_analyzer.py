@@ -68,6 +68,16 @@ class TestSpectrumAnalyzer:
         with pytest.raises(MeasurementError):
             analyzer.measure(np.zeros(1000))
 
+    @pytest.mark.parametrize("method", ("measure", "measure_band"))
+    @pytest.mark.parametrize("rate", (float("nan"), float("inf"), 0.0, -5.0))
+    def test_non_finite_or_non_positive_sample_rate_rejected(self, method, rate):
+        # Without the check these end in "cannot convert float NaN to
+        # integer", OverflowError, or a misleading segment-length error.
+        analyzer = SpectrumAnalyzer(rbw_hz=1.0)
+        band = (10.0, 1.0) if method == "measure_band" else ()
+        with pytest.raises(MeasurementError, match="sample_rate_hz must be finite and positive"):
+            getattr(analyzer, method)(np.ones(100), *band, sample_rate_hz=rate)
+
     def test_invalid_rbw_rejected(self):
         with pytest.raises(MeasurementError):
             SpectrumAnalyzer(rbw_hz=0.0)

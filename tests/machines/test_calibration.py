@@ -3,9 +3,14 @@
 import dataclasses
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.savat import MeasurementConfig
 from repro.core.study import run_study
@@ -261,7 +266,7 @@ def _small_problem(seed: int = 0):
     return initial, rates, geometry, noise, (reference + reference.T) / 2.0
 
 
-def _serial_refine(
+def _restarts(
     initial_weights,
     activity_rates,
     geometry,
@@ -270,9 +275,7 @@ def _serial_refine(
     restarts=3,
     seed=20141213,
 ):
-    """The restarts fitted one after another: the concurrent version's oracle."""
-    from scipy.optimize import least_squares
-
+    """The pair problem, every restart's start and the column scale, in trial order."""
     num_modes = initial_weights.shape[0]
     rates_centered = activity_rates - activity_rates.mean(axis=0)
     scale = np.abs(rates_centered).max(axis=0)
@@ -280,11 +283,31 @@ def _serial_refine(
     design = rates_centered / scale
 
     upper = np.triu_indices(reference_j.shape[0], 1)
-    pair_design = design[upper[0]] - design[upper[1]]
-    pair_geometry = geometry[upper]
-    pair_noise = self_noise[upper[0]] + self_noise[upper[1]]
-    pair_reference = reference_j[upper]
-    num_components = design.shape[1]
+    problem = calibration._PairProblem(
+        pair_design=design[upper[0]] - design[upper[1]],
+        pair_geometry=geometry[upper],
+        pair_noise=self_noise[upper[0]] + self_noise[upper[1]],
+        pair_reference=reference_j[upper],
+        num_modes=num_modes,
+    )
+
+    rng = np.random.default_rng(seed)
+    scaled_initial = initial_weights * scale
+    starts = []
+    for trial in range(restarts):
+        start = scaled_initial
+        if trial:
+            start = start * rng.normal(1.0, 0.3, start.shape) + rng.normal(
+                0.0, 0.1 * np.abs(start).mean() + 1e-30, start.shape
+            )
+        starts.append(start)
+    return problem, starts, scale
+
+
+def _pair_fit(problem):
+    """``(residuals, jacobian)`` of one restart, written independently of ``src``."""
+    pair_design, pair_geometry, pair_noise, pair_reference, num_modes = problem
+    num_components = pair_design.shape[1]
 
     def predict(weights):
         levels = pair_design @ weights.T
@@ -304,21 +327,28 @@ def _serial_refine(
         )
         return rows.reshape(len(pair_reference), num_modes * num_components)
 
-    rng = np.random.default_rng(seed)
-    scaled_initial = initial_weights * scale
+    return residuals, jacobian
+
+
+def _least_squares_restart(problem, start, max_nfev=3000):
+    """One restart fitted by scipy's ``least_squares``: the solver's oracle."""
+    from scipy.optimize import least_squares
+
+    residuals, jacobian = _pair_fit(problem)
+    return least_squares(
+        residuals, start.ravel(), jac=jacobian, method="trf", max_nfev=max_nfev
+    )
+
+
+def _serial_refine(*args, **kwargs):
+    """The restarts fitted one after another by ``least_squares``: the oracle."""
+    problem, starts, scale = _restarts(*args, **kwargs)
     best = None
-    for trial in range(restarts):
-        start = scaled_initial
-        if trial:
-            start = start * rng.normal(1.0, 0.3, start.shape) + rng.normal(
-                0.0, 0.1 * np.abs(start).mean() + 1e-30, start.shape
-            )
-        solution = least_squares(
-            residuals, start.ravel(), jac=jacobian, method="trf", max_nfev=3000
-        )
+    for start in starts:
+        solution = _least_squares_restart(problem, start)
         if best is None or solution.cost < best.cost:
             best = solution
-    return best.x.reshape(num_modes, num_components) / scale
+    return best.x.reshape(problem.num_modes, -1) / scale
 
 
 class _WorkerFitError(Exception):
@@ -372,15 +402,32 @@ class TestConcurrentRestarts:
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_failing_restarts_leave_no_child_process(self):
+        # A zero reference entry makes every restart's residuals infinite
+        # at its start, in this process and in both workers.
         before = multiprocessing.active_children()
+        initial, rates, geometry, noise, reference = _small_problem()
+        reference[0, 1] = reference[1, 0] = 0.0
+        with pytest.raises(CalibrationError, match="not finite"):
+            refine_coupling_weights(initial, rates, geometry, noise, reference)
+        assert _new_children(before) == []
+
+    @pytest.mark.parametrize("value", (0.0, math.nan, math.inf))
+    def test_unusable_reference_entry_fails_before_any_pool(self, value, monkeypatch):
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a bad reference must fail before a pool starts")
+
+        monkeypatch.setattr(calibration, "ProcessPoolExecutor", no_pool)
         values = reference_for("core2duo", 0.10).values_zj.copy()
-        values[0, 1] = values[1, 0] = 0.0
+        values[0, 1] = value
         reference = ReferenceMatrix(
             machine="core2duo", distance_m=0.10, values_zj=values, figure="test"
         )
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(CalibrationError) as raised:
             calibration.calibrate(CORE2DUO, reference)
-        assert _new_children(before) == []
+        message = str(raised.value)
+        assert "\n" not in message
+        assert "finite, positive off-diagonal" in message
+        assert f"{EVENT_ORDER[0]}/{EVENT_ORDER[1]}" in message
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         before = multiprocessing.active_children()
@@ -421,3 +468,94 @@ class TestConcurrentRestarts:
         for pooled_matrix, serial_matrix in zip(pooled.matrices, serial.matrices):
             assert pooled_matrix.distance_m == serial_matrix.distance_m
             assert np.array_equal(pooled_matrix.samples_zj, serial_matrix.samples_zj)
+
+
+@st.composite
+def _fit_problems(draw):
+    """A small calibration-shaped fit: rank-deficient, maybe under-determined."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = draw(st.integers(2, 12))
+    components = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, components))
+    modes = draw(st.integers(1, 3))
+    design = rng.normal(size=(pairs, rank)) @ rng.normal(size=(rank, components))
+    problem = calibration._PairProblem(
+        pair_design=design,
+        pair_geometry=rng.uniform(0.5, 2.0, pairs),
+        pair_noise=rng.uniform(0.01, 0.1, pairs),
+        pair_reference=rng.uniform(0.5, 5.0, pairs),
+        num_modes=modes,
+    )
+    start = rng.normal(size=(modes, components))
+    return problem, start, draw(st.sampled_from([1, 2, 3, 5, 3000]))
+
+
+def _calibration_restarts(machine, distance_m, monkeypatch):
+    """Every restart ``calibrate`` fits for one target, in trial order."""
+    captured = []
+
+    def capture(*args, **kwargs):
+        captured.append(_restarts(*args, **kwargs))
+        return args[0]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibration, "refine_coupling_weights", capture)
+        calibration.calibrate(get_machine(machine), reference_for(machine, distance_m))
+    (problem, starts, _scale), = captured
+    return problem, starts
+
+
+class TestTrustRegionFit:
+    """The trust-region solver returns ``least_squares``'s bits."""
+
+    @given(case=_fit_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_least_squares_on_small_problems(self, case):
+        problem, start, max_nfev = case
+        residuals, jacobian = _pair_fit(problem)
+        x, cost = calibration._trust_region_fit(residuals, jacobian, start.ravel(), max_nfev)
+        expected = _least_squares_restart(problem, start, max_nfev=max_nfev)
+        assert np.array_equal(x, expected.x)
+        assert cost == expected.cost
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "machine, distance_m, restarts",
+        [
+            ("core2duo", 0.10, 3),
+            ("core2duo", 0.25, 1),
+            ("core2duo", 0.50, 1),
+            ("core2duo", 1.00, 1),
+            ("pentium3m", 0.10, 1),
+            ("turionx2", 0.10, 1),
+        ],
+    )
+    def test_calibration_restarts_match_least_squares(
+        self, machine, distance_m, restarts, monkeypatch
+    ):
+        problem, starts = _calibration_restarts(machine, distance_m, monkeypatch)
+        for start in starts[:restarts]:
+            x, cost = calibration._fit_restart(problem, start)
+            expected = _least_squares_restart(problem, start)
+            assert x.tobytes() == expected.x.tobytes()
+            assert cost == expected.cost
+
+    def test_calibration_never_imports_scipy_optimize(self):
+        source = str(Path(calibration.__file__).resolve().parents[2])
+        code = (
+            "import sys\n"
+            "from repro.machines.calibrated import load_calibrated_machine\n"
+            "for distance in (0.10, 0.50, 1.00):\n"
+            "    load_calibrated_machine('core2duo', distance)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=300,
+        )
+        assert result.stdout.strip() == "False"
