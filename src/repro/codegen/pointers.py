@@ -12,6 +12,7 @@ paper's free-running loop reaches after its warm-up.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ def plan_sweep(
     return SweepPlan(base=aligned_base, footprint=footprint, offset=l1_geometry.line_bytes)
 
 
-def _install_lines(cache: Cache, line_addresses: list[int], dirty: bool) -> None:
+def _install_lines(cache: Cache, line_addresses: Sequence[int], dirty: bool) -> None:
     """Install ``line_addresses`` into ``cache`` in LRU-to-MRU order.
 
     Uses the normal access path (so LRU bookkeeping is honest) but with
@@ -195,7 +196,7 @@ def prime_for_sweep(
     if reset:
         hierarchy.reset()
     line = hierarchy.line_bytes
-    sweep_lines = [plan.base + slot * line for slot in range(plan.footprint // line)]
+    sweep_lines = range(plan.base, plan.base + plan.footprint // line * line, line)
 
     l2_capacity = hierarchy.l2_geometry.size_bytes // line
     l1_capacity = hierarchy.l1_geometry.size_bytes // line

@@ -1423,11 +1423,10 @@ def execute_campaign(
                 )
                 if not members:
                     continue
-                # Plan in the parent: the per-event CPI probes behind
-                # _plan_pair are cached per (machine, event), so every
-                # group after the first reuses them, and workers receive
-                # finished plans instead of each re-probing from a cold
-                # cache.
+                # Plan in the parent: the per-event CPIs behind
+                # _plan_pair are memoized per machine spec, so workers
+                # receive finished plans instead of each re-probing from
+                # a cold cache.
                 plan = _plan_pair(
                     machines[0],
                     resolved[i],

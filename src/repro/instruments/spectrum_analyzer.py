@@ -233,7 +233,7 @@ class SpectrumAnalyzer:
             # ``chisquare(2)`` is ``2 * standard_exponential`` draw for
             # draw, so this advances the generator exactly as the
             # reference call does; only the band slice is scaled.
-            draws = rng.standard_exponential(grid_size)[k_lo : k_hi + 1]
+            draws = _band_exponentials(rng, grid_size, k_lo, k_hi)
             noise = floor * (2.0 * draws) / 2.0
         else:
             noise = np.full(num_bins, floor)
@@ -258,3 +258,29 @@ class SpectrumAnalyzer:
                         interferer.power_w / (bins * df)
                     )
         return noise
+
+
+#: Exponentials :func:`_band_exponentials` draws at a time.
+NOISE_DRAW_CHUNK = 1 << 16
+
+
+def _band_exponentials(
+    rng: np.random.Generator, count: int, k_lo: int, k_hi: int
+) -> np.ndarray:
+    """Entries ``k_lo..k_hi`` of ``rng.standard_exponential(count)``.
+
+    The ``count`` draws are made :data:`NOISE_DRAW_CHUNK` at a time into
+    one reused buffer.  Each draw consumes the generator's stream in
+    turn, so the kept entries and the generator's state afterwards are
+    those of the single draw, without holding all ``count`` values.
+    """
+    band = np.empty(k_hi - k_lo + 1)
+    buffer = np.empty(min(NOISE_DRAW_CHUNK, count))
+    for start in range(0, count, NOISE_DRAW_CHUNK):
+        chunk = buffer[: min(NOISE_DRAW_CHUNK, count - start)]
+        rng.standard_exponential(out=chunk)
+        lo = max(k_lo, start)
+        hi = min(k_hi + 1, start + len(chunk))
+        if lo < hi:
+            band[lo - k_lo : hi - k_lo] = chunk[lo - start : hi - start]
+    return band

@@ -41,10 +41,15 @@ centered — only differences are observable).
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
 import multiprocessing
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -290,9 +295,67 @@ def _norm(vector: np.ndarray) -> np.floating:
     return np.sqrt(vector.dot(vector))
 
 
+#: Module name of scipy's LAPACK extension (see :func:`_load_flapack`).
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack() -> ModuleType:
+    """scipy's compiled LAPACK wrappers, without importing ``scipy.linalg``.
+
+    ``import scipy.linalg`` costs ~0.25 s, most of it in modules its
+    array-API shim pulls in; the solver needs one routine from it.  The
+    extension is loaded from scipy's package directory under its own
+    name and registered in ``sys.modules``, so a later ``import
+    scipy.linalg`` reuses this module object.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        package = importlib.util.find_spec("scipy")
+        directory = os.path.join(package.submodule_search_locations[0], "linalg")
+        finder = importlib.machinery.FileFinder(
+            directory,
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(_FLAPACK)
+        if spec is None:
+            raise CalibrationError(f"scipy's LAPACK extension is missing from {directory}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
+
+
+def _thin_svd(m: int, n: int) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+    """``scipy.linalg.svd(a, full_matrices=False)`` for ``m x n`` float arrays.
+
+    The returned function makes the LAPACK ``dgesdd`` call that scipy
+    makes, with the workspace size scipy queries, here queried once, so
+    ``U``, ``s`` and ``Vt`` are bit-identical to scipy's.  A non-zero
+    LAPACK ``info`` raises :class:`CalibrationError`.
+    """
+    flapack = _load_flapack()
+    work, info = flapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=0)
+    if info != 0:
+        raise CalibrationError(f"dgesdd workspace query for {m}x{n} failed: info {info}")
+    lwork = int(work)
+
+    def svd(a: np.ndarray) -> tuple[np.ndarray, ...]:
+        U, s, Vt, info = flapack.dgesdd(
+            a, compute_uv=1, full_matrices=0, lwork=lwork, overwrite_a=0
+        )
+        if info != 0:
+            raise CalibrationError(f"dgesdd failed on a {m}x{n} matrix: info {info}")
+        return U, s, Vt
+
+    return svd
+
+
 def _trust_region_step(
     uf: np.ndarray,
     s: np.ndarray,
+    s_squared: np.ndarray,
+    suf: np.ndarray,
+    suf_squared: np.ndarray,
     V: np.ndarray,
     full_rank: bool,
     Delta: float,
@@ -300,17 +363,18 @@ def _trust_region_step(
 ) -> tuple[np.ndarray, float]:
     """Moré's step for the trust region ``|p| <= Delta``; returns ``(p, alpha)``.
 
-    ``J = U diag(s) V.T`` is the Jacobian's thin SVD and ``uf = U.T f``.
-    ``p`` solves ``(J.T J + alpha I) p = -J.T f`` with ``|p| ~ Delta``
-    (``alpha = 0``, the Gauss-Newton step, when that fits), and ``alpha``
-    seeds the next solve.  This is scipy's ``solve_lsq_trust_region``.
+    ``J = U diag(s) V.T`` is the Jacobian's thin SVD, ``uf = U.T f``,
+    ``suf = s * uf``, and ``s_squared``/``suf_squared`` are the squares
+    of ``s``/``suf``, computed once per SVD.  ``p`` solves ``(J.T J +
+    alpha I) p = -J.T f`` with ``|p| ~ Delta`` (``alpha = 0``, the
+    Gauss-Newton step, when that fits), and ``alpha`` seeds the next
+    solve.  This is scipy's ``solve_lsq_trust_region``.
     """
-    suf = s * uf
 
     def phi_and_derivative(alpha):
-        denom = s**2 + alpha
+        denom = s_squared + alpha
         p_norm = _norm(suf / denom)
-        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+        return p_norm - Delta, -(suf_squared / denom**3).sum() / p_norm
 
     if full_rank:
         p = -V.dot(uf / s)
@@ -337,7 +401,7 @@ def _trust_region_step(
         if np.abs(phi) < 0.01 * Delta:
             break
 
-    p = -V.dot(suf / (s**2 + alpha))
+    p = -V.dot(suf / (s_squared + alpha))
     p *= Delta / _norm(p)
     return p, alpha
 
@@ -354,20 +418,21 @@ def _trust_region_fit(
     the case calibration uses: no bounds, linear loss, ``x_scale=1``,
     the exact trust-region solver and the default ``ftol = xtol = gtol =
     1e-8``.  It follows scipy 1.17's ``trf_no_bounds`` operation for
-    operation and takes the same ``scipy.linalg.svd``, so it returns the
-    same bits as ``least_squares``; that SVD is its only import.
+    operation, and its SVD is the LAPACK ``dgesdd`` call, with the same
+    workspace, that ``scipy.linalg.svd(J, full_matrices=False)`` makes,
+    so it returns the same bits as ``least_squares``.
     Adapted from SciPy (BSD-3-Clause, Copyright (c) the SciPy
     Developers).
     """
-    from scipy.linalg import svd
-
     x = np.array(x0, dtype=float)
     f = residuals(x)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise CalibrationError("calibration residuals are not finite at the starting point")
     J = jacobian(x)
     nfev = 1
     m, n = J.shape
+    svd = _thin_svd(m, n)
+    rank_tolerance = np.finfo(float).eps * m
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
     Delta = _norm(x)
@@ -376,20 +441,26 @@ def _trust_region_fit(
     alpha = 0.0
 
     while not np.abs(g).max() < 1e-8 and nfev < max_nfev:
-        U, s, VT = svd(J, full_matrices=False)
+        U, s, VT = svd(J)
         uf = U.T.dot(f)
-        full_rank = m >= n and s[-1] > np.finfo(float).eps * m * s[0]
+        suf = s * uf
+        s_squared = s**2
+        suf_squared = suf**2
+        V = VT.T
+        full_rank = m >= n and s[-1] > rank_tolerance * s[0]
         converged = False
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < max_nfev:
-            step, alpha = _trust_region_step(uf, s, VT.T, full_rank, Delta, alpha)
+            step, alpha = _trust_region_step(
+                uf, s, s_squared, suf, suf_squared, V, full_rank, Delta, alpha
+            )
             J_step = J.dot(step)
             predicted_reduction = -(0.5 * np.dot(J_step, J_step) + np.dot(step, g))
             x_new = x + step
             f_new = residuals(x_new)
             nfev += 1
             step_norm = _norm(step)
-            if not np.all(np.isfinite(f_new)):
+            if not np.isfinite(f_new).all():
                 Delta = 0.25 * step_norm
                 continue
 
@@ -434,17 +505,23 @@ def _fit_restart(problem: _PairProblem, start: np.ndarray) -> tuple[np.ndarray, 
     num_components = pair_design.shape[1]
     log_reference = np.log(pair_reference)
 
-    def predict(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        levels = pair_design @ weights.T  # (num_pairs, M)
-        return pair_geometry * np.sum(levels**2, axis=1) + pair_noise, levels
+    # The solver asks for the Jacobian only at the point it last took
+    # residuals at, so the Jacobian reuses that call's arrays.
+    last = [None, None, None]  # flat, predicted, levels
+
+    def predict(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if flat is not last[0]:
+            levels = pair_design @ flat.reshape(num_modes, num_components).T
+            predicted = pair_geometry * (levels**2).sum(axis=1) + pair_noise
+            last[:] = flat, predicted, levels
+        return last[1], last[2]
 
     def residuals(flat: np.ndarray) -> np.ndarray:
-        predicted, _levels = predict(flat.reshape(num_modes, num_components))
+        predicted, _levels = predict(flat)
         return np.log(predicted) - log_reference
 
     def jacobian(flat: np.ndarray) -> np.ndarray:
-        weights = flat.reshape(num_modes, num_components)
-        predicted, levels = predict(weights)
+        predicted, levels = predict(flat)
         rows = (
             (2.0 * pair_geometry / predicted)[:, None, None]
             * levels[:, :, None]
@@ -476,8 +553,8 @@ def refine_coupling_weights(
 
     Each restart is fitted by :func:`_trust_region_fit`, scipy's
     trust-region-reflective ``least_squares`` reduced to this unbounded
-    problem.  It returns ``least_squares``'s bits and imports only
-    ``scipy.linalg``, never ``scipy.optimize``.
+    problem.  It returns ``least_squares``'s bits and loads only scipy's
+    LAPACK extension, never ``scipy.optimize`` or ``scipy.linalg``.
 
     The restarts are independent, so they run at the same time: this
     process fits the unperturbed start while a forked process pool fits
@@ -506,9 +583,9 @@ def refine_coupling_weights(
     """
     if restarts < 1:
         raise CalibrationError(f"restarts must be at least 1, got {restarts}")
-    # Workers are forked from this process: importing the SVD's module
-    # here means none of them imports it again.
-    import scipy.linalg  # noqa: F401
+    # Workers are forked from this process: loading the SVD's extension
+    # here means none of them loads it again.
+    _load_flapack()
 
     num_modes = initial_weights.shape[0]
     rates_centered = activity_rates - activity_rates.mean(axis=0)

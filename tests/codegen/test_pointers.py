@@ -1,8 +1,10 @@
 """Unit and property tests for sweep planning and cache priming."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.codegen import pointers
 from repro.codegen.pointers import (
     BASE_ADDRESS_A,
     SweepPlan,
@@ -12,6 +14,7 @@ from repro.codegen.pointers import (
 )
 from repro.errors import ConfigurationError
 from repro.isa.events import get_event
+from repro.machines.catalog import CORE2DUO
 from repro.uarch.cache import CacheGeometry
 from repro.uarch.hierarchy import MemoryHierarchy
 
@@ -157,3 +160,56 @@ class TestPriming:
         # Both half-L1-sized arrays fit L1 together (2 x 512 B in 1 KiB).
         assert hierarchy.access(plan_a.addresses()[0], False).level == "L1"
         assert hierarchy.access(plan_b.addresses()[0], False).level == "L1"
+
+
+def _prime_from_list(hierarchy, plan, is_write, reset=True):
+    """``prime_for_sweep`` with its tails sliced from a list of every line."""
+    if reset:
+        hierarchy.reset()
+    line = hierarchy.line_bytes
+    sweep_lines = [plan.base + slot * line for slot in range(plan.footprint // line)]
+    l2_capacity = hierarchy.l2_geometry.size_bytes // line
+    l1_capacity = hierarchy.l1_geometry.size_bytes // line
+    l2_tail = sweep_lines[-l2_capacity:] if len(sweep_lines) > l2_capacity else sweep_lines
+    pointers._install_lines(
+        hierarchy.l2, l2_tail, dirty=is_write and len(sweep_lines) > l2_capacity
+    )
+    l1_tail = sweep_lines[-l1_capacity:] if len(sweep_lines) > l1_capacity else sweep_lines
+    pointers._install_lines(hierarchy.l1, l1_tail, dirty=is_write)
+
+
+def _assert_same_state(actual, expected):
+    """Installed lines, dirty bits and counters of both levels agree."""
+    for cache, reference in ((actual.l1, expected.l1), (actual.l2, expected.l2)):
+        assert np.array_equal(cache._tags, reference._tags)
+        assert np.array_equal(cache._dirty, reference._dirty)
+        assert np.array_equal(cache._occupancy, reference._occupancy)
+        assert vars(cache.stats) == vars(reference.stats)
+    assert actual.offchip_accesses == expected.offchip_accesses
+
+
+class TestPrimingFromRange:
+    """The range-built tails install what the list-built ones did."""
+
+    @pytest.mark.parametrize("footprint", (512, 4096, 16384), ids=("l1", "l2", "offchip"))
+    @pytest.mark.parametrize("is_write", (False, True), ids=("load", "store"))
+    def test_toy_hierarchy(self, footprint, is_write):
+        plan = SweepPlan(base=0x10000, footprint=footprint, offset=64)
+        primed, reference = _hierarchy(), _hierarchy()
+        for hierarchy in (primed, reference):
+            # Earlier traffic: non-zero counters that priming must keep.
+            for address in range(0x80000, 0x80000 + 64 * 40, 64):
+                hierarchy.access(address, True)
+        prime_for_sweep(primed, plan, is_write, reset=False)
+        _prime_from_list(reference, plan, is_write, reset=False)
+        _assert_same_state(primed, reference)
+
+    @pytest.mark.parametrize("event", ("LDL1", "STL1", "LDL2", "STL2", "LDM", "STM"))
+    def test_core2duo_sweeps(self, event):
+        event = get_event(event)
+        primed = CORE2DUO.make_core().hierarchy
+        reference = CORE2DUO.make_core().hierarchy
+        plan = plan_sweep(event, primed.l1_geometry, primed.l2_geometry)
+        prime_for_sweep(primed, plan, event.is_store)
+        _prime_from_list(reference, plan, event.is_store)
+        _assert_same_state(primed, reference)

@@ -17,9 +17,10 @@ import pytest
 
 from repro.codegen.alternation import build_alternation_program, plan_alternation
 from repro.core import savat
-from repro.core.savat import clear_cpi_cache, measure_savat
+from repro.core.savat import measure_savat
 from repro.isa.events import EVENT_ORDER, get_event
 from repro.machines.calibrated import load_calibrated_machine
+from repro.machines.calibration import clear_profile_cache
 from repro.uarch.fastpath import use_fast_path, use_reference_path
 
 
@@ -142,10 +143,10 @@ def test_event_ring_bit_identical_on_other_machines(machines, small_priming, mac
 def test_full_measurement_fields_identical(pair):
     """Full-size measure_savat: every numeric result field is bit-equal."""
     machine = load_calibrated_machine("core2duo", 0.10)
-    clear_cpi_cache()
+    clear_profile_cache()
     with use_fast_path():
         fast = measure_savat(machine, *pair)
-    clear_cpi_cache()
+    clear_profile_cache()
     with use_reference_path():
         reference = measure_savat(machine, *pair)
     for field in (

@@ -35,7 +35,7 @@ from repro.instruments.signal_processing import (
     rfft_bin_width,
     welch_psd,
 )
-from repro.instruments import signal_processing
+from repro.instruments import signal_processing, spectrum_analyzer
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.uarch.activity import ActivityTrace
 from repro.uarch.components import NUM_COMPONENTS
@@ -323,6 +323,49 @@ class TestMeasureBand:
         assert band.band_power_w(80e3, 1e3) == pytest.approx(
             full.band_power_w(80e3, 1e3), rel=1e-9
         )
+
+
+class TestBandExponentials:
+    """The floor realization is drawn in chunks but equals one big draw."""
+
+    COUNT = 3 * spectrum_analyzer.NOISE_DRAW_CHUNK + 1_001
+
+    @pytest.mark.parametrize(
+        "k_lo, k_hi",
+        [
+            (0, 2_000),  # grid start
+            (COUNT // 2 - 1_000, COUNT // 2 + 1_000),  # middle
+            (COUNT - 2_001, COUNT - 1),  # grid end
+            (  # across the first chunk boundary
+                spectrum_analyzer.NOISE_DRAW_CHUNK - 10,
+                spectrum_analyzer.NOISE_DRAW_CHUNK + 9,
+            ),
+            (0, COUNT - 1),  # the whole grid
+        ],
+        ids=("start", "middle", "end", "chunk_boundary", "whole"),
+    )
+    def test_equals_one_draw_sliced(self, k_lo, k_hi):
+        chunked_rng = np.random.default_rng(2014)
+        one_shot_rng = np.random.default_rng(2014)
+        band = spectrum_analyzer._band_exponentials(chunked_rng, self.COUNT, k_lo, k_hi)
+        expected = one_shot_rng.standard_exponential(self.COUNT)[k_lo : k_hi + 1]
+        assert np.array_equal(band, expected)
+        assert chunked_rng.bit_generator.state == one_shot_rng.bit_generator.state
+
+    def test_multi_chunk_grid_matches_sliced_full_sweep(self):
+        """A 10 Hz RBW at 2.56 MHz makes a 128,001-bin grid, two chunks;
+        the band at 700 kHz lies in the second."""
+        fs = 2.56e6
+        samples = np.zeros((1, int(0.1 * fs)))
+        analyzer = SpectrumAnalyzer(rbw_hz=10.0, environment=quiet_lab_environment())
+        rng_full = np.random.default_rng(31)
+        rng_band = np.random.default_rng(31)
+        full = analyzer.measure(samples, sample_rate_hz=fs, rng=rng_full)
+        band = analyzer.measure_band(samples, 700e3, 1e3, sample_rate_hz=fs, rng=rng_band)
+        assert band.freqs_hz[0] / 10.0 > spectrum_analyzer.NOISE_DRAW_CHUNK
+        mask = (full.freqs_hz >= 699e3) & (full.freqs_hz <= 701e3)
+        assert np.array_equal(band.psd_w_per_hz, full.psd_w_per_hz[mask])
+        assert rng_band.bit_generator.state == rng_full.bit_generator.state
 
 
 def _synthesized(duration_s, rng, modes=3):

@@ -471,6 +471,63 @@ class TestConcurrentRestarts:
 
 
 @st.composite
+def _svd_inputs(draw):
+    """Float matrices: tall, wide, calibration-sized, rank-deficient."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, columns = draw(
+        st.one_of(
+            st.just((55, 39)),
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        )
+    )
+    rank = draw(st.integers(0, min(rows, columns)))
+    matrix = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, columns))
+    return matrix * draw(st.sampled_from([1e-12, 1.0, 1e9]))
+
+
+class TestThinSvd:
+    """The solver's direct ``dgesdd`` call is ``scipy.linalg.svd``'s."""
+
+    @given(matrix=_svd_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_scipy_linalg_svd(self, matrix):
+        from scipy.linalg import svd as scipy_svd
+
+        U, s, Vt = calibration._thin_svd(*matrix.shape)(matrix)
+        expected_U, expected_s, expected_Vt = scipy_svd(matrix, full_matrices=False)
+        assert np.array_equal(U, expected_U)
+        assert np.array_equal(s, expected_s)
+        assert np.array_equal(Vt, expected_Vt)
+
+    def test_a_later_scipy_linalg_import_reuses_the_extension(self):
+        source = str(Path(calibration.__file__).resolve().parents[2])
+        code = (
+            "import sys\n"
+            "from repro.machines import calibration\n"
+            "flapack = calibration._load_flapack()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "print(scipy.linalg.lapack._flapack is flapack)\n"
+        )
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert result.stdout.strip() == "True"
+
+    def test_nan_entry_raises_calibration_error(self):
+        matrix = np.ones((4, 3))
+        matrix[1, 2] = math.nan
+        with pytest.raises(CalibrationError, match="dgesdd"):
+            calibration._thin_svd(4, 3)(matrix)
+
+
+@st.composite
 def _fit_problems(draw):
     """A small calibration-shaped fit: rank-deficient, maybe under-determined."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -541,13 +598,17 @@ class TestTrustRegionFit:
             assert cost == expected.cost
 
     def test_calibration_never_imports_scipy_optimize(self):
+        """Nor ``scipy.linalg``: the solver loads only scipy's LAPACK
+        extension."""
         source = str(Path(calibration.__file__).resolve().parents[2])
         code = (
             "import sys\n"
             "from repro.machines.calibrated import load_calibrated_machine\n"
-            "for distance in (0.10, 0.50, 1.00):\n"
-            "    load_calibrated_machine('core2duo', distance)\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "for machine, distance in [('core2duo', 0.10), ('core2duo', 0.50),\n"
+            "                          ('core2duo', 1.00), ('pentium3m', 0.10),\n"
+            "                          ('turionx2', 0.10)]:\n"
+            "    load_calibrated_machine(machine, distance)\n"
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         )
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
@@ -558,4 +619,4 @@ class TestTrustRegionFit:
             env=dict(os.environ, PYTHONPATH=path),
             timeout=300,
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "False False"
