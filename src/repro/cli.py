@@ -159,10 +159,12 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=_workers,
-        default=0,
+        default=len(os.sched_getaffinity(0)),
         metavar="N",
-        help="worker processes for the cell fan-out (0 or 1: serial; "
-        "results are bit-identical either way)",
+        help="worker processes for the cell fan-out, each running BLAS on "
+        "its share of the CPUs (0 or 1: in-process; default: the usable "
+        "CPUs, %(default)s here); a fully cached run starts no worker, "
+        "and results are bit-identical either way",
     )
     parser.add_argument(
         "--cache-dir",

@@ -86,6 +86,7 @@ process merges them, so the trace file needs no cross-process locking.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -201,7 +202,8 @@ class CampaignStats:
         Cells that actually ran the kernel simulation (always equals
         ``cache_misses`` when a cache is in use and nothing is resumed).
     workers:
-        Worker processes the fan-out used (1 means serial).
+        Worker processes the fan-out ran cells on: the pool's size, or
+        1 when every cell ran (or was loaded) in-process.
     wall_seconds:
         Wall-clock duration of the whole campaign execution.
     retries:
@@ -299,7 +301,8 @@ class CampaignStats:
             labelnames=("worker",),
         )
         self._workers = r.gauge(
-            "savat_workers", "Worker processes used by the fan-out."
+            "savat_workers",
+            "Worker processes cells ran on (1: in-process).",
         )
         self._workers.set(workers)
         self._wall = r.gauge(
@@ -378,8 +381,12 @@ class CampaignStats:
 
     @property
     def workers(self) -> int:
-        """Worker processes the fan-out used (1 means serial)."""
+        """Worker processes the fan-out used (1 means in-process)."""
         return int(self._workers.value())
+
+    @workers.setter
+    def workers(self, count: int) -> None:
+        self._workers.set(count)
 
     @property
     def wall_seconds(self) -> float:
@@ -995,6 +1002,28 @@ def _is_retryable(error: BaseException) -> bool:
     return isinstance(error, Exception)
 
 
+def _limit_blas_threads(threads: int) -> None:
+    """Cap the OpenBLAS that numpy loaded at ``threads`` threads.
+
+    A pool's initializer: forked workers inherit the parent's BLAS
+    thread count, so on a small host every worker's GEMMs would spin
+    threads for cores the other workers already use.  The setter is
+    OpenBLAS's own, exported by the library bundled in numpy's wheel
+    (``numpy.libs/libscipy_openblas64_*.so``), which is only looked up,
+    never loaded; without it this does nothing.  OpenBLAS splits a
+    GEMM's output between threads, not its sums, so samples stay
+    bit-identical.
+    """
+    libraries = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libraries.glob("libscipy_openblas64_*.so"):
+        try:
+            library = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            if library.scipy_openblas_get_num_threads64_() > threads:
+                library.scipy_openblas_set_num_threads64_(threads)
+        except (OSError, AttributeError):
+            continue
+
+
 class WorkerPool:
     """A persistent worker pool that outlives individual executions.
 
@@ -1008,12 +1037,20 @@ class WorkerPool:
     task carries the trace cache's directory, and trace payloads never
     cross the process boundary.
 
+    Each worker runs numpy's BLAS on its share of the usable CPUs
+    (``usable // workers``, at least one thread).
+
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
 
     def __init__(self, workers: int) -> None:
         self.workers = max(_validate_workers(workers), 1)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        threads = max(1, len(os.sched_getaffinity(0)) // self.workers)
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_limit_blas_threads,
+            initargs=(threads,),
+        )
 
     def submit(self, fn, /, *args):
         """Submit one task to the pool (``ProcessPoolExecutor.submit``)."""
@@ -1062,7 +1099,6 @@ class _Campaign:
         self,
         machine: CalibratedMachine,
         obs: CampaignObservability,
-        workers: int,
         names: list[str],
         config: MeasurementConfig,
         repetitions: int,
@@ -1071,7 +1107,7 @@ class _Campaign:
     ) -> None:
         self.machine = machine
         self.obs = obs
-        self.stats = CampaignStats(workers=workers, registry=obs.metrics)
+        self.stats = CampaignStats(registry=obs.metrics)
         self.names = names
         self.repetitions = repetitions
         self.progress = progress
@@ -1378,7 +1414,7 @@ def execute_campaign(
         _Campaign(
             calibrated,
             bundle if bundle is not None else CampaignObservability(),
-            effective_workers, names, config, repetitions, seed, progress,
+            names, config, repetitions, seed, progress,
         )
         for calibrated, bundle in zip(machines, bundles)
     ]
@@ -1401,7 +1437,6 @@ def execute_campaign(
             total_cells=campaign.total,
             campaign_key=campaign.key,
             **campaign.header,
-            workers=effective_workers,
         )
 
     owned_pool: WorkerPool | None = None
@@ -1485,7 +1520,10 @@ def execute_campaign(
                 fault, trace_cache_dir,
             )
 
-        if pool is None and (effective_workers <= 1 or len(groups) <= 1):
+        # Cache hits are resolved by now, so a warm run builds no pool.
+        if not groups or (
+            pool is None and (effective_workers <= 1 or len(groups) <= 1)
+        ):
             submit, slots = run_here, 1
         else:
             if pool is None:
@@ -1493,6 +1531,8 @@ def execute_campaign(
                     min(effective_workers, len(groups))
                 )
             submit, slots = run_in_pool, pool.workers
+        for campaign in campaigns:
+            campaign.stats.workers = slots
         _run_cells(
             groups, submit, slots, campaigns, dispatch_fault,
             complete_group, max_retries, cell_timeout_s, abandoned,
@@ -1513,7 +1553,10 @@ def execute_campaign(
         wall_seconds = time.perf_counter() - started
         for campaign in campaigns:
             campaign.stats.wall_seconds = wall_seconds
-            campaign.obs.campaign_end(status=status, wall_seconds=wall_seconds)
+            campaign.obs.campaign_end(
+                status=status, wall_seconds=wall_seconds,
+                workers=campaign.stats.workers,
+            )
 
     results = [(campaign.samples, campaign.stats) for campaign in campaigns]
     return results[0] if single else results

@@ -100,8 +100,14 @@ class CampaignObservability:
                 enabled=self.progress_setting,
             )
 
-    def campaign_end(self, status: str = "ok", wall_seconds: float = 0.0) -> None:
-        """Close the trace/progress and write the metrics file (idempotent)."""
+    def campaign_end(
+        self, status: str = "ok", wall_seconds: float = 0.0, workers: int = 1
+    ) -> None:
+        """Close the trace/progress and write the metrics file (idempotent).
+
+        ``workers`` is the number of worker processes cells ran on (1
+        for an in-process run), known only once cache hits are resolved.
+        """
         if self._ended:
             return
         self._ended = True
@@ -109,7 +115,10 @@ class CampaignObservability:
             self.progress.close()
         if self.trace is not None and self.trace.is_open:
             self.trace.event(
-                "campaign_end", status=status, wall_seconds=float(wall_seconds)
+                "campaign_end",
+                status=status,
+                wall_seconds=float(wall_seconds),
+                workers=int(workers),
             )
             self.trace.close()
         if self.metrics_out is not None:

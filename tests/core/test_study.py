@@ -166,8 +166,12 @@ class TestStudyEqualsStandaloneCampaigns:
         self._assert_equal(cold, standalone, config.method)
         warm = _study(config=config, workers=workers, cache_dir=tmp_path)
         self._assert_equal(warm, standalone, config.method)
+        for matrix in cold.matrices:
+            assert matrix.metadata["execution"]["workers"] == max(workers, 1)
         for matrix in warm.matrices:
             assert matrix.metadata["execution"]["cells_simulated"] == 0
+            # Every cell was a cache hit: nothing ran on the study's pool.
+            assert matrix.metadata["execution"]["workers"] == 1
 
     @pytest.mark.parametrize("config", [FAST_CONFIG, FULL_CONFIG], ids=["analytic", "full"])
     def test_partly_warm_result_cache(

@@ -9,6 +9,7 @@ from repro.machines.calibrated import (
     load_calibrated_machine,
     reference_for,
 )
+from repro.machines.reference_data import REFERENCE_MATRICES
 
 
 class TestReferenceFor:
@@ -34,6 +35,25 @@ class TestReferenceFor:
         base = reference_for("pentium3m", 0.10)
         assert reference.cell("ADD", "LDM") < base.symmetrized()[7, 0]
 
+    @pytest.mark.parametrize("machine", ["core2duo", "pentium3m"])
+    @pytest.mark.parametrize("distance", [0.104, 0.0951, 0.105])
+    def test_nearby_distance_is_not_snapped_to_a_published_one(
+        self, machine, distance
+    ):
+        reference = reference_for(machine, distance)
+        assert not reference.exact
+        assert reference.distance_m == distance
+
+    @pytest.mark.parametrize(
+        "distance, published", [(0.10, 0.10), (0.1000000001, 0.10), (1.00004, 1.00)]
+    )
+    def test_published_distance_matches_to_a_tenth_of_a_millimetre(
+        self, distance, published
+    ):
+        assert reference_for("core2duo", distance) is REFERENCE_MATRICES[
+            ("core2duo", published)
+        ]
+
     def test_unknown_machine_rejected(self):
         with pytest.raises(Exception):
             reference_for("imaginary", 0.10)
@@ -49,6 +69,14 @@ class TestLoadCalibratedMachine:
         machine = load_calibrated_machine("core2duo", 0.10, environment=quiet)
         assert machine.environment is quiet
         assert machine.calibration is core2duo_10cm.calibration
+
+    @pytest.mark.slow
+    def test_nearby_distance_calibrates_at_that_distance(self, core2duo_10cm):
+        machine = load_calibrated_machine("core2duo", 0.104)
+        assert machine.distance_m == 0.104
+        assert machine.calibration.reference.distance_m == 0.104
+        assert machine.coupling.distance_m == pytest.approx(0.104)
+        assert machine.calibration is not core2duo_10cm.calibration
 
     def test_describe(self, core2duo_10cm):
         text = core2duo_10cm.describe()

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ class TestParser:
     def test_campaign_execution_defaults(self, monkeypatch):
         monkeypatch.delenv("SAVAT_CACHE_DIR", raising=False)
         args = build_parser().parse_args(["campaign"])
-        assert args.workers == 0
+        assert args.workers == len(os.sched_getaffinity(0))
         assert args.cache_dir is None
         assert args.no_cache is False
 
@@ -481,7 +482,7 @@ class TestStudyParser:
         assert args.machines == ["core2duo"]
         assert args.distances == [0.10, 0.50]
         assert args.events is None
-        assert args.workers == 0
+        assert args.workers == len(os.sched_getaffinity(0))
         assert args.format == "table"
 
     def test_flags(self, tmp_path):
