@@ -72,7 +72,9 @@ def run_campaign(
 
     **Timeout semantics** are identical in serial and pool modes: with
     ``cell_timeout_s`` set, each attempt's budget is measured from its
-    submission.  An attempt that finishes over budget counts one timeout
+    submission, so a pool then has no more attempts outstanding than
+    workers (without a budget it queues one more cell behind each
+    running one).  An attempt that finishes over budget counts one timeout
     and its result is discarded; a running attempt that passes its
     deadline is abandoned, and an owned pool's workers are terminated at
     the end.  Either way the cell is retried from its original
@@ -112,9 +114,10 @@ def run_campaign(
         its original seed-schedule entry, so retries never change the
         campaign's samples.
     cell_timeout_s:
-        Wall-clock budget per cell attempt (preemptive when worker
-        processes are in use; see
-        :func:`repro.core.executor.execute_campaign`).
+        Wall-clock budget per cell attempt, from its submission
+        (preemptive when worker processes are in use; see
+        :func:`repro.core.executor.execute_campaign`).  With a budget a
+        pool submits one attempt per worker, none queued.
     journal:
         Campaign journal path (or ``True`` to keep it inside the
         cache's campaign directory): completed cells are streamed to it

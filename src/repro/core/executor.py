@@ -1292,7 +1292,9 @@ def execute_campaign(
         replays its original seed-schedule entry, so retries never
         change the samples; each of its campaigns counts the retry.
     cell_timeout_s:
-        Wall-clock budget per group attempt, measured from submission.
+        Wall-clock budget per group attempt, measured from submission,
+        so with a budget a pool submits one attempt per worker (without
+        one it queues a group behind each running one).
         An attempt that finishes over budget counts one timeout and its
         result is discarded; a running attempt that passes its deadline
         is abandoned, and an owned pool's workers are terminated at the
@@ -1575,13 +1577,17 @@ def _run_cells(
 ) -> None:
     """Run the cold cell groups with retries and timeouts, serial or pooled.
 
-    At most ``slots`` attempts are outstanding; ``submit`` either runs
-    the attempt in-process (and returns a finished future) or hands it
-    to a worker.  Each attempt's budget runs from just before its
-    submission.  An attempt found over budget when it completes counts
-    one timeout and its result is discarded; one still running past its
-    deadline is abandoned — added to ``abandoned``, its slot written off
-    until it returns — and counts one timeout too.  A failed or timed
+    ``submit`` either runs the attempt in-process (and returns a
+    finished future) or hands it to a worker.  A pool without a budget
+    keeps ``2 * slots`` attempts outstanding: one queued behind each
+    running one, so a worker starts its next cell the moment it finishes
+    while this process stores the last.  Otherwise at most ``slots`` are
+    outstanding, because each attempt's budget runs from just before its
+    submission and a queued attempt would spend it waiting for a worker.
+    An attempt found over budget when it completes counts one timeout
+    and its result is discarded; one still running past its deadline is
+    abandoned — added to ``abandoned``, its slot written off until it
+    returns — and counts one timeout too.  A failed or timed
     out group is retried from its original seed-schedule entry at the
     *front* of the queue, so a serial run keeps row-major order with a
     retried group re-run before the next one.  Every span, retry and
@@ -1589,7 +1595,7 @@ def _run_cells(
     """
     queue: deque[tuple[_CellGroup, int]] = deque((group, 0) for group in groups)
     outstanding: dict = {}  # future -> (group, attempt, submitted_monotonic)
-    capacity = slots
+    capacity = 2 * slots if cell_timeout_s is None and slots > 1 else slots
 
     def members(group: _CellGroup) -> list[_Campaign]:
         return [campaigns[index] for index in group.members]

@@ -46,7 +46,6 @@ from repro.machines.calibration import clear_profile_cache, profile_all_events
 from repro.uarch.activity import ActivityTrace
 from repro.uarch.cache import shift_ring_lines
 from repro.uarch.fastpath import fast_path_enabled, prime_extrapolation_enabled
-from repro.uarch.hierarchy import MemoryHierarchy
 from repro.units import REFERENCE_IMPEDANCE, ZEPTOJOULE
 
 #: Supported measurement methods.
@@ -378,118 +377,22 @@ def _prime_fast(hierarchy, sweeps, count: int, periods_needed: int) -> None:
         l1.apply_ring_shift(rings, owed)
 
 
-@dataclass(frozen=True)
-class _RingSteadyState:
-    """A lone ring's priming state from the access count where it turns periodic.
-
-    After ``start`` accesses from a reset hierarchy, and after any later
-    access count ``k``, each level holds its canonical state (``l1``,
-    ``l2``: the ring rotated back by ``k`` slots) rotated forward by
-    ``k`` slots, and the counters are ``counters`` plus ``k - start``
-    times the per-access ``delta``.
-    """
-
-    start: int
-    l1: tuple[np.ndarray, np.ndarray, np.ndarray]
-    l2: tuple[np.ndarray, np.ndarray, np.ndarray]
-    counters: tuple[dict, dict, int]
-    delta: tuple[dict, dict, int]
-
-
-#: Lone-ring steady states, keyed by ``(L1 geometry, L2 geometry,
-#: SweepPlan, is_store)``; ``None`` marks a ring that did not settle
-#: within :func:`_ring_steady_state`'s budget.
-_RING_STEADY_STATES: dict[tuple, _RingSteadyState | None] = {}
-
-
-def _narrowed(state):
-    """``(tags, dirty, occupancy)`` with the integers in their smallest dtype."""
-    tags, dirty, occupancy = state
-    return (
-        tags.astype(np.min_scalar_type(int(tags.max()))),
-        dirty,
-        occupancy.astype(np.min_scalar_type(int(occupancy.max()))),
-    )
-
-
-def _ring_steady_state(l1_geometry, l2_geometry, plan, is_store) -> _RingSteadyState | None:
-    """Replay a lone ring from a reset hierarchy until it is one-slot periodic.
-
-    Each access advances the ring by one slot, and a one-slot rotation
-    is an isomorphism of both levels, so the per-access transition
-    commutes with it.  Hence once the canonical snapshot after ``k + 1``
-    accesses equals the one after ``k`` at both levels, the state after
-    any ``k' >= k`` accesses is the state after ``k`` rotated ``k' - k``
-    slots, reached through ``k' - k`` equal counter deltas (induction on
-    the transition).  Candidates ``k`` fall every 1/16 of the ring, and
-    a level is snapshotted only once its line count has settled.
-    Returns ``None`` when no candidate within two passes over the ring
-    and L2 proves periodicity.
-    """
-    hierarchy = MemoryHierarchy(l1_geometry, l2_geometry)
-    rings = [(plan.base // hierarchy.line_bytes, plan.num_slots)]
-    watches = [_LevelWatch(hierarchy.l1, rings), _LevelWatch(hierarchy.l2, rings)]
-    step = max(plan.num_slots // 16, 1)
-    limit = 2 * (plan.num_slots + l2_geometry.size_bytes // l2_geometry.line_bytes)
-    pointer = plan.base
-    done = 0
-    while done < limit:
-        hierarchy.access_stream(sweep_address_stream(plan, pointer, step), is_store)
-        pointer = advance_pointer(pointer, plan.mask, plan.offset, step)
-        done += step
-        for watch in watches:
-            watch.repeats(done)
-        counters = hierarchy.counters()
-        hierarchy.access_stream(sweep_address_stream(plan, pointer, 1), is_store)
-        pointer = advance_pointer(pointer, plan.mask, plan.offset, 1)
-        done += 1
-        if all([watch.repeats(done) for watch in watches]):
-            return _RingSteadyState(
-                start=done - 1,
-                l1=_narrowed(watches[0].snapshot),
-                l2=_narrowed(watches[1].snapshot),
-                counters=counters,
-                delta=_counter_delta(hierarchy.counters(), counters),
-            )
-    return None
-
-
 def _prime_lone_ring(hierarchy, sweeps, accesses: int) -> bool:
-    """Prime a reset hierarchy from a lone ring's memoized steady state.
+    """Prime a reset hierarchy for a lone ring in closed form.
 
-    Applies when exactly one half touches memory, its ring rotates
-    isomorphically at both levels (every slot count divides both set
-    counts, one line per slot) and extrapolation is on.  The first cell
-    with a ring finds its steady state (:func:`_ring_steady_state`);
-    every later one — retunes included — rotates it to its own access
-    count.  Returns False, with ``hierarchy`` untouched, when the ring
-    does not qualify or ``accesses`` falls short of the steady state.
+    Applies when exactly one half touches memory, one line per slot, and
+    extrapolation is on: :meth:`MemoryHierarchy.prime_ring
+    <repro.uarch.hierarchy.MemoryHierarchy.prime_ring>` then writes the
+    state and counters directly if the ring's geometry allows.  Returns
+    False, with ``hierarchy`` untouched, otherwise.
     """
     if len(sweeps) != 1 or not prime_extrapolation_enabled():
         return False
     plan, is_store = sweeps[0]
     line = hierarchy.line_bytes
-    rings = [(plan.base // line, plan.num_slots)]
-    if plan.offset != line or hierarchy.ring_shift_plan(rings) != []:
+    if plan.offset != line:
         return False
-    key = (hierarchy.l1_geometry, hierarchy.l2_geometry, plan, is_store)
-    if key not in _RING_STEADY_STATES:
-        _RING_STEADY_STATES[key] = _ring_steady_state(
-            hierarchy.l1_geometry, hierarchy.l2_geometry, plan, is_store
-        )
-    steady = _RING_STEADY_STATES[key]
-    if steady is None or accesses < steady.start:
-        return False
-    hierarchy.l1.load_ring_shifted(steady.l1, rings, accesses)
-    hierarchy.l2.load_ring_shifted(steady.l2, rings, accesses)
-    hierarchy.add_counters(steady.counters)
-    hierarchy.add_counters(steady.delta, times=accesses - steady.start)
-    return True
-
-
-def clear_prime_memo() -> None:
-    """Drop the memoized lone-ring steady states (mostly for tests)."""
-    _RING_STEADY_STATES.clear()
+    return hierarchy.prime_ring(plan.base // line, plan.num_slots, accesses, is_store)
 
 
 def prime_alternation_steady_state(core, spec) -> tuple[int, int]:
@@ -512,11 +415,10 @@ def prime_alternation_steady_state(core, spec) -> tuple[int, int]:
     extrapolating the pass-periodic tail arithmetically when the sweeps
     permit it (see :func:`_prime_fast`).  When only one half touches
     memory, the primed state depends only on its ring and the number of
-    accesses, so the ring's one-slot-periodic steady state is found once
-    per process and memoized: every later cell or retune with that ring
-    rotates it to its own access count (:func:`_prime_lone_ring`;
-    :func:`clear_prime_memo` empties the memo).  ``SAVAT_PRIME_EXTRAPOLATE=0``
-    disables both the extrapolation and the memo.  State and statistics
+    accesses, and for rings whose slot count both set counts divide it
+    is written in closed form, with no replay at all
+    (:func:`_prime_lone_ring`).  ``SAVAT_PRIME_EXTRAPOLATE=0`` disables
+    both the extrapolation and the closed form.  State and statistics
     are bit-identical to the scalar reference loop below
     (``SAVAT_REFERENCE_PATH=1`` to force it).
     """

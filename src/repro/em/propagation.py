@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CalibrationError, ConfigurationError
+from repro.scipy_extensions import load_extension
 
 #: Reference distance (m) at which coupling amplitudes are quoted.
 REFERENCE_DISTANCE_M = 0.10
@@ -113,11 +114,25 @@ def fit_near_far(
     design = np.stack(
         [ratios**NEAR_FIELD_POWER_EXPONENT, ratios**FAR_FIELD_POWER_EXPONENT], axis=1
     )
-    # Non-negative LSQ via scipy keeps both terms physical.
-    from scipy.optimize import nnls
-
-    solution, _residual = nnls(design, powers)
+    # Non-negative least squares keeps both terms physical.
+    solution = _nnls(design, powers)
     return NearFarModel(near=float(solution[0]), far=float(solution[1]), reference_m=reference_m)
+
+
+def _nnls(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``scipy.optimize.nnls(design, target)[0]`` without importing ``scipy.optimize``.
+
+    Calls the compiled solver ``scipy.optimize.nnls`` wraps, with its
+    input conversions and default iteration limit, so the result is the
+    same bits.
+    """
+    design = np.asarray_chkfinite(design, dtype=np.float64, order="C")
+    target = np.asarray_chkfinite(target, dtype=np.float64)
+    slsqplib = load_extension("scipy.optimize._slsqplib")
+    solution, _rnorm, info = slsqplib.nnls(design, target, 3 * design.shape[1])
+    if info == 3:
+        raise CalibrationError("near/far fit: maximum number of nnls iterations reached")
+    return solution
 
 
 def interpolate_matrix(

@@ -32,6 +32,7 @@ from repro.machines.reference_data import (
     CORE2DUO_100CM,
     REFERENCE_MATRICES,
     ReferenceMatrix,
+    distance_key,
 )
 from repro.machines.specs import MachineSpec
 from repro.uarch.core import Core
@@ -108,16 +109,6 @@ def _scaled_distance_target(machine: str, distance_m: float) -> ReferenceMatrix:
     )
 
 
-def _distance_key(distance_m: float) -> float:
-    """A distance's key in both the published-matrix lookup and the memo.
-
-    One rounding for both, so a calibration memoized at a distance is
-    fitted to the target for that same distance: 0.104 m is interpolated,
-    not snapped to the published 10 cm matrix.
-    """
-    return round(float(distance_m), 4)
-
-
 def reference_for(machine: str, distance_m: float) -> ReferenceMatrix:
     """Published or synthesized calibration target for (machine, distance).
 
@@ -130,7 +121,7 @@ def reference_for(machine: str, distance_m: float) -> ReferenceMatrix:
         If the machine has no published matrix at any distance.
     """
     machine = machine.lower()
-    key = (machine, _distance_key(distance_m))
+    key = (machine, distance_key(distance_m))
     if key in REFERENCE_MATRICES:
         return REFERENCE_MATRICES[key]
     if machine == "core2duo":
@@ -183,7 +174,7 @@ def load_calibrated_machine(
             f"distance_m must be a positive, finite distance in metres; "
             f"got {distance_m!r}"
         )
-    key = (name.lower(), _distance_key(distance), num_modes)
+    key = (name.lower(), distance_key(distance), num_modes)
     if key not in _CACHE:
         spec = get_machine(name)
         reference = reference_for(name, distance_m)

@@ -41,12 +41,8 @@ centered — only differences are observable).
 from __future__ import annotations
 
 import contextlib
-import importlib.machinery
-import importlib.util
 import math
 import multiprocessing
-import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import ModuleType
@@ -62,6 +58,7 @@ from repro.codegen.pointers import prime_for_sweep
 from repro.em.coupling import CouplingMatrix, DEFAULT_NUM_MODES
 from repro.machines.reference_data import ReferenceMatrix
 from repro.machines.specs import MachineSpec
+from repro.scipy_extensions import load_extension
 from repro.units import REFERENCE_IMPEDANCE, ZEPTOJOULE
 
 #: Iterations used by the calibration probes (steady state is reached
@@ -295,34 +292,9 @@ def _norm(vector: np.ndarray) -> np.floating:
     return np.sqrt(vector.dot(vector))
 
 
-#: Module name of scipy's LAPACK extension (see :func:`_load_flapack`).
-_FLAPACK = "scipy.linalg._flapack"
-
-
 def _load_flapack() -> ModuleType:
-    """scipy's compiled LAPACK wrappers, without importing ``scipy.linalg``.
-
-    ``import scipy.linalg`` costs ~0.25 s, most of it in modules its
-    array-API shim pulls in; the solver needs one routine from it.  The
-    extension is loaded from scipy's package directory under its own
-    name and registered in ``sys.modules``, so a later ``import
-    scipy.linalg`` reuses this module object.
-    """
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        package = importlib.util.find_spec("scipy")
-        directory = os.path.join(package.submodule_search_locations[0], "linalg")
-        finder = importlib.machinery.FileFinder(
-            directory,
-            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-        )
-        spec = finder.find_spec(_FLAPACK)
-        if spec is None:
-            raise CalibrationError(f"scipy's LAPACK extension is missing from {directory}")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_FLAPACK] = module
-    return module
+    """scipy's compiled LAPACK wrappers, without importing ``scipy.linalg``."""
+    return load_extension("scipy.linalg._flapack")
 
 
 def _thin_svd(m: int, n: int) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:

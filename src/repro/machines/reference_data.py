@@ -240,15 +240,24 @@ SELECTED_PAIRINGS: tuple[tuple[str, str], ...] = (
 REPORTED_STD_OVER_MEAN = 0.05
 
 
+def distance_key(distance_m: float) -> float:
+    """A distance's key in :data:`REFERENCE_MATRICES` (and calibration's memo).
+
+    Rounded to 0.1 mm: 0.1000000001 m is the published 10 cm, 0.104 m
+    is not.
+    """
+    return round(float(distance_m), 4)
+
+
 def get_reference(machine: str, distance_m: float) -> ReferenceMatrix:
-    """Look up a published matrix.
+    """Look up a published matrix, at a distance equal to one to 0.1 mm.
 
     Raises
     ------
     ConfigurationError
         If the paper did not publish a matrix for that combination.
     """
-    key = (machine.lower(), round(float(distance_m), 2))
+    key = (machine.lower(), distance_key(distance_m))
     try:
         return REFERENCE_MATRICES[key]
     except KeyError:

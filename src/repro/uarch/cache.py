@@ -659,49 +659,51 @@ class Cache:
         ``False`` so the result is canonical (equality comparisons see
         only the valid region).  ``shift`` may be negative.
         """
-        return _ring_shifted(self._tags, self._dirty, self._occupancy, rings, shift)
+        num_sets, ways = self.geometry.num_sets, self.geometry.ways
+        occupancy = self._occupancy
+        valid = np.arange(ways, dtype=np.int64)[None, :] < occupancy[:, None]
+        set_column = np.arange(num_sets, dtype=np.int64)[:, None]
+        new_ids = shift_ring_lines(self._tags * num_sets + set_column, rings, shift)
+        row_shift = shift % num_sets
+        new_tags = np.where(valid, new_ids // num_sets, 0)
+        new_dirty = np.where(valid, self._dirty, False)
+        return (
+            np.roll(new_tags, row_shift, axis=0),
+            np.roll(new_dirty, row_shift, axis=0),
+            np.roll(occupancy, row_shift),
+        )
 
     def apply_ring_shift(self, rings: list[tuple[int, int]], shift: int) -> None:
         """Replace the state with :meth:`ring_shifted_state` in place."""
         self._tags, self._dirty, self._occupancy = self.ring_shifted_state(rings, shift)
 
-    def load_ring_shifted(
-        self,
-        state: tuple[np.ndarray, np.ndarray, np.ndarray],
-        rings: list[tuple[int, int]],
-        shift: int,
-    ) -> None:
-        """Replace the state with ``state`` advanced ``shift`` ring slots.
+    def load_ring(self, base_line: int, slots: int, reads: int) -> tuple[np.ndarray, int]:
+        """Replace the state with a ring's after ``reads`` cyclic reads from empty.
 
-        ``state`` is a ``(tags, dirty, occupancy)`` triple such as
-        :meth:`ring_shifted_state` returns; it is read, never aliased.
+        Read ``t`` touches line ``base_line + (t + 1) % slots`` — a sweep
+        moves its pointer before each access — and ``slots`` must be a
+        multiple of the set count, so consecutive reads visit the sets
+        round robin and every set cycles through ``slots // num_sets``
+        lines.  Under LRU a set then holds its last ``min(visits, ways,
+        slots // num_sets)`` lines in visit order: when it cycles through
+        more lines than it has ways every read misses, otherwise only
+        first reads do.  Lines are left clean and the counters untouched.
+
+        Returns ``(fills, misses)``: per entry the read that filled it (-1
+        where invalid), and the number of reads that missed.
         """
-        self._tags, self._dirty, self._occupancy = _ring_shifted(*state, rings, shift)
-
-
-def _ring_shifted(
-    tags: np.ndarray,
-    dirty: np.ndarray,
-    occupancy: np.ndarray,
-    rings: list[tuple[int, int]],
-    shift: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fresh state arrays with every ring line advanced (see ``ring_shifted_state``).
-
-    ``tags`` and ``occupancy`` may use any integer dtype; the result is
-    int64 like the cache's own arrays.
-    """
-    num_sets, ways = tags.shape
-    tags = tags.astype(np.int64, copy=False)
-    occupancy = occupancy.astype(np.int64, copy=False)
-    valid = np.arange(ways, dtype=np.int64)[None, :] < occupancy[:, None]
-    set_column = np.arange(num_sets, dtype=np.int64)[:, None]
-    new_ids = shift_ring_lines(tags * num_sets + set_column, rings, shift)
-    row_shift = shift % num_sets
-    new_tags = np.where(valid, new_ids // num_sets, 0)
-    new_dirty = np.where(valid, dirty, False)
-    return (
-        np.roll(new_tags, row_shift, axis=0),
-        np.roll(new_dirty, row_shift, axis=0),
-        np.roll(occupancy, row_shift),
-    )
+        num_sets, ways = self.geometry.num_sets, self.geometry.ways
+        per_set = slots // num_sets
+        thrashes = per_set > ways
+        start = max(0, reads - num_sets * min(ways, per_set))
+        times = np.arange(start, reads, dtype=np.int64)
+        line_ids = base_line + (times + 1) % slots
+        sets = line_ids % num_sets
+        columns = (times - start) // num_sets
+        self._tags = np.zeros((num_sets, ways), dtype=np.int64)
+        self._tags[sets, columns] = line_ids // num_sets
+        self._dirty = np.zeros((num_sets, ways), dtype=bool)
+        self._occupancy = np.bincount(sets, minlength=num_sets).astype(np.int64)
+        fills = np.full((num_sets, ways), -1, dtype=np.int64)
+        fills[sets, columns] = times if thrashes else times % slots
+        return fills, reads if thrashes else min(reads, slots)

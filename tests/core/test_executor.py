@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import executor as executor_module
 from repro.core.campaign import run_campaign
 from repro.core.executor import (
     WorkerPool,
@@ -170,6 +171,40 @@ class TestParallelMatchesSerial:
         assert {call[:2] for call in calls} == {
             ("ADD", "ADD"), ("ADD", "SUB"), ("SUB", "ADD"), ("SUB", "SUB")
         }
+
+
+@pytest.mark.slow
+class TestOutstandingAttempts:
+    """A pool keeps one cell queued behind each running one, unless budgeted."""
+
+    @pytest.fixture
+    def outstanding(self, monkeypatch):
+        """Sizes of the attempt sets the executor waits on."""
+        sizes = []
+        original = executor_module.wait
+
+        def spy(futures, **kwargs):
+            sizes.append(len(futures))
+            return original(futures, **kwargs)
+
+        monkeypatch.setattr(executor_module, "wait", spy)
+        return sizes
+
+    def test_two_workers_without_a_budget_keep_four_attempts(
+        self, core2duo_10cm, outstanding
+    ):
+        matrix = _run(core2duo_10cm, workers=2)
+        assert max(outstanding) == 4
+        assert matrix.metadata["execution"]["workers"] == 2
+        assert np.array_equal(matrix.samples_zj, _run(core2duo_10cm).samples_zj)
+
+    def test_a_budget_keeps_one_attempt_per_worker(self, core2duo_10cm, outstanding):
+        _run(core2duo_10cm, workers=2, cell_timeout_s=60.0)
+        assert max(outstanding) == 2
+
+    def test_a_serial_run_keeps_one_attempt(self, core2duo_10cm, outstanding):
+        _run(core2duo_10cm, workers=0)
+        assert set(outstanding) == {1}
 
 
 class TestExecuteCampaignValidation:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.em import propagation
 from repro.em.propagation import (
     NearFarModel,
     fit_near_far,
@@ -65,6 +67,22 @@ class TestFit:
         fitted = fit_near_far(distances, powers)
         assert fitted.near >= 0.0
         assert fitted.far >= 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        distances=st.lists(
+            st.floats(min_value=0.05, max_value=2.0), min_size=2, max_size=4, unique=True
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.sampled_from([1e-21, 1.0, 1e5]),
+    )
+    def test_nnls_equals_scipy_optimize(self, distances, seed, scale):
+        from scipy.optimize import nnls
+
+        ratios = 0.1 / np.array(distances)
+        design = np.stack([ratios**6, ratios**2], axis=1)
+        target = np.random.default_rng(seed).uniform(0.0, scale, size=len(distances))
+        assert np.array_equal(propagation._nnls(design, target), nnls(design, target)[0])
 
     def test_single_distance_rejected(self):
         with pytest.raises(CalibrationError):

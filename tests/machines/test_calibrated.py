@@ -1,9 +1,16 @@
 """Tests for calibrated-machine loading and distance synthesis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
+from repro.em import propagation
 from repro.em.environment import NoiseEnvironment
 from repro.machines.calibrated import (
     load_calibrated_machine,
@@ -57,6 +64,38 @@ class TestReferenceFor:
     def test_unknown_machine_rejected(self):
         with pytest.raises(Exception):
             reference_for("imaginary", 0.10)
+
+    @pytest.mark.parametrize("machine", ["core2duo", "pentium3m", "turionx2"])
+    @pytest.mark.parametrize("distance", [0.25, 0.75])
+    def test_synthesized_reference_equals_the_scipy_optimize_fit(
+        self, monkeypatch, machine, distance
+    ):
+        from scipy.optimize import nnls
+
+        direct = reference_for(machine, distance).values_zj
+        monkeypatch.setattr(
+            propagation, "_nnls", lambda design, target: nnls(design, target)[0]
+        )
+        assert np.array_equal(reference_for(machine, distance).values_zj, direct)
+
+    def test_unpublished_distance_imports_neither_scipy_package(self):
+        source = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from repro.machines.calibrated import load_calibrated_machine\n"
+            "load_calibrated_machine('core2duo', 0.25)\n"
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
+        )
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestLoadCalibratedMachine:

@@ -128,6 +128,20 @@ class TestLookup:
         with pytest.raises(ConfigurationError, match="no published matrix"):
             get_reference("pentium3m", 0.50)
 
+    @pytest.mark.parametrize("distance", [0.104, 0.0951, 0.105, 0.4996])
+    def test_nearby_distance_is_not_snapped_to_a_published_one(self, distance):
+        with pytest.raises(ConfigurationError, match="no published matrix"):
+            get_reference("core2duo", distance)
+
+    @pytest.mark.parametrize(
+        "distance, expected",
+        [(0.1000000001, CORE2DUO_10CM), (0.10004, CORE2DUO_10CM), (0.49996, CORE2DUO_50CM)],
+    )
+    def test_published_distance_matches_to_a_tenth_of_a_millimetre(
+        self, distance, expected
+    ):
+        assert get_reference("core2duo", distance) is expected
+
     def test_five_published_matrices(self):
         assert len(REFERENCE_MATRICES) == 5
 

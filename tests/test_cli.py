@@ -399,6 +399,26 @@ class TestCommands:
         code = main(["audit", "/nonexistent/file.s"])
         assert code == 2
 
+    def test_audit_unpublished_distance_is_an_error(self, capsys, tmp_path):
+        source = tmp_path / "clean.s"
+        source.write_text("add eax, 1\nhalt\n")
+        code = main(["audit", str(source), "--distance", "0.104"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error_lines = captured.err.strip().splitlines()
+        assert len(error_lines) == 1
+        assert "no published matrix for 'core2duo' at 0.104 m" in error_lines[0]
+
+    def test_audit_at_a_published_distance_to_a_tenth_of_a_millimetre(
+        self, capsys, tmp_path
+    ):
+        source = tmp_path / "clean.s"
+        source.write_text("add eax, 1\nhalt\n")
+        code = main(["audit", str(source), "--distance", "0.1000000001"])
+        assert code == 0
+        assert "no conditional branches" in capsys.readouterr().out
+
     def test_attack(self, capsys, core2duo_10cm):
         code = main(["attack", "--key", "1011", "--seed", "1"])
         output = capsys.readouterr().out
