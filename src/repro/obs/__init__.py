@@ -125,6 +125,17 @@ class CampaignObservability:
             self.metrics_out.parent.mkdir(parents=True, exist_ok=True)
             self.metrics_out.write_text(self.metrics.to_prometheus())
 
+    def calibrated(self, machine: str, distance_m: float, seconds: float) -> None:
+        """The execution fitted its machine's calibration (a cold cell
+        needed it and no earlier fit in this process could serve it)."""
+        if self.trace is not None:
+            self.trace.event(
+                "calibrate",
+                machine=machine,
+                distance_m=float(distance_m),
+                seconds=float(seconds),
+            )
+
     # ------------------------------------------------------------------
     # Cell lifecycle (one span per simulation attempt)
     # ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A campaign trace is an append-only JSONL file telling the full story of
 one execution: a header binding the trace to the campaign (schema
 version plus the campaign's content-hash key), ``event`` records for
-point-in-time occurrences (campaign start/end, cache hits and misses,
-quarantines, journal resumes, retries, timeouts, fault injections), and
+point-in-time occurrences (campaign start/end, the calibration fit when
+the execution makes it, cache hits and misses, quarantines, journal
+resumes, retries, timeouts, fault injections), and
 ``span_start`` / ``span_end`` pairs for every simulation *attempt*,
 identified by the cell's ``(i, j, attempt)`` triple.
 
@@ -26,6 +27,7 @@ identities unique per attempt.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections.abc import Callable, Iterable
@@ -141,12 +143,27 @@ def _span_key(record: dict) -> tuple:
     return (record.get("name"), identity)
 
 
+def _calibrate_problems(record: dict) -> list[str]:
+    """What a ``calibrate`` event lacks: machine, distance, seconds."""
+    problems = []
+    if not isinstance(record.get("machine"), str):
+        problems.append("names no machine")
+    if not isinstance(record.get("distance_m"), (int, float)):
+        problems.append("has no numeric distance_m")
+    seconds = record.get("seconds")
+    if not isinstance(seconds, (int, float)) or not 0 <= seconds < math.inf:
+        problems.append(f"has seconds {seconds!r}, not a finite duration")
+    return problems
+
+
 def validate_trace(records: Iterable[dict]) -> list[str]:
     """Schema-check a trace; returns a list of problems (empty = valid).
 
     Checks, in order: a single leading header with a known schema
     version; every record carrying a known ``kind`` and (except the
-    header) a numeric, non-decreasing ``ts``; every ``span_start``
+    header) a numeric, non-decreasing ``ts``; every ``calibrate`` event
+    naming its machine and distance and carrying finite, non-negative
+    ``seconds``; every ``span_start``
     carrying a unique ``(name, i, j, attempt)`` identity; every span
     closed by exactly one matching ``span_end`` and no end without a
     start; and a terminal ``campaign_end`` event, which a cleanly
@@ -189,6 +206,11 @@ def validate_trace(records: Iterable[dict]) -> list[str]:
         if not record.get("name"):
             errors.append(f"record {number}: missing name")
             continue
+        if kind == "event" and record["name"] == "calibrate":
+            errors.extend(
+                f"record {number}: calibrate event {problem}"
+                for problem in _calibrate_problems(record)
+            )
         if kind == "span_start":
             key = _span_key(record)
             if key in seen_spans:

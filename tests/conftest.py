@@ -34,13 +34,21 @@ def tiny_spec() -> MachineSpec:
     )
 
 
+def _fitted(name: str, distance_m: float):
+    """A loaded machine whose fit has run (so it sits in the fit memo
+    before any test swaps the memo out)."""
+    machine = load_calibrated_machine(name, distance_m)
+    machine.calibration
+    return machine
+
+
 @pytest.fixture(scope="session")
 def core2duo_10cm():
     """Calibrated Core 2 Duo at the paper's 10 cm distance."""
-    return load_calibrated_machine("core2duo", 0.10)
+    return _fitted("core2duo", 0.10)
 
 
 @pytest.fixture(scope="session")
 def core2duo_100cm():
     """Calibrated Core 2 Duo at 100 cm."""
-    return load_calibrated_machine("core2duo", 1.00)
+    return _fitted("core2duo", 1.00)

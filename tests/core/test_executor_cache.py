@@ -7,13 +7,22 @@ quarantined (moved to ``<cache_dir>/quarantine/``, never silently
 deleted) and re-simulated instead of crashing.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.campaign import run_campaign
-from repro.core.executor import ResultCache, campaign_cache_key
+from repro.core.executor import CACHE_SCHEMA_VERSION, ResultCache, campaign_cache_key
 from repro.core.savat import MeasurementConfig
+from repro.em.environment import (
+    NoiseEnvironment,
+    RadioInterferer,
+    quiet_lab_environment,
+)
 from repro.errors import ConfigurationError
+from repro.machines.calibrated import load_calibrated_machine
 
 FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
 
@@ -53,6 +62,17 @@ class TestCacheHitsAndMisses:
         """A cache directory primed with the canonical tiny campaign."""
         cold = _run(core2duo_10cm, tmp_path)
         return tmp_path, cold
+
+    def test_manifest_records_modes_and_environment(self, warm_cache):
+        cache_dir, _cold = warm_cache
+        (manifest,) = cache_dir.glob("*/manifest.json")
+        payload = json.loads(manifest.read_text())
+        assert payload["schema"] == CACHE_SCHEMA_VERSION
+        assert payload["num_modes"] == 3
+        assert payload["environment"] == json.loads(
+            json.dumps(dataclasses.asdict(quiet_lab_environment()))
+        )
+        assert payload["environment"]["interferers"][0]["frequency_hz"] == 81_450.0
 
     def test_cold_run_misses_every_cell(self, warm_cache):
         _cache_dir, cold = warm_cache
@@ -100,6 +120,38 @@ class TestCacheHitsAndMisses:
         execution = _execution(changed)
         assert execution["cache_hits"] == 0
         assert execution["cells_simulated"] == len(EVENTS) ** 2
+
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "load",
+    [
+        dict(num_modes=2),
+        dict(
+            environment=NoiseEnvironment(
+                instrument_floor_w_per_hz=1e6
+                * quiet_lab_environment().instrument_floor_w_per_hz
+            )
+        ),
+    ],
+    ids=["num_modes", "environment"],
+)
+def test_changed_modes_or_environment_misses(core2duo_10cm, tmp_path, load):
+    """A handle with other modes or another noise environment measures
+    other samples, so the default machine's entries must not serve it.
+    (ADD/SUB alone would not show the modes: two modes fit its cells
+    to the same bits as three.)"""
+    events = ("ADD", "LDM")
+    default = _run(core2duo_10cm, tmp_path, events=events)
+    machine = load_calibrated_machine("core2duo", 0.10, **load)
+    changed = _run(machine, tmp_path, events=events)
+    execution = _execution(changed)
+    assert execution["cache_hits"] == 0
+    assert execution["cells_simulated"] == len(events) ** 2
+    uncached = _run(machine, None, events=events)
+    assert np.array_equal(changed.samples_zj, uncached.samples_zj)
+    assert not np.array_equal(changed.samples_zj, default.samples_zj)
 
 
 @pytest.mark.slow
@@ -266,6 +318,11 @@ class TestCacheKey:
     def test_key_is_stable(self):
         assert campaign_cache_key(**self.BASE) == campaign_cache_key(**self.BASE)
 
+    def test_defaults_are_three_modes_in_the_quiet_lab(self):
+        assert campaign_cache_key(**self.BASE) == campaign_cache_key(
+            **self.BASE, num_modes=3, environment=quiet_lab_environment()
+        )
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -277,6 +334,18 @@ class TestCacheKey:
             {"event_names": ("ADD", "SUB", "MUL")},
             {"repetitions": 3},
             {"seed": 1},
+            {"num_modes": 2},
+            {"environment": NoiseEnvironment()},
+            {
+                "environment": dataclasses.replace(
+                    quiet_lab_environment(),
+                    interferers=(
+                        RadioInterferer(
+                            frequency_hz=81_450.0, power_w=2.5e-16, bandwidth_hz=31.0
+                        ),
+                    ),
+                )
+            },
         ],
     )
     def test_any_component_changes_the_key(self, overrides):

@@ -173,6 +173,40 @@ class TestValidateTrace:
         )
         assert any("unknown kind" in error for error in errors)
 
+    CALIBRATE = {"kind": "event", "name": "calibrate", "ts": 1.0,
+                 "machine": "core2duo", "distance_m": 0.1, "seconds": 0.8}
+
+    def test_calibrate_event_from_the_hook_passes_the_checker(self, tmp_path):
+        from repro.obs import CampaignObservability
+        from repro.obs.check import main as check
+
+        path = tmp_path / "trace.jsonl"
+        bundle = CampaignObservability(trace=path)
+        bundle.campaign_start(total_cells=1, campaign_key="abc123")
+        bundle.calibrated("core2duo", 0.1, 0.8)
+        bundle.campaign_end()
+        (event,) = [r for r in read_trace(path) if r.get("name") == "calibrate"]
+        assert (event["machine"], event["distance_m"], event["seconds"]) == (
+            "core2duo", 0.1, 0.8,
+        )
+        assert check(["--trace", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"machine": None}, "names no machine"),
+            ({"distance_m": "10 cm"}, "no numeric distance_m"),
+            ({"seconds": -1.0}, "not a finite duration"),
+            ({"seconds": float("nan")}, "not a finite duration"),
+            ({"seconds": None}, "not a finite duration"),
+        ],
+    )
+    def test_malformed_calibrate_event_is_reported(self, change, problem):
+        errors = validate_trace(
+            [dict(self.HEADER), dict(self.CALIBRATE, **change), dict(self.END)]
+        )
+        assert len(errors) == 1 and problem in errors[0]
+
     def test_records_are_sorted_json_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         _write_minimal_trace(path)
