@@ -155,7 +155,7 @@ def run_campaign(
         resumed cells).
     """
     config = config or MeasurementConfig()
-    resolved = _resolve_events(events)
+    resolved = resolve_events(events)
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
     if isinstance(resume, (str, os.PathLike)):
@@ -210,7 +210,7 @@ def run_campaigns(
     :func:`run_campaign`'s.
     """
     config = config or MeasurementConfig()
-    resolved = _resolve_events(events)
+    resolved = resolve_events(events)
     results = execute_campaign(
         list(machines),
         resolved,
@@ -233,9 +233,10 @@ def run_campaigns(
     ]
 
 
-def _resolve_events(
+def resolve_events(
     events: Sequence[InstructionEvent | str] | None,
 ) -> list[InstructionEvent]:
+    """Event objects for names or events; every paper event, in order, for ``None``."""
     if events is None:
         return [get_event(name) for name in EVENT_ORDER]
     return [get_event(e) if isinstance(e, str) else e for e in events]

@@ -607,7 +607,7 @@ class TestTrustRegionFit:
             "for machine, distance in [('core2duo', 0.10), ('core2duo', 0.50),\n"
             "                          ('core2duo', 1.00), ('pentium3m', 0.10),\n"
             "                          ('turionx2', 0.10)]:\n"
-            "    load_calibrated_machine(machine, distance)\n"
+            "    load_calibrated_machine(machine, distance).calibration  # fits\n"
             "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         )
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
