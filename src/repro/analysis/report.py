@@ -36,6 +36,10 @@ def experiment_report(matrix: SavatMatrix, reference: ReferenceMatrix) -> str:
     measured = matrix.mean()
     paper = reference.values_zj
     correlations = matrix_correlations(measured, paper)
+    if matrix.repetitions < 2:
+        spread = "undefined over 1 repetition"
+    else:
+        spread = f"{matrix.std_over_mean():.3f}"
     lines = [
         f"Machine: {matrix.machine} at {matrix.distance_m * 100:.0f} cm "
         f"({reference.figure})",
@@ -47,8 +51,7 @@ def experiment_report(matrix: SavatMatrix, reference: ReferenceMatrix) -> str:
         f"Shape agreement: Pearson {correlations['pearson']:.3f}, "
         f"Spearman {correlations['spearman']:.3f}, "
         f"mean relative error {correlations['mean_relative_error']:.1%}",
-        f"Repeatability (std/mean): {matrix.std_over_mean():.3f} "
-        f"(paper reports ~0.05)",
+        f"Repeatability (std/mean): {spread} (paper reports ~0.05)",
     ]
     return "\n".join(lines)
 

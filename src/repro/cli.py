@@ -207,23 +207,11 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    """Journal, fault and observability flags of ``campaign`` and ``groups``."""
-    parser.add_argument(
-        "--journal",
-        nargs="?",
-        const=True,
-        default=os.environ.get("SAVAT_JOURNAL"),
-        metavar="FILE",
-        help="stream completed cells to a campaign journal for --resume; "
-        "without FILE the journal lives inside the cache's campaign "
-        "directory (default: $SAVAT_JOURNAL, no journaling if unset)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore completed cells from the campaign journal instead of "
-        "recomputing them (implies --journal)",
-    )
+    """Fault and observability flags of ``campaign`` and ``groups``.
+
+    An interrupted run resumes by being rerun against the same
+    ``--cache-dir``: the cells it finished are cache hits.
+    """
     parser.add_argument(
         "--inject-faults",
         default=os.environ.get("SAVAT_INJECT_FAULTS"),
@@ -279,9 +267,6 @@ def _campaign_execution_kwargs(args: argparse.Namespace) -> dict:
     from repro.core.faults import FaultPlan
     from repro.obs import CampaignObservability
 
-    journal = args.journal
-    if args.resume and journal is None:
-        journal = True
     observability = CampaignObservability(
         trace=args.trace or None,
         metrics_out=args.metrics_out or None,
@@ -289,8 +274,6 @@ def _campaign_execution_kwargs(args: argparse.Namespace) -> dict:
     )
     return {
         **_execution_kwargs(args),
-        "journal": journal,
-        "resume": args.resume,
         "fault_plan": (
             FaultPlan.from_spec(args.inject_faults) if args.inject_faults else None
         ),
@@ -377,14 +360,20 @@ def _campaign_summary_lines(campaign, machine) -> list[str]:
     """
     from repro.analysis.visualize import matrix_table
 
+    if campaign.repetitions < 2:
+        spread = "std/mean over 1 repetition: undefined (a spread needs 2 or more)"
+    else:
+        spread = (
+            f"std/mean over {campaign.repetitions} repetitions: "
+            f"{campaign.std_over_mean():.3f}"
+        )
     lines = [
         matrix_table(
             campaign.mean(),
             campaign.events,
             title=f"SAVAT (zJ) on {machine.describe()}:",
         ),
-        f"\nstd/mean over {campaign.repetitions} repetitions: "
-        f"{campaign.std_over_mean():.3f}",
+        f"\n{spread}",
     ]
     execution = campaign.metadata.get("execution")
     if execution is None:
@@ -406,8 +395,7 @@ def _campaign_summary_lines(campaign, machine) -> list[str]:
         )
         lines.append(f"simulation time by phase: {breakdown}")
     lines.append(
-        f"robustness: {execution['resumed']} cell(s) resumed from the "
-        f"journal, {execution['retries']} retry(ies), "
+        f"robustness: {execution['retries']} retry(ies), "
         f"{execution['timeouts']} timeout(s), "
         f"{execution['quarantined']} cache entry(ies) quarantined"
     )

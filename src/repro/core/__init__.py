@@ -2,7 +2,6 @@
 
 from repro.core.campaign import PAPER_REPETITIONS, run_campaign, selected_pairings_means
 from repro.core.executor import (
-    CampaignJournal,
     CampaignStats,
     ResultCache,
     WorkerPool,
@@ -62,7 +61,6 @@ from repro.core.single_instruction import (
 
 __all__ = [
     "INSTRUCTION_EVENT_GROUPS",
-    "CampaignJournal",
     "CampaignStats",
     "CellFault",
     "FaultInjectedError",

@@ -56,8 +56,6 @@ def run_campaign(
     cache: ResultCache | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     cell_timeout_s: float | None = None,
-    journal: str | os.PathLike | bool | None = None,
-    resume: bool | str | os.PathLike = False,
     fault_plan: FaultPlan | None = None,
     observability: CampaignObservability | None = None,
     trace_cache: TraceCache | None = None,
@@ -68,7 +66,9 @@ def run_campaign(
     Execution routes through :mod:`repro.core.executor`: cells carry a
     deterministic per-cell seed schedule, so serial and parallel runs
     of the same campaign produce bit-identical samples, and an optional
-    on-disk cache lets repeated campaigns skip simulation entirely.
+    on-disk cache lets repeated campaigns skip simulation entirely.  The
+    cache is also how an interrupted campaign resumes: rerun it against
+    the same cache and only the cells missing from it are simulated.
 
     **Timeout semantics** are identical in serial and pool modes: with
     ``cell_timeout_s`` set, each attempt's budget is measured from its
@@ -81,8 +81,8 @@ def run_campaign(
     seed-schedule entry (one retry per overrun) until the
     ``max_retries`` budget is exhausted, at which point the campaign
     fails.  A cell that overruns and then succeeds therefore produces
-    the same ``timeouts``/``retries`` counters, the same journal
-    contents, and bit-identical samples in both modes.
+    the same ``timeouts``/``retries`` counters, the same cached cells,
+    and bit-identical samples in both modes.
 
     Parameters
     ----------
@@ -118,15 +118,6 @@ def run_campaign(
         (preemptive when worker processes are in use; see
         :func:`repro.core.executor.execute_campaign`).  With a budget a
         pool submits one attempt per worker, none queued.
-    journal:
-        Campaign journal path (or ``True`` to keep it inside the
-        cache's campaign directory): completed cells are streamed to it
-        so an interrupted campaign can be resumed.
-    resume:
-        ``True`` to restore completed cells from ``journal``, or a
-        journal path (shorthand for setting ``journal`` and resuming).
-        A journal whose version or campaign key does not match raises
-        :class:`~repro.errors.JournalError`.
     fault_plan:
         Deterministic :class:`~repro.core.faults.FaultPlan` to inject
         (testing/debugging only).
@@ -151,15 +142,13 @@ def run_campaign(
         All repetitions of all ordered pairings, in zJ.  The matrix
         metadata carries an ``"execution"`` entry with cache hit/miss
         counters, worker count, per-cell timings, and the
-        fault-tolerance counters (retries, timeouts, quarantined and
-        resumed cells).
+        fault-tolerance counters (retries, timeouts, quarantined
+        cells).
     """
     config = config or MeasurementConfig()
     resolved = resolve_events(events)
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    if isinstance(resume, (str, os.PathLike)):
-        journal, resume = resume, True
 
     samples, stats = execute_campaign(
         machine,
@@ -172,8 +161,6 @@ def run_campaign(
         progress=progress,
         max_retries=max_retries,
         cell_timeout_s=cell_timeout_s,
-        journal=journal,
-        resume=bool(resume),
         fault_plan=fault_plan,
         observability=observability,
         trace_cache=trace_cache,
@@ -193,7 +180,6 @@ def run_campaigns(
     cache: ResultCache | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     cell_timeout_s: float | None = None,
-    journal: bool | None = None,
     observability: Sequence[CampaignObservability] | None = None,
     trace_cache: TraceCache | None = None,
     pool: WorkerPool | None = None,
@@ -204,9 +190,8 @@ def run_campaigns(
     distances.  Each ordered pair's kernel trace is produced once and
     measured at every distance, yet each returned matrix equals the
     :func:`run_campaign` call with the same arguments bit for bit and
-    carries its own ``metadata["execution"]``.  ``journal=True`` keeps
-    one journal per campaign inside ``cache``, and ``observability``
-    takes one bundle per calibration; the other parameters are
+    carries its own ``metadata["execution"]``.  ``observability`` takes
+    one bundle per calibration; the other parameters are
     :func:`run_campaign`'s.
     """
     config = config or MeasurementConfig()
@@ -222,7 +207,6 @@ def run_campaigns(
         progress=progress,
         max_retries=max_retries,
         cell_timeout_s=cell_timeout_s,
-        journal=journal,
         observability=observability,
         trace_cache=trace_cache,
         pool=pool,

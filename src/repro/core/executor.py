@@ -16,7 +16,7 @@ original seed-schedule entry, making a campaign with N transient faults
 bit-identical to a fault-free run.
 
 A campaign that runs unattended for hours must survive partial failure,
-so the executor layers four recovery mechanisms over the fan-out:
+so the executor layers three recovery mechanisms over the fan-out:
 
 * **Per-cell retry** — a worker exception consumes one of the cell's
   ``max_retries`` attempts and the cell is re-dispatched with its
@@ -30,14 +30,10 @@ so the executor layers four recovery mechanisms over the fan-out:
   terminated at the end.  Either way the cell is retried from its
   original seed, or the campaign fails once the retry budget is
   exhausted.  Serial and pooled runs share one scheduling loop, so the
-  counters, journal contents, and final samples are identical in both.
+  counters, cached cells, and final samples are identical in both.
 * **Cache quarantine** — a corrupted, truncated, or wrong-shaped cache
   entry is moved to ``<cache_dir>/quarantine/`` (never silently
   deleted) and the cell is recomputed.
-* **Campaign journaling** — every completed cell is streamed to an
-  append-only JSONL journal, so an interrupted campaign can be resumed
-  from the last completed cell instead of from zero, including after a
-  fatal error (completed cells are journaled before the re-raise).
 
 Fault injection for all of the above lives in
 :mod:`repro.core.faults`: a :class:`~repro.core.faults.FaultPlan`
@@ -50,13 +46,16 @@ named by a content hash of everything that determines the cell's value
 (machine name and distance, the EM model's mode count, the noise
 environment, the full :class:`~repro.core.savat.MeasurementConfig`,
 the ordered event list, the repetition count, the campaign seed, and
-the cell index).  Re-running a campaign the benchmarks have already
-measured loads every cell from disk and performs zero simulations;
-hit/miss counters, per-cell timings, and the fault-tolerance counters
-are reported through :class:`CampaignStats` and the returned matrix
-metadata.  Such a rerun fits no calibration either: once cache and
-journal hits are resolved, the executor fits each calibration that a
-cold cell measures (a lazy
+the cell index).  Each cell is stored atomically as it completes, so
+the cache is also the campaign's checkpoint: an interrupted campaign —
+killed, or failed on a cell — resumes by being rerun against the same
+cache, which simulates only the cells missing from it.  Re-running a
+campaign the benchmarks have already measured loads every cell from
+disk and performs zero simulations; hit/miss counters, per-cell
+timings, and the fault-tolerance counters are reported through
+:class:`CampaignStats` and the returned matrix metadata.  Such a rerun
+fits no calibration either: once cache hits are resolved, the executor
+fits each calibration that a cold cell measures (a lazy
 :class:`~repro.machines.calibrated.CalibratedMachine` has not fitted
 itself yet), in the parent, before any attempt or pool fork.
 
@@ -70,7 +69,7 @@ a machine's distances to one execution, and each group measures them
 from the trace in memory, each with its own seed-schedule entry, before
 dropping it.  A group is pending when any of its distances misses the
 result cache, and only those distances are measured.  Result-cache
-keys, journals, observability bundles, matrix metadata, retries and
+keys, observability bundles, matrix metadata, retries and
 timeouts stay per (machine, distance), exactly as if each distance were
 its own campaign.  An on-disk trace cache
 (:mod:`repro.core.trace_cache`), when the caller passes one, serves
@@ -81,7 +80,7 @@ metadata.
 
 All instrumentation flows through :mod:`repro.obs`: the counters live
 in a :class:`~repro.obs.metrics.MetricsRegistry` (``CampaignStats`` is
-a typed view over it), every cache/journal/fault/timeout event and
+a typed view over it), every cache/fault/timeout event and
 every simulation attempt is reported to a
 :class:`~repro.obs.CampaignObservability` bundle (JSONL trace, live
 progress line, Prometheus export), and workers stay trace-silent —
@@ -119,7 +118,7 @@ from repro.core.savat import (
 from repro.core.trace_cache import TraceCache, produce_cell_trace
 from repro.em.coupling import DEFAULT_NUM_MODES
 from repro.em.environment import NoiseEnvironment, quiet_lab_environment
-from repro.errors import CellExecutionError, ConfigurationError, JournalError
+from repro.errors import CellExecutionError, ConfigurationError
 from repro.isa.events import InstructionEvent
 from repro.machines.calibrated import CalibratedMachine
 from repro.obs import CampaignObservability
@@ -129,10 +128,6 @@ from repro.uarch.fastpath import fast_path_enabled
 #: Bump whenever the cache layout or the seeding discipline changes;
 #: old entries then miss instead of replaying stale numbers.
 CACHE_SCHEMA_VERSION = 2
-
-#: Bump whenever the journal line format changes; a resume against a
-#: journal written by another version is rejected, never reinterpreted.
-JOURNAL_VERSION = 1
 
 #: Default per-cell retry budget for transient worker faults.
 DEFAULT_MAX_RETRIES = 2
@@ -207,7 +202,9 @@ class CampaignStats:
         Both stay zero when no cache is configured.
     cells_simulated:
         Cells that actually ran the kernel simulation (always equals
-        ``cache_misses`` when a cache is in use and nothing is resumed).
+        ``cache_misses`` when a cache is in use).  A cell is either a
+        cache hit or simulated, so ``cache_hits + cells_simulated``
+        counts every cell.
     workers:
         Worker processes the fan-out ran cells on: the pool's size, or
         1 when every cell ran (or was loaded) in-process.
@@ -223,9 +220,6 @@ class CampaignStats:
     quarantined:
         Corrupted or truncated cache entries moved to the cache's
         quarantine directory (and recomputed) during this execution.
-    resumed:
-        Cells restored from the campaign journal instead of being
-        simulated or loaded from the cache.
     trace_cache:
         Kernel-trace cache traffic this campaign caused —
         ``disk_hits`` / ``misses`` / ``stores`` / ``quarantined`` (see
@@ -294,10 +288,6 @@ class CampaignStats:
         self._trace_quarantined = r.counter(
             "savat_trace_cache_quarantined_total",
             "Corrupt trace-cache entries moved to quarantine.",
-        )
-        self._resumed = r.counter(
-            "savat_cells_resumed_total",
-            "Cells restored from the campaign journal.",
         )
         self._faults = r.counter(
             "savat_faults_injected_total",
@@ -372,11 +362,6 @@ class CampaignStats:
     def quarantined(self) -> int:
         """Corrupt cache entries quarantined during this execution."""
         return int(self._quarantined.value())
-
-    @property
-    def resumed(self) -> int:
-        """Cells restored from the campaign journal."""
-        return int(self._resumed.value())
 
     @property
     def trace_cache(self) -> dict[str, int]:
@@ -474,10 +459,6 @@ class CampaignStats:
         if delta.get("quarantined"):
             self._trace_quarantined.inc(delta["quarantined"])
 
-    def record_resumed(self) -> None:
-        """Count one cell restored from the journal."""
-        self._resumed.inc()
-
     def record_fault(self, kind: str) -> None:
         """Count one injected fault firing."""
         self._faults.labels(kind=kind).inc()
@@ -520,7 +501,6 @@ class CampaignStats:
             "retries": self.retries,
             "timeouts": self.timeouts,
             "quarantined": self.quarantined,
-            "resumed": self.resumed,
             "trace_cache": dict(self.trace_cache),
             "faults_injected": dict(self.faults_injected),
             "cell_seconds": dict(self.cell_seconds),
@@ -555,11 +535,10 @@ def campaign_cache_key(
     Any change to the machine, distance, EM mode count, noise
     environment (``None``: the quiet lab), measurement configuration,
     ordered event list, repetition count, or seed changes the key, so
-    stale entries can never be mistaken for current ones.  The same key
-    identifies the campaign's journal, so a resume against results from
-    a different campaign is rejected instead of replayed.  It is the
-    only gate in front of a calibration's fit: a campaign whose every
-    cell is found under its key fits nothing.
+    stale entries can never be mistaken for current ones — a rerun
+    resumes only the campaign it repeats.  It is the only gate in front
+    of a calibration's fit: a campaign whose every cell is found under
+    its key fits nothing.
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -733,153 +712,6 @@ class ResultCache:
                 json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
             ),
         )
-
-
-# ----------------------------------------------------------------------
-# Campaign journal (checkpoint / resume)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _JournalEntry:
-    """One completed cell restored from a journal."""
-
-    samples: np.ndarray
-    elapsed_s: float
-    phase_seconds: dict[str, float]
-
-
-class CampaignJournal:
-    """Append-only JSONL checkpoint of a campaign's completed cells.
-
-    The first line is a header binding the journal to one campaign (via
-    :data:`JOURNAL_VERSION` and the campaign's content-hash key); every
-    further line records one completed cell's samples at full float64
-    precision (``repr`` round-trip, so a resumed cell is bit-identical
-    to the original).  Cells are flushed and fsynced as they complete,
-    so a campaign killed at any instant loses at most the cell that was
-    in flight — a torn trailing line is tolerated and recomputed.
-
-    A resume against a journal whose version or campaign key does not
-    match is rejected with :class:`~repro.errors.JournalError` rather
-    than replayed.
-    """
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.path = Path(path).expanduser()
-        self._handle = None
-
-    # ------------------------------------------------------------------
-    def start(self, header: dict, resume: bool) -> dict[tuple[int, int], _JournalEntry]:
-        """Open the journal and return already-completed cells.
-
-        With ``resume`` false (or no journal file yet), a fresh journal
-        is written with the given header and no cells are restored.
-        With ``resume`` true, the existing journal is validated against
-        the header and its completed cells are returned; new cells are
-        appended after them.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        entries: dict[tuple[int, int], _JournalEntry] = {}
-        if resume and self.path.exists():
-            entries = self._load(header)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        else:
-            self._handle = open(self.path, "w", encoding="utf-8")
-            self._append_line({"kind": "header", **header})
-        return entries
-
-    def _load(self, header: dict) -> dict[tuple[int, int], _JournalEntry]:
-        repetitions = int(header["repetitions"])
-        entries: dict[tuple[int, int], _JournalEntry] = {}
-        with open(self.path, encoding="utf-8") as handle:
-            first = handle.readline()
-            try:
-                recorded = json.loads(first)
-            except json.JSONDecodeError as error:
-                raise JournalError(
-                    f"journal {self.path} has an unreadable header; refusing "
-                    "to resume (delete or point --journal elsewhere)"
-                ) from error
-            if recorded.get("kind") != "header":
-                raise JournalError(
-                    f"journal {self.path} does not start with a header line"
-                )
-            if recorded.get("journal_version") != header["journal_version"]:
-                raise JournalError(
-                    f"journal {self.path} has version "
-                    f"{recorded.get('journal_version')!r} but this executor "
-                    f"writes version {header['journal_version']}; refusing "
-                    "to reinterpret it"
-                )
-            if recorded.get("campaign_key") != header["campaign_key"]:
-                raise JournalError(
-                    f"journal {self.path} belongs to a different campaign "
-                    f"(key {recorded.get('campaign_key')!r}, expected "
-                    f"{header['campaign_key']!r}); machine, distance, modes, "
-                    "environment, config, events, repetitions, and seed must "
-                    "all match to resume"
-                )
-            for line in handle:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A torn trailing line from a killed campaign: the
-                    # in-flight cell is simply recomputed.
-                    continue
-                if record.get("kind") != "cell":
-                    continue
-                try:
-                    i, j = int(record["i"]), int(record["j"])
-                    samples = np.asarray(record["samples_zj"], dtype=np.float64)
-                except (KeyError, TypeError, ValueError):
-                    continue
-                if samples.shape != (repetitions,) or not np.all(np.isfinite(samples)):
-                    continue
-                entries[(i, j)] = _JournalEntry(
-                    samples=samples,
-                    elapsed_s=float(record.get("elapsed_s", 0.0)),
-                    phase_seconds={
-                        name: float(seconds)
-                        for name, seconds in (record.get("phase_seconds") or {}).items()
-                    },
-                )
-        return entries
-
-    # ------------------------------------------------------------------
-    def append_cell(
-        self,
-        i: int,
-        j: int,
-        samples: np.ndarray,
-        elapsed_s: float,
-        phase_seconds: dict[str, float] | None,
-    ) -> None:
-        """Stream one completed cell to disk (flushed and fsynced)."""
-        self._append_line(
-            {
-                "kind": "cell",
-                "i": int(i),
-                "j": int(j),
-                "samples_zj": [float(value) for value in np.asarray(samples)],
-                "elapsed_s": float(elapsed_s),
-                "phase_seconds": {
-                    name: float(seconds)
-                    for name, seconds in (phase_seconds or {}).items()
-                },
-            }
-        )
-
-    def _append_line(self, record: dict) -> None:
-        if self._handle is None:
-            raise JournalError("journal is not open")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        """Close the journal file handle (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 # ----------------------------------------------------------------------
@@ -1138,8 +970,8 @@ class _Campaign:
     """One calibration's share of an execution.
 
     Everything kept per (machine, distance) lives here: the result-cache
-    key, the journal, the observability bundle with the stats recorded
-    into its registry, and the sample array the matrix is built from.
+    key, the observability bundle with the stats recorded into its
+    registry, and the sample array the matrix is built from.
     """
 
     def __init__(
@@ -1161,9 +993,8 @@ class _Campaign:
         self.samples = np.zeros((len(names), len(names), repetitions))
         self.total = len(names) ** 2
         self.done = 0
-        # The key identifies the campaign both on disk (cache layout)
-        # and in the journal header, so it is computed even without a
-        # cache.
+        # The key also names the campaign in its trace, so it is
+        # computed even without a cache.
         self.key = _machine_cache_key(machine, config, names, repetitions, seed)
         self.header = {
             "machine": machine.name,
@@ -1174,31 +1005,6 @@ class _Campaign:
             "repetitions": repetitions,
             "seed": seed,
         }
-        self.journal: CampaignJournal | None = None
-        self.journaled: dict[tuple[int, int], _JournalEntry] = {}
-
-    def open_journal(
-        self, journal: str | os.PathLike | bool | None, resume: bool,
-        cache: ResultCache | None,
-    ) -> None:
-        if journal is True:
-            if cache is None:
-                raise ConfigurationError(
-                    "journal=True places the journal inside the cache's "
-                    "campaign directory and therefore needs a cache; pass "
-                    "an explicit journal path instead"
-                )
-            journal = cache.campaign_dir(self.key) / "journal.jsonl"
-        if journal:
-            self.journal = CampaignJournal(journal)
-            self.journaled = self.journal.start(
-                {
-                    "journal_version": JOURNAL_VERSION,
-                    "campaign_key": self.key,
-                    **self.header,
-                },
-                resume=resume,
-            )
 
     def fit(self) -> None:
         """Fit this campaign's calibration unless that already happened."""
@@ -1233,16 +1039,10 @@ class _Campaign:
         self, i: int, j: int, cache: ResultCache | None,
         fault_plan: FaultPlan | None,
     ) -> bool:
-        """Serve cell ``(i, j)`` from the journal or the result cache.
+        """Serve cell ``(i, j)`` from the result cache.
 
         Returns ``True`` when the cell must be measured.
         """
-        entry = self.journaled.get((i, j))
-        if entry is not None:
-            self.stats.record_resumed()
-            self.obs.journal_resume(i, j)
-            self.finish(i, j, entry.samples, entry.elapsed_s, entry.phase_seconds)
-            return False
         if cache is None:
             return True
         if fault_plan is not None:
@@ -1268,17 +1068,14 @@ class _Campaign:
             return True
         self.stats.record_cache_hit()
         self.obs.cache_hit(i, j)
-        elapsed = time.perf_counter() - load_started
-        if self.journal is not None:
-            self.journal.append_cell(i, j, cached, elapsed, None)
-        self.finish(i, j, cached, elapsed)
+        self.finish(i, j, cached, time.perf_counter() - load_started)
         return False
 
     def complete(
         self, i: int, j: int, cell_samples: np.ndarray, fragment: dict,
         cache: ResultCache | None,
     ) -> None:
-        """Record one measured cell: counters, cache, journal, matrix."""
+        """Record one measured cell: counters, cache, matrix."""
         elapsed, phases = fragment["elapsed_s"], fragment["phase_seconds"]
         self.stats.record_simulated(fragment["worker_pid"])
         trace_delta = fragment.get("trace_cache")
@@ -1287,8 +1084,6 @@ class _Campaign:
             self.obs.trace_cache(i, j, trace_delta)
         if cache is not None:
             cache.store_cell(self.key, i, j, cell_samples)
-        if self.journal is not None:
-            self.journal.append_cell(i, j, cell_samples, elapsed, phases)
         self.finish(i, j, cell_samples, elapsed, phases)
 
 
@@ -1332,8 +1127,6 @@ def execute_campaign(
     progress: ProgressCallback | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     cell_timeout_s: float | None = None,
-    journal: str | os.PathLike | bool | None = None,
-    resume: bool = False,
     fault_plan: FaultPlan | None = None,
     observability: CampaignObservability
     | Sequence[CampaignObservability]
@@ -1345,8 +1138,8 @@ def execute_campaign(
 
     With one calibrated machine this is one campaign.  With a sequence
     of calibrations of one machine spec (a study's distances), each is
-    its own campaign — own result-cache key, journal, observability
-    bundle, counters and samples — but every ordered pair is one **cell
+    its own campaign — own result-cache key, observability bundle,
+    counters and samples — but every ordered pair is one **cell
     group** whose kernel trace is produced once and measured for every
     calibration that misses the result cache.
 
@@ -1370,9 +1163,11 @@ def execute_campaign(
         Results are bit-identical either way.
     cache:
         Optional :class:`ResultCache`; hits skip simulation entirely.
+        Each measured cell is stored as it completes, so rerunning an
+        interrupted execution against the same cache resumes it.
     progress:
         Optional ``(event_a, event_b, done, total)`` callback invoked as
-        each cell completes (cache hits and resumed cells included),
+        each cell completes (cache hits included),
         with ``done``/``total`` counted per campaign.
     max_retries:
         Transient-fault retry budget per cell group.  A retried group
@@ -1387,24 +1182,14 @@ def execute_campaign(
         is abandoned, and an owned pool's workers are terminated at the
         end.  Either way the group is retried from its original seed
         (consuming the retry budget) or the execution fails.  Counters,
-        journal contents, and samples are identical serial or pooled.
-    journal:
-        Path of the campaign journal to stream completed cells to, or
-        ``True`` to place ``journal.jsonl`` inside each campaign's cache
-        directory (requires ``cache``; the only journal form several
-        calibrations accept).  ``None`` disables journaling.
-    resume:
-        Restore completed cells from the journal instead of recomputing
-        them (requires ``journal``).  The journal's version and campaign
-        key must match, else :class:`~repro.errors.JournalError` is
-        raised; a missing journal file simply starts a fresh campaign.
+        cached cells, and samples are identical serial or pooled.
     fault_plan:
         Deterministic :class:`~repro.core.faults.FaultPlan` to inject
         (testing/debugging only); it addresses cells, so it applies to
         every campaign of the execution.
     observability:
         :class:`~repro.obs.CampaignObservability` bundle receiving
-        every execution event (trace spans, cache/journal/fault events,
+        every execution event (trace spans, cache/fault events,
         live progress) and owning the metrics registry the returned
         :class:`CampaignStats` records into — one per calibration when
         several are given.  Registry-only bundles (no trace, no
@@ -1432,8 +1217,8 @@ def execute_campaign(
     CellExecutionError
         A cell group failed on every attempt (or every worker slot was
         lost to hung cells).  All cells completed before the failure
-        have already been streamed to the journals, so a ``resume`` run
-        restarts from them.
+        are already in ``cache``, so rerunning against it restarts from
+        them.
     """
     config = config or MeasurementConfig()
     single = isinstance(machine, CalibratedMachine)
@@ -1457,8 +1242,6 @@ def execute_campaign(
             f"cell_timeout_s must be a positive finite number of seconds; "
             f"got {cell_timeout_s!r}"
         )
-    if resume and not journal:
-        raise ConfigurationError("resume=True needs a journal to resume from")
     workers = _validate_workers(workers)
     for other in machines[1:]:
         if other.spec != machines[0].spec:
@@ -1483,11 +1266,6 @@ def execute_campaign(
             raise ConfigurationError(
                 f"observability needs one bundle per calibration "
                 f"({len(machines)}), got {len(bundles)}"
-            )
-        if journal not in (None, False, True):
-            raise ConfigurationError(
-                "a journal path names one campaign; pass journal=True to "
-                "keep one journal per calibration inside the cache"
             )
     names = [event.name for event in resolved]
     if len(set(names)) != len(names):
@@ -1532,10 +1310,7 @@ def execute_campaign(
     abandoned: set = set()  # futures of hung attempts still running
     status = "failed"
     try:
-        for campaign in campaigns:
-            campaign.open_journal(journal, resume, cache)
-
-        # Resolve journal and cache hits first, so the fan-out only
+        # Resolve cache hits first, so the fan-out only
         # sees the cold cells, grouped by pair.
         groups: list[_CellGroup] = []
         for i in range(count):
@@ -1631,13 +1406,10 @@ def execute_campaign(
             campaign.stats.workers = slots
         _run_cells(
             groups, submit, slots, campaigns, dispatch_fault,
-            complete_group, max_retries, cell_timeout_s, abandoned,
+            complete_group, max_retries, cell_timeout_s, abandoned, cache,
         )
         status = "ok"
     finally:
-        for campaign in campaigns:
-            if campaign.journal is not None:
-                campaign.journal.close()
         if owned_pool is not None:
             # A hung attempt may never return: kill the workers rather
             # than leave interpreter exit joining them.  Otherwise never
@@ -1668,6 +1440,7 @@ def _run_cells(
     max_retries: int,
     cell_timeout_s: float | None,
     abandoned: set,
+    cache: ResultCache | None,
 ) -> None:
     """Run the cold cell groups with retries and timeouts, serial or pooled.
 
@@ -1685,7 +1458,9 @@ def _run_cells(
     out group is retried from its original seed-schedule entry at the
     *front* of the queue, so a serial run keeps row-major order with a
     retried group re-run before the next one.  Every span, retry and
-    timeout is reported to each campaign the group measures.
+    timeout is reported to each campaign the group measures.  The error
+    that ends a failed run says where its finished cells are: in
+    ``cache``, or nowhere.
     """
     queue: deque[tuple[_CellGroup, int]] = deque((group, 0) for group in groups)
     outstanding: dict = {}  # future -> (group, attempt, submitted_monotonic)
@@ -1694,10 +1469,17 @@ def _run_cells(
     def members(group: _CellGroup) -> list[_Campaign]:
         return [campaigns[index] for index in group.members]
 
+    if cache is None:
+        kept = "completed cells were not kept; rerun with --cache-dir to keep them"
+    else:
+        kept = (
+            f"completed cells are in the result cache at {cache.cache_dir}; "
+            "rerun the same command to continue"
+        )
+
     def fail(group: _CellGroup, attempts: int, message: str) -> CellExecutionError:
         return CellExecutionError(
-            f"cell {group.pair} {message} (completed cells are journaled; "
-            "rerun with resume to continue)",
+            f"cell {group.pair} {message} ({kept})",
             i=group.i, j=group.j, pair=group.pair, attempts=attempts,
         )
 
@@ -1756,7 +1538,7 @@ def _run_cells(
             set(outstanding), timeout=wait_timeout, return_when=FIRST_COMPLETED
         )
         now = time.monotonic()
-        # Successes first, so every finished cell reaches the journal
+        # Successes first, so every finished cell reaches the cache
         # even when a failure aborts the run.
         for future in sorted(
             completed,
@@ -1799,8 +1581,6 @@ def _run_cells(
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_MAX_RETRIES",
-    "JOURNAL_VERSION",
-    "CampaignJournal",
     "CampaignStats",
     "ResultCache",
     "WorkerPool",

@@ -18,8 +18,8 @@ every distance in memory, then dropped.  Around that:
   workers, never trace payloads); before it starts, the parent fits
   each grid point with a cell the result cache cannot serve, so no fit
   forks beside the live pool and a fully cached point fits nothing;
-* each campaign still gets its own result-cache namespace, journal,
-  and observability bundle (per-campaign trace/metrics files under
+* each campaign still gets its own result-cache namespace and
+  observability bundle (per-campaign trace/metrics files under
   ``output_dir``), exactly as if it had been run standalone — samples
   are bit-identical to independent :func:`~repro.core.campaign.run_campaign`
   calls;
@@ -165,8 +165,9 @@ def run_study(
         Directory for the per-cell result cache.  One
         :class:`~repro.core.executor.ResultCache` is shared by all
         campaigns — campaign content-hash keys keep their cells apart,
-        and per-campaign counters keep their metadata honest.
-        Journals are placed inside each campaign's cache directory.
+        and per-campaign counters keep their metadata honest.  A study
+        interrupted part-way resumes by being rerun against the same
+        directory: only the cells missing from it are simulated.
     trace_cache:
         On-disk :class:`~repro.core.trace_cache.TraceCache` keeping
         traces for later studies, shared by every campaign; ``None``
@@ -269,7 +270,6 @@ def run_study(
                 cache=shared_result_cache,
                 max_retries=max_retries,
                 cell_timeout_s=cell_timeout_s,
-                journal=True if shared_result_cache is not None else None,
                 observability=[
                     bundle_for(first + offset, machine.name, machine.distance_m)
                     for offset, machine in enumerate(machine_grid)

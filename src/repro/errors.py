@@ -54,10 +54,11 @@ class CellExecutionError(ReproError):
 
     Raised by the campaign executor when a cell keeps raising (or keeps
     exceeding its wall-clock timeout) past ``max_retries`` attempts, or
-    when every worker slot has been lost to hung cells.  All cells that
-    completed before the failure have already been streamed to the
-    campaign journal, so a ``resume`` run picks up from where the
-    campaign stopped instead of from zero.
+    when every worker slot has been lost to hung cells.  With a result
+    cache, every cell that completed before the failure is already in
+    it, so rerunning the same campaign against that cache picks up from
+    where the campaign stopped instead of from zero; the message says
+    which case applies.
     """
 
     def __init__(
@@ -74,17 +75,6 @@ class CellExecutionError(ReproError):
         self.j = j
         self.pair = pair
         self.attempts = attempts
-
-
-class JournalError(ReproError):
-    """A campaign journal cannot be used for the requested resume.
-
-    Raised when a journal's version does not match the executor's
-    :data:`~repro.core.executor.JOURNAL_VERSION`, or when its campaign
-    key shows it belongs to a different campaign (other machine,
-    distance, config, events, repetitions, or seed) than the one being
-    resumed.  The journal is rejected rather than silently replayed.
-    """
 
 
 class MeasurementError(ReproError):

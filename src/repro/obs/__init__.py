@@ -171,7 +171,7 @@ class CampaignObservability:
             self.trace.span_end("cell", status=status, **fields)
 
     def cell_completed(self, pair: str, elapsed_s: float, done: int, total: int) -> None:
-        """A cell reached its final state (simulated, cached, or resumed)."""
+        """A cell reached its final state (simulated or cached)."""
         if self.progress is not None:
             self.progress.cell_completed(pair, elapsed_s)
 
@@ -194,7 +194,7 @@ class CampaignObservability:
             self.progress.note_timeout()
 
     # ------------------------------------------------------------------
-    # Cache, journal, and fault events
+    # Cache and fault events
     # ------------------------------------------------------------------
     def cache_hit(self, i: int, j: int) -> None:
         """A cell was served from the on-disk result cache."""
@@ -223,11 +223,6 @@ class CampaignObservability:
                 j=j,
                 **{name: int(value) for name, value in delta.items()},
             )
-
-    def journal_resume(self, i: int, j: int) -> None:
-        """A completed cell was restored from the campaign journal."""
-        if self.trace is not None:
-            self.trace.event("journal_resume", i=i, j=j)
 
     def fault_injected(
         self,

@@ -6,7 +6,7 @@ golden tests, runnable standalone::
     python -m repro.obs.check --trace t.jsonl --metrics m.prom \\
         --matrix campaign.json
 
-It performs three independent checks and exits non-zero when any fails:
+It performs these checks and exits non-zero when any fails:
 
 1. the trace file is schema-valid (header first, known version, every
    span closed, cell identities unique per attempt, monotone
@@ -16,7 +16,10 @@ It performs three independent checks and exits non-zero when any fails:
 3. when a campaign JSON (``savat campaign --format json``) is given,
    the registry counters in the metrics file equal the matrix's
    ``metadata["execution"]`` values exactly — the metadata is generated
-   *from* the registry, so any mismatch means the two views diverged.
+   *from* the registry, so any mismatch means the two views diverged —
+   and every cell is accounted for: a cell is either a cache hit or
+   simulated (a quarantined entry counts as a miss, then is simulated),
+   so ``cache_hits + cells_simulated`` equals the campaign's cell count.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ EXECUTION_COUNTERS = {
     "retries": "savat_cell_retries_total",
     "timeouts": "savat_cell_timeouts_total",
     "quarantined": "savat_cache_quarantined_total",
-    "resumed": "savat_cells_resumed_total",
 }
 
 #: metadata["execution"] scalars backed by registry gauges.
@@ -170,6 +172,23 @@ def check_against_execution(samples: dict, execution: dict) -> list[str]:
     return errors
 
 
+def check_cell_accounting(execution: dict, events: list) -> list[str]:
+    """One line if the hits and simulations do not cover every cell.
+
+    A cell has two sources, a result-cache hit or a simulation, so an
+    ``N``-event campaign's ``cache_hits + cells_simulated`` is ``N**2``.
+    """
+    hits, simulated = execution["cache_hits"], execution["cells_simulated"]
+    cells = len(events) ** 2
+    if hits + simulated == cells:
+        return []
+    return [
+        f"cell accounting: {hits} cache hit(s) + {simulated} simulated = "
+        f"{hits + simulated}, but a {len(events)}x{len(events)} campaign "
+        f"has {cells} cells"
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro.obs.check``; returns exit code."""
     parser = argparse.ArgumentParser(
@@ -213,6 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"matrix: {args.matrix} has no execution metadata")
         else:
             errors = check_against_execution(samples, execution)
+            errors += check_cell_accounting(execution, payload["events"])
             failures.extend(f"consistency: {error}" for error in errors)
             print(
                 f"metrics vs {args.matrix}: "
@@ -232,6 +252,7 @@ __all__ = [
     "EXECUTION_GAUGES",
     "TRACE_CACHE_COUNTERS",
     "check_against_execution",
+    "check_cell_accounting",
     "main",
     "parse_prometheus",
 ]

@@ -88,7 +88,7 @@ class ProgressReporter:
 
     # ------------------------------------------------------------------
     def cell_completed(self, pair: str, elapsed_s: float) -> None:
-        """Record one finished cell (simulated, cached, or resumed)."""
+        """Record one finished cell (simulated or cached)."""
         now = self.clock()
         if self._last_completion is not None:
             interval = now - self._last_completion

@@ -4,8 +4,8 @@ A campaign trace is an append-only JSONL file telling the full story of
 one execution: a header binding the trace to the campaign (schema
 version plus the campaign's content-hash key), ``event`` records for
 point-in-time occurrences (campaign start/end, the calibration fit when
-the execution makes it, cache hits and misses, quarantines, journal
-resumes, retries, timeouts, fault injections), and
+the execution makes it, cache hits and misses, quarantines, retries,
+timeouts, fault injections), and
 ``span_start`` / ``span_end`` pairs for every simulation *attempt*,
 identified by the cell's ``(i, j, attempt)`` triple.
 

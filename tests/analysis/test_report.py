@@ -5,6 +5,7 @@ both the claim-check logic and (again) that the reference data supports
 the prose.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.report import (
@@ -59,3 +60,19 @@ class TestRendering:
         assert "Paper SAVAT" in text
         assert "Pearson 1.000" in text
         assert "core2duo" in text
+
+    def test_one_repetition_report_prints_no_numeric_spread(self):
+        matrix = _wrap(CORE2DUO_10CM)
+        assert matrix.repetitions == 1
+        text = experiment_report(matrix, CORE2DUO_10CM)
+        assert "Repeatability (std/mean): undefined over 1 repetition" in text
+        assert "0.000" not in text
+
+    def test_repeated_report_prints_the_spread(self):
+        values = CORE2DUO_10CM.values_zj
+        samples = np.stack([values * 0.95, values * 1.05], axis=2)
+        matrix = SavatMatrix(
+            EVENT_ORDER, samples, CORE2DUO_10CM.machine, CORE2DUO_10CM.distance_m
+        )
+        text = experiment_report(matrix, CORE2DUO_10CM)
+        assert f"Repeatability (std/mean): {matrix.std_over_mean():.3f}" in text

@@ -1,13 +1,15 @@
-"""Resume suite for the campaign journal.
+"""Resume suite: an interrupted campaign reruns against its result cache.
 
-A campaign interrupted after K cells and resumed must recompute zero
-journaled cells (verified by spying on ``simulate_cell``) and still
-produce a matrix bit-identical to an uninterrupted run.  A journal
-written by a different executor version, or for a different campaign,
-is rejected instead of replayed.
+Each cell is stored in the result cache the moment it completes, so a
+campaign that stopped after K cells — killed, or failed on a cell —
+resumes by being rerun against the same cache.  The rerun must simulate
+only the cells missing from the cache (verified by spying on
+``simulate_cell``) and still produce a matrix bit-identical to an
+uninterrupted run.  A torn or garbage cell file is quarantined and
+recomputed, never replayed.
 """
 
-import json
+import shutil
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -20,7 +22,7 @@ from repro.core import executor
 from repro.core.campaign import run_campaign
 from repro.core.faults import FaultPlan
 from repro.core.savat import MeasurementConfig
-from repro.errors import CellExecutionError, ConfigurationError, JournalError
+from repro.errors import CellExecutionError
 
 FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
 
@@ -28,6 +30,7 @@ EVENTS = ("ADD", "SUB", "MUL")
 SEED = 7
 REPETITIONS = 2
 TOTAL = len(EVENTS) ** 2
+CELLS = [(i, j) for i in range(len(EVENTS)) for j in range(len(EVENTS))]
 
 
 def _run(machine, **overrides):
@@ -45,25 +48,26 @@ def _execution(matrix):
     return matrix.metadata["execution"]
 
 
+def _cell_file(campaign_dir: Path, i: int, j: int) -> Path:
+    return campaign_dir / f"cell_{i:03d}_{j:03d}.npz"
+
+
 @pytest.fixture(scope="module")
-def journaled_run(core2duo_10cm, tmp_path_factory):
-    """One complete journaled campaign: the matrix and its journal lines.
-
-    The journal's cell lines are in row-major completion order, so
-    "interrupted after K cells" is simply the header plus the first K
-    cell lines.
-    """
-    path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
-    matrix = _run(core2duo_10cm, journal=path)
-    return matrix, path.read_text().splitlines()
+def cached_run(core2duo_10cm, tmp_path_factory):
+    """One complete campaign and the cache directory holding its cells."""
+    cache_dir = tmp_path_factory.mktemp("cache")
+    matrix = _run(core2duo_10cm, cache_dir=cache_dir)
+    (campaign_dir,) = [path for path in cache_dir.iterdir() if path.is_dir()]
+    return matrix, campaign_dir
 
 
-def _interrupted_journal(lines, completed_cells):
-    """Write a journal that stops after ``completed_cells`` cells."""
-    directory = Path(tempfile.mkdtemp(prefix="savat-resume-"))
-    path = directory / "journal.jsonl"
-    path.write_text("\n".join(lines[: 1 + completed_cells]) + "\n")
-    return path
+def _partial_cache(campaign_dir: Path, kept, into: Path) -> Path:
+    """A cache under ``into`` holding only the ``kept`` cells of a run."""
+    target = into / campaign_dir.name
+    target.mkdir()
+    for i, j in kept:
+        shutil.copy2(_cell_file(campaign_dir, i, j), target)
+    return target
 
 
 class _SimulateSpy:
@@ -78,173 +82,91 @@ class _SimulateSpy:
         return self._real(*args, **kwargs)
 
 
+def _rerun(machine, **overrides):
+    spy = _SimulateSpy()
+    with mock.patch.object(executor, "simulate_cell", spy):
+        matrix = _run(machine, **overrides)
+    return matrix, spy.calls
+
+
 @pytest.mark.slow
 class TestResume:
     @settings(max_examples=6, deadline=None)
-    @given(completed=st.integers(min_value=0, max_value=TOTAL))
-    def test_resume_recomputes_only_unjournaled_cells(
-        self, core2duo_10cm, journaled_run, completed
+    @given(kept=st.sets(st.sampled_from(CELLS), max_size=TOTAL))
+    def test_resume_recomputes_only_uncached_cells(
+        self, core2duo_10cm, cached_run, kept
     ):
-        full, lines = journaled_run
-        path = _interrupted_journal(lines, completed)
-        spy = _SimulateSpy()
-        with mock.patch.object(executor, "simulate_cell", spy):
-            resumed = _run(core2duo_10cm, journal=path, resume=True)
+        full, campaign_dir = cached_run
+        with tempfile.TemporaryDirectory(prefix="savat-resume-") as scratch:
+            _partial_cache(campaign_dir, kept, Path(scratch))
+            resumed, simulated = _rerun(core2duo_10cm, cache_dir=scratch)
         execution = _execution(resumed)
-        assert spy.calls == TOTAL - completed
-        assert execution["resumed"] == completed
-        assert execution["cells_simulated"] == TOTAL - completed
+        assert simulated == TOTAL - len(kept)
+        assert execution["cache_hits"] == len(kept)
+        assert execution["cells_simulated"] == TOTAL - len(kept)
         assert np.array_equal(resumed.samples_zj, full.samples_zj)
 
-    def test_fully_journaled_campaign_resumes_with_zero_simulation(
-        self, core2duo_10cm, journaled_run
+    def test_fully_cached_campaign_reruns_with_zero_simulation(
+        self, core2duo_10cm, cached_run, tmp_path
     ):
-        full, lines = journaled_run
-        path = _interrupted_journal(lines, TOTAL)
-        spy = _SimulateSpy()
-        with mock.patch.object(executor, "simulate_cell", spy):
-            resumed = _run(core2duo_10cm, journal=path, resume=True)
-        assert spy.calls == 0
-        assert _execution(resumed)["resumed"] == TOTAL
+        full, campaign_dir = cached_run
+        _partial_cache(campaign_dir, CELLS, tmp_path)
+        resumed, simulated = _rerun(core2duo_10cm, cache_dir=tmp_path)
+        assert simulated == 0
+        assert _execution(resumed)["cache_hits"] == TOTAL
         assert np.array_equal(resumed.samples_zj, full.samples_zj)
 
-    def test_resume_accepts_journal_path_shorthand(
-        self, core2duo_10cm, journaled_run
+    @pytest.mark.parametrize("damage", ["torn", "garbage"])
+    def test_damaged_cell_file_is_quarantined_and_recomputed(
+        self, core2duo_10cm, cached_run, tmp_path, damage
     ):
-        full, lines = journaled_run
-        path = _interrupted_journal(lines, 4)
-        resumed = _run(core2duo_10cm, resume=path)
-        assert _execution(resumed)["resumed"] == 4
-        assert np.array_equal(resumed.samples_zj, full.samples_zj)
-
-    def test_resume_with_missing_journal_starts_fresh(
-        self, core2duo_10cm, journaled_run, tmp_path
-    ):
-        full, _lines = journaled_run
-        path = tmp_path / "never-written.jsonl"
-        resumed = _run(core2duo_10cm, journal=path, resume=True)
-        assert _execution(resumed)["resumed"] == 0
-        assert np.array_equal(resumed.samples_zj, full.samples_zj)
-        assert path.exists()  # the fresh run journaled itself
-
-    def test_torn_trailing_line_is_tolerated(self, core2duo_10cm, journaled_run):
-        full, lines = journaled_run
-        path = _interrupted_journal(lines, 5)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(lines[6][: len(lines[6]) // 2])  # killed mid-write
-        resumed = _run(core2duo_10cm, journal=path, resume=True)
+        full, campaign_dir = cached_run
+        target = _partial_cache(campaign_dir, CELLS, tmp_path)
+        cell = _cell_file(target, 1, 2)
+        payload = cell.read_bytes()
+        # A torn file is a write cut short; garbage is any other content.
+        cell.write_bytes(
+            payload[: len(payload) // 2] if damage == "torn" else b"not an npz"
+        )
+        resumed, simulated = _rerun(core2duo_10cm, cache_dir=tmp_path)
         execution = _execution(resumed)
-        assert execution["resumed"] == 5
-        assert execution["cells_simulated"] == TOTAL - 5
+        assert simulated == 1
+        assert execution["quarantined"] == 1
+        assert execution["cache_hits"] == TOTAL - 1
+        assert execution["cache_misses"] == 1
+        (quarantined,) = (tmp_path / "quarantine").iterdir()
+        assert quarantined.name.endswith("cell_001_002.npz")
         assert np.array_equal(resumed.samples_zj, full.samples_zj)
+        # The recomputed cell went back into the cache.
+        assert cell.read_bytes() == payload
 
     def test_fatal_fault_then_resume_completes_the_campaign(
-        self, core2duo_10cm, journaled_run, tmp_path
+        self, core2duo_10cm, cached_run, tmp_path
     ):
-        full, _lines = journaled_run
-        path = tmp_path / "journal.jsonl"
+        full, _campaign_dir = cached_run
         plan = FaultPlan.from_spec("raise@2,2x9")
-        with pytest.raises(CellExecutionError):
-            _run(core2duo_10cm, journal=path, max_retries=0, fault_plan=plan)
-        spy = _SimulateSpy()
-        with mock.patch.object(executor, "simulate_cell", spy):
-            resumed = _run(core2duo_10cm, journal=path, resume=True)
-        # Row-major order: every cell before (2, 2) was journaled, so
-        # the resume recomputes exactly the one that failed.
-        assert spy.calls == 1
-        assert _execution(resumed)["resumed"] == TOTAL - 1
-        assert np.array_equal(resumed.samples_zj, full.samples_zj)
-
-    def test_cache_hits_are_journaled_for_cacheless_resume(
-        self, core2duo_10cm, journaled_run, tmp_path
-    ):
-        full, _lines = journaled_run
-        _run(core2duo_10cm, cache_dir=tmp_path / "cache")  # warm the cache
-        path = tmp_path / "journal.jsonl"
-        warm = _run(
-            core2duo_10cm, cache_dir=tmp_path / "cache", journal=path
-        )
-        assert _execution(warm)["cache_hits"] == TOTAL
-        # The journal alone (no cache) must now reproduce the campaign.
-        resumed = _run(core2duo_10cm, journal=path, resume=True)
-        assert _execution(resumed)["resumed"] == TOTAL
-        assert np.array_equal(resumed.samples_zj, full.samples_zj)
-
-
-@pytest.mark.slow
-class TestJournalRejection:
-    def test_version_mismatch_is_rejected(self, core2duo_10cm, journaled_run):
-        _full, lines = journaled_run
-        path = _interrupted_journal(lines, 3)
-        header = json.loads(lines[0])
-        header["journal_version"] = executor.JOURNAL_VERSION + 1
-        rewritten = [json.dumps(header)] + lines[1:4]
-        path.write_text("\n".join(rewritten) + "\n")
-        with pytest.raises(JournalError, match="version"):
-            _run(core2duo_10cm, journal=path, resume=True)
-
-    def test_other_campaign_key_is_rejected(self, core2duo_10cm, journaled_run):
-        _full, lines = journaled_run
-        path = _interrupted_journal(lines, 3)
-        with pytest.raises(JournalError, match="different campaign"):
-            _run(core2duo_10cm, journal=path, resume=True, seed=SEED + 1)
-
-    def test_garbage_header_is_rejected(self, core2duo_10cm, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text("this is not a journal\n")
-        with pytest.raises(JournalError):
-            _run(core2duo_10cm, journal=path, resume=True)
-
-    def test_missing_header_line_is_rejected(self, core2duo_10cm, journaled_run):
-        _full, lines = journaled_run
-        path = _interrupted_journal(lines, 3)
-        path.write_text("\n".join(lines[1:4]) + "\n")  # drop the header
-        with pytest.raises(JournalError):
-            _run(core2duo_10cm, journal=path, resume=True)
-
-    def test_fresh_run_overwrites_foreign_journal(
-        self, core2duo_10cm, journaled_run, tmp_path
-    ):
-        # Without resume=True a stale journal is truncated, not rejected:
-        # the caller asked for a fresh campaign.
-        full, _lines = journaled_run
-        path = tmp_path / "journal.jsonl"
-        path.write_text("garbage that would never parse\n")
-        matrix = _run(core2duo_10cm, journal=path)
-        assert np.array_equal(matrix.samples_zj, full.samples_zj)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["journal_version"] == executor.JOURNAL_VERSION
-
-    def test_journal_true_requires_a_cache(self, core2duo_10cm):
-        with pytest.raises(ConfigurationError, match="cache"):
-            _run(core2duo_10cm, journal=True)
-
-    def test_journal_true_lives_in_the_cache_campaign_dir(
-        self, core2duo_10cm, tmp_path
-    ):
-        _run(core2duo_10cm, cache_dir=tmp_path, journal=True)
-        journals = list(tmp_path.glob("*/journal.jsonl"))
-        assert len(journals) == 1
-
-
-@pytest.mark.slow
-class TestResumeMetadata:
-    def test_resumed_cells_keep_their_original_timings(
-        self, core2duo_10cm, journaled_run
-    ):
-        full, lines = journaled_run
-        path = _interrupted_journal(lines, TOTAL)
-        resumed = _run(core2duo_10cm, journal=path, resume=True)
-        assert (
-            _execution(resumed)["cell_seconds"]
-            == _execution(full)["cell_seconds"]
-        )
-
-    def test_journal_samples_round_trip_exactly(self, journaled_run):
-        full, lines = journaled_run
-        for line in lines[1:]:
-            record = json.loads(line)
-            restored = np.asarray(record["samples_zj"], dtype=np.float64)
-            assert np.array_equal(
-                restored, full.samples_zj[record["i"], record["j"]]
+        with pytest.raises(CellExecutionError, match="rerun the same command"):
+            _run(
+                core2duo_10cm, cache_dir=tmp_path, workers=0, max_retries=0,
+                fault_plan=plan,
             )
+        resumed, simulated = _rerun(core2duo_10cm, cache_dir=tmp_path, workers=0)
+        # Row-major order: every cell before (2, 2) reached the cache, so
+        # the rerun recomputes exactly the one that failed.
+        assert simulated == 1
+        assert _execution(resumed)["cache_hits"] == TOTAL - 1
+        assert np.array_equal(resumed.samples_zj, full.samples_zj)
+
+    def test_leftover_journal_file_is_ignored(
+        self, core2duo_10cm, cached_run, tmp_path
+    ):
+        # Cache directories written by older releases may hold a
+        # journal.jsonl beside the cells; it is neither read nor removed.
+        full, campaign_dir = cached_run
+        target = _partial_cache(campaign_dir, CELLS[:4], tmp_path)
+        leftover = target / "journal.jsonl"
+        leftover.write_text("not read\n")
+        resumed, simulated = _rerun(core2duo_10cm, cache_dir=tmp_path)
+        assert simulated == TOTAL - 4
+        assert np.array_equal(resumed.samples_zj, full.samples_zj)
+        assert leftover.read_text() == "not read\n"

@@ -220,10 +220,6 @@ class TestExecuteCampaignValidation:
         with pytest.raises(ConfigurationError, match="event ADD listed twice"):
             execute_campaign(core2duo_10cm, [get_event("ADD"), get_event("add")])
 
-    def test_rejects_resume_without_a_journal(self, core2duo_10cm):
-        with pytest.raises(ConfigurationError, match="resume.*journal"):
-            _run(core2duo_10cm, resume=True)
-
     @pytest.mark.parametrize("seed", [-1, 2.5, "3", True, None])
     def test_rejects_bad_seed(self, core2duo_10cm, seed):
         with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
@@ -242,13 +238,6 @@ class TestSeveralCalibrationsValidation:
     def test_rejects_one_distance_twice(self, core2duo_10cm):
         with pytest.raises(ConfigurationError, match="distinct distances"):
             execute_campaign([core2duo_10cm, core2duo_10cm], [get_event("ADD")])
-
-    def test_rejects_a_shared_journal_path(self, core2duo_10cm, core2duo_100cm, tmp_path):
-        with pytest.raises(ConfigurationError, match="journal"):
-            execute_campaign(
-                [core2duo_10cm, core2duo_100cm], [get_event("ADD")],
-                journal=tmp_path / "journal.jsonl",
-            )
 
     def test_rejects_one_bundle_for_several(self, core2duo_10cm, core2duo_100cm):
         from repro.obs import CampaignObservability

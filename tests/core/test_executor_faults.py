@@ -8,8 +8,6 @@ run (retries replay the cell's original seed-schedule entry), and the
 retry / timeout / quarantine counters must match the injected plan.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -45,6 +43,14 @@ def _run(machine, **overrides):
 
 def _execution(matrix):
     return matrix.metadata["execution"]
+
+
+def _cached_cells(cache_dir):
+    """The ``(i, j)`` of every cell file in a result cache directory."""
+    return {
+        (int(path.stem.split("_")[1]), int(path.stem.split("_")[2]))
+        for path in cache_dir.glob("*/cell_*.npz")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -161,31 +167,43 @@ class TestRaiseFaults:
         assert excinfo.value.pair == "ADD/SUB"
         assert excinfo.value.attempts == 2
 
-    def test_fatal_failure_journals_completed_cells_before_reraise(
-        self, core2duo_10cm, tmp_path
+    def test_fatal_failure_without_a_cache_says_nothing_was_kept(
+        self, core2duo_10cm
     ):
-        journal = tmp_path / "journal.jsonl"
-        plan = FaultPlan.from_spec("raise@1,0x9")
-        with pytest.raises(CellExecutionError):
-            _run(core2duo_10cm, journal=journal, max_retries=0, fault_plan=plan)
-        records = [json.loads(line) for line in journal.read_text().splitlines()]
-        cells = {(r["i"], r["j"]) for r in records if r["kind"] == "cell"}
-        # Row-major execution: both row-0 cells completed before the
-        # fatal cell (1, 0) and must have been journaled for --resume.
-        assert cells == {(0, 0), (0, 1)}
+        plan = FaultPlan.from_spec("raise@0,1x9")
+        with pytest.raises(CellExecutionError) as excinfo:
+            _run(core2duo_10cm, max_retries=0, fault_plan=plan)
+        message = str(excinfo.value)
+        assert message.endswith(
+            "(completed cells were not kept; rerun with --cache-dir to "
+            "keep them)"
+        )
+        assert "result cache" not in message
 
-    def test_fatal_failure_in_pool_mode_journals_completed_cells(
+    def test_fatal_failure_caches_completed_cells_before_reraise(
         self, core2duo_10cm, tmp_path
     ):
-        journal = tmp_path / "journal.jsonl"
+        plan = FaultPlan.from_spec("raise@1,0x9")
+        with pytest.raises(CellExecutionError) as excinfo:
+            _run(core2duo_10cm, cache_dir=tmp_path, max_retries=0, fault_plan=plan)
+        # Row-major execution: both row-0 cells completed before the
+        # fatal cell (1, 0) and are in the cache for the rerun.
+        assert _cached_cells(tmp_path) == {(0, 0), (0, 1)}
+        assert str(excinfo.value).endswith(
+            f"(completed cells are in the result cache at {tmp_path}; "
+            "rerun the same command to continue)"
+        )
+
+    def test_fatal_failure_in_pool_mode_caches_completed_cells(
+        self, core2duo_10cm, tmp_path
+    ):
         plan = FaultPlan.from_spec("raise@1,1x9")
         with pytest.raises(CellExecutionError):
             _run(
-                core2duo_10cm, workers=2, journal=journal,
+                core2duo_10cm, workers=2, cache_dir=tmp_path,
                 max_retries=0, fault_plan=plan,
             )
-        records = [json.loads(line) for line in journal.read_text().splitlines()]
-        cells = {(r["i"], r["j"]) for r in records if r["kind"] == "cell"}
+        cells = _cached_cells(tmp_path)
         assert (1, 1) not in cells
         assert cells  # at least one completed cell was checkpointed
 
@@ -246,33 +264,27 @@ class TestHangFaults:
     ):
         # The satellite regression: a cell that overruns its budget once
         # and then succeeds must leave identical timeout/retry counters,
-        # identical journal contents, and bit-identical samples whether
-        # the campaign ran serially or under the process pool.
+        # the same cached cells, and bit-identical samples whether the
+        # campaign ran serially or under the process pool.
         plan_spec = "hang@0,1:1.2"
         outcomes = {}
         for label, workers in (("serial", 0), ("pool", 2)):
-            journal = tmp_path / f"journal_{label}.jsonl"
+            cache_dir = tmp_path / label
             matrix = _run(
                 core2duo_10cm,
                 workers=workers,
                 cell_timeout_s=0.4,
-                journal=journal,
+                cache_dir=cache_dir,
                 fault_plan=FaultPlan.from_spec(plan_spec),
             )
             execution = _execution(matrix)
-            records = [
-                json.loads(line) for line in journal.read_text().splitlines()
-            ]
-            journaled_cells = sorted(
-                (r["i"], r["j"]) for r in records if r["kind"] == "cell"
-            )
             assert np.array_equal(matrix.samples_zj, clean.samples_zj)
             outcomes[label] = {
                 "timeouts": execution["timeouts"],
                 "retries": execution["retries"],
                 "cells_simulated": execution["cells_simulated"],
                 "faults_injected": execution["faults_injected"],
-                "journaled_cells": journaled_cells,
+                "cached_cells": _cached_cells(cache_dir),
             }
         assert outcomes["serial"] == outcomes["pool"]
         assert outcomes["serial"]["timeouts"] == 1

@@ -1,7 +1,7 @@
 """Where a calibration's fit runs.
 
 The fit (~1 s) is made only when a cold cell needs it: in the parent
-process, once cache and journal hits are resolved, before any attempt
+process, once cache hits are resolved, before any attempt
 or pool fork and outside every cell's timing and budget.  A run whose
 every cell is read back from the result cache fits nothing.
 """

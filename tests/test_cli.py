@@ -131,7 +131,7 @@ class _FakeMachine:
 class TestCampaignSummaryLines:
     EXECUTION = {
         "workers": 2, "wall_seconds": 1.5, "cache_hits": 1,
-        "cache_misses": 3, "cells_simulated": 3, "resumed": 0,
+        "cache_misses": 3, "cells_simulated": 3,
         "retries": 1, "timeouts": 0, "quarantined": 0,
         "phase_seconds": {"core_run": 1.2},
         "faults_injected": {"raise": 1},
@@ -143,7 +143,7 @@ class TestCampaignSummaryLines:
         )
         text = "\n".join(lines)
         assert "3 cell(s) simulated" in text
-        assert "0 cell(s) resumed from the journal" in text
+        assert "robustness: 1 retry(ies), 0 timeout(s)" in text
         assert "simulation time by phase: core_run 1.2 s" in text
         assert "injected faults fired: raise x1" in text
 
@@ -154,6 +154,14 @@ class TestCampaignSummaryLines:
         assert "std/mean over 2 repetitions" in text
         assert "cell(s) simulated" not in text
         assert "robustness" not in text
+
+    def test_one_repetition_prints_no_numeric_spread(self):
+        campaign = _FakeCampaign({})
+        campaign.repetitions = 1
+        text = "\n".join(_campaign_summary_lines(campaign, _FakeMachine()))
+        assert "std/mean over 1 repetition: undefined" in text
+        assert "0.012" not in text
+        assert "0.000" not in text
 
 
 class TestParser:
