@@ -8,8 +8,8 @@ Subcommands cover the workflows a downstream user runs most:
   a JSONL run trace and a Prometheus metrics export, and
   ``--progress``/``--no-progress`` to control the live status line;
 * ``savat study --machines core2duo --distances 0.10,0.25,0.50`` — a
-  grid of campaigns over one shared worker pool, producing each cell's
-  kernel trace once for all distances of a machine;
+  grid of campaigns run as one execution, producing each cell's kernel
+  trace once for all distances of a machine;
 * ``savat groups`` — cluster the events by SAVAT distance;
 * ``savat audit victim.s`` — static leak audit of an assembly file;
 * ``savat attack --key 10110100`` — the RSA-style attack demo.
@@ -375,6 +375,12 @@ def _campaign_summary_lines(campaign, machine) -> list[str]:
         ),
         f"\n{spread}",
     ]
+    reference = campaign.metadata.get("reference")
+    if reference is not None and not reference["exact"]:
+        lines.append(
+            f"calibration target: {reference['figure']} at "
+            f"{reference['distance_m'] * 100:g} cm, not a verbatim published matrix"
+        )
     execution = campaign.metadata.get("execution")
     if execution is None:
         return lines
@@ -471,7 +477,6 @@ def _command_study(args: argparse.Namespace) -> int:
         trace_cache = execution["trace_cache"]
         print(
             f"  {matrix.machine} @ {matrix.distance_m * 100:.0f} cm: "
-            f"{execution['wall_seconds']:.1f} s, "
             f"trace cache {trace_cache['disk_hits']} hit(s) / "
             f"{trace_cache['misses']} miss(es)"
         )
@@ -614,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     study = subparsers.add_parser(
         "study",
-        help="run a machines x distances grid of campaigns over one "
-        "shared worker pool, each cell's trace produced once per machine",
+        help="run a machines x distances grid of campaigns as one "
+        "execution, each cell's trace produced once per machine",
     )
     study.add_argument(
         "--machines",

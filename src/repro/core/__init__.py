@@ -4,7 +4,6 @@ from repro.core.campaign import PAPER_REPETITIONS, run_campaign, selected_pairin
 from repro.core.executor import (
     CampaignStats,
     ResultCache,
-    WorkerPool,
     campaign_cache_key,
     execute_campaign,
     spawn_cell_seeds,
@@ -80,7 +79,6 @@ __all__ = [
     "SequenceSavatResult",
     "StudyResult",
     "TraceCache",
-    "WorkerPool",
     "clear_cpi_cache",
     "cluster_linkage",
     "compare_methodologies",

@@ -14,9 +14,9 @@ Cell execution is delegated to :mod:`repro.core.executor`, which fans
 the independent cells out across worker processes and caches finished
 cells on disk, while a per-cell seed schedule keeps parallel, serial,
 and cached runs bit-identical.  :func:`run_campaigns` measures several
-distances of one machine in one execution, producing each pair's
-kernel trace once for all of them; :func:`run_campaign` is its
-one-distance case.
+(machine, distance) campaigns in one execution, producing each
+machine's pair trace once for all of its distances; :func:`run_campaign`
+is its one-campaign case.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.core.executor import (
     CampaignStats,
     ProgressCallback,
     ResultCache,
-    WorkerPool,
     execute_campaign,
 )
 from repro.core.faults import FaultPlan
@@ -59,7 +58,6 @@ def run_campaign(
     fault_plan: FaultPlan | None = None,
     observability: CampaignObservability | None = None,
     trace_cache: TraceCache | None = None,
-    pool: WorkerPool | None = None,
 ) -> SavatMatrix:
     """Measure the full pairwise SAVAT matrix.
 
@@ -76,7 +74,7 @@ def run_campaign(
     workers (without a budget it queues one more cell behind each
     running one).  An attempt that finishes over budget counts one timeout
     and its result is discarded; a running attempt that passes its
-    deadline is abandoned, and an owned pool's workers are terminated at
+    deadline is abandoned, and the pool's workers are terminated at
     the end.  Either way the cell is retried from its original
     seed-schedule entry (one retry per overrun) until the
     ``max_retries`` budget is exhausted, at which point the campaign
@@ -131,10 +129,6 @@ def run_campaign(
         prime/core_run trace-production stage across executions
         (``None``: none).  Samples are bit-identical with the cache on
         or off.
-    pool:
-        Persistent :class:`~repro.core.executor.WorkerPool` to run the
-        campaign over (a study shares one pool across its machines);
-        overrides ``workers``.
 
     Returns
     -------
@@ -143,7 +137,10 @@ def run_campaign(
         metadata carries an ``"execution"`` entry with cache hit/miss
         counters, worker count, per-cell timings, and the
         fault-tolerance counters (retries, timeouts, quarantined
-        cells).
+        cells), and a ``"reference"`` entry naming the calibration
+        target: its ``figure`` (a paper figure, ``"interpolated"`` or
+        ``"scaled from 10 cm via Core 2 Duo attenuation"``), whether it
+        is ``exact``, and its ``distance_m``.
     """
     config = config or MeasurementConfig()
     resolved = resolve_events(events)
@@ -164,7 +161,6 @@ def run_campaign(
         fault_plan=fault_plan,
         observability=observability,
         trace_cache=trace_cache,
-        pool=pool,
     )
     return _matrix(machine, resolved, config, repetitions, seed, samples, stats)
 
@@ -182,16 +178,15 @@ def run_campaigns(
     cell_timeout_s: float | None = None,
     observability: Sequence[CampaignObservability] | None = None,
     trace_cache: TraceCache | None = None,
-    pool: WorkerPool | None = None,
 ) -> list[SavatMatrix]:
-    """One campaign per calibration of one machine, in one execution.
+    """One campaign per calibration, all in one execution.
 
-    ``machines`` are calibrations of one machine spec at distinct
-    distances.  Each ordered pair's kernel trace is produced once and
-    measured at every distance, yet each returned matrix equals the
-    :func:`run_campaign` call with the same arguments bit for bit and
-    carries its own ``metadata["execution"]``.  ``observability`` takes
-    one bundle per calibration; the other parameters are
+    ``machines`` are calibrations, no two of one machine at one
+    distance.  Each machine's ordered-pair kernel traces are produced
+    once and measured at each of its distances, yet each returned matrix
+    equals the :func:`run_campaign` call with the same arguments bit for
+    bit and carries its own ``metadata["execution"]``.  ``observability``
+    takes one bundle per calibration; the other parameters are
     :func:`run_campaign`'s.
     """
     config = config or MeasurementConfig()
@@ -209,7 +204,6 @@ def run_campaigns(
         cell_timeout_s=cell_timeout_s,
         observability=observability,
         trace_cache=trace_cache,
-        pool=pool,
     )
     return [
         _matrix(machine, resolved, config, repetitions, seed, samples, stats)
@@ -246,6 +240,11 @@ def _matrix(
             "method": config.method,
             "repetitions": repetitions,
             "seed": seed,
+            "reference": {
+                "figure": machine.reference.figure,
+                "exact": machine.reference.exact,
+                "distance_m": float(machine.reference.distance_m),
+            },
             "execution": stats.as_metadata(),
         },
     )

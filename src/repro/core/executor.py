@@ -26,7 +26,7 @@ so the executor layers three recovery mechanisms over the fan-out:
   attempt's budget is measured from its submission.  An attempt that
   finishes over budget counts one timeout and its result is discarded;
   a running attempt that passes its deadline is abandoned (its worker
-  slot written off until it returns), and an owned pool's workers are
+  slot written off until it returns), and the pool's workers are
   terminated at the end.  Either way the cell is retried from its
   original seed, or the campaign fails once the retry budget is
   exhausted.  Serial and pooled runs share one scheduling loop, so the
@@ -59,19 +59,21 @@ fits each calibration that a cold cell measures (a lazy
 :class:`~repro.machines.calibrated.CalibratedMachine` has not fitted
 itself yet), in the parent, before any attempt or pool fork.
 
-The unit of work is a **cell group**: one ordered (A, B) pair whose
-kernel trace (the expensive ``prime`` + ``core_run`` stage) is produced
-once and then measured for every calibration of the machine in the
-execution.  A trace depends on the machine spec, the pair, and the
-frequency plan — not on distance, seed, repetitions, or method — so a
-multi-distance study (:func:`repro.core.study.run_study`) hands all of
-a machine's distances to one execution, and each group measures them
-from the trace in memory, each with its own seed-schedule entry, before
-dropping it.  A group is pending when any of its distances misses the
-result cache, and only those distances are measured.  Result-cache
-keys, observability bundles, matrix metadata, retries and
-timeouts stay per (machine, distance), exactly as if each distance were
-its own campaign.  An on-disk trace cache
+The unit of work is a **cell group**: one machine spec's ordered (A, B)
+pair, whose kernel trace (the expensive ``prime`` + ``core_run`` stage)
+is produced once and then measured for every calibration of that spec
+in the execution.  A trace depends on the machine spec, the pair, and
+the frequency plan — not on distance, seed, repetitions, or method — so
+a study (:func:`repro.core.study.run_study`) hands its whole machines x
+distances grid to one execution, and each group measures its spec's
+distances from the trace in memory, each with its own seed-schedule
+entry, before dropping it.  A group is pending when any of its
+distances misses the result cache, and only those distances are
+measured.  Result-cache keys, observability bundles, matrix metadata,
+retries and timeouts stay per (machine, distance), exactly as if each
+were its own campaign.  The executor is the only code that starts a
+worker pool: one per pooled execution, built after every fit and torn
+down before it returns.  An on-disk trace cache
 (:mod:`repro.core.trace_cache`), when the caller passes one, serves
 traces across executions; pool workers receive its directory, never
 trace payloads, and their per-group counter deltas surface as
@@ -613,8 +615,8 @@ class ResultCache:
         """Zero the per-execution counters (cached entries are kept).
 
         :func:`execute_campaign` calls this on entry, so a cache object
-        shared across the executions of a study reports each
-        execution's own hits/misses/quarantines.  Matrix metadata counts
+        shared across executions reports each execution's own
+        hits/misses/quarantines.  Matrix metadata counts
         per campaign regardless, from each campaign's
         :class:`CampaignStats`.
         """
@@ -731,10 +733,10 @@ def simulate_cell(
 ) -> list[np.ndarray]:
     """Simulate one cell group: the (A, B) trace once, measured per calibration.
 
-    ``machines`` are calibrations of one machine spec (a study's
-    distances).  **Trace production** (the ``prime`` + ``core_run``
-    phases) is a pure function of the spec, the pair, and the plan, so
-    it runs once, through
+    ``machines`` are calibrations of one machine spec (one machine's
+    distances in a study).  **Trace production** (the ``prime`` +
+    ``core_run`` phases) is a pure function of the spec, the pair, and
+    the plan, so it runs once, through
     :func:`repro.core.trace_cache.produce_cell_trace` (with a
     ``trace_cache``, a kernel an earlier execution stored skips both
     phases).  **Measurement** (the ``synthesize`` / ``analyze`` phases)
@@ -790,7 +792,7 @@ def simulate_cell(
 
 @dataclass(frozen=True)
 class _CellGroup:
-    """One ordered pair awaiting measurement at one or more calibrations."""
+    """One spec's ordered pair awaiting measurement at one or more calibrations."""
 
     i: int
     j: int
@@ -859,11 +861,11 @@ def _cell_task(
 ) -> tuple[list[np.ndarray], list[dict]]:
     """Run one attempt inside a worker process.
 
-    The group ships its execution context (calibrations, config,
+    The group ships its context (its spec's calibrations, config,
     repetitions, pre-computed frequency plan) and the trace cache's
     directory with every task — the pickles are small, and carrying
-    them per task is what lets one persistent :class:`WorkerPool` serve
-    executions with different machines, configs and caches back to back.
+    them per task is what lets one pool serve the groups of every
+    machine spec in the execution.
     """
     cache = TraceCache(trace_cache_dir) if trace_cache_dir is not None else None
     return _attempt(machines, config, repetitions, group, fault, cache)
@@ -904,17 +906,14 @@ def _limit_blas_threads(threads: int) -> None:
 
 
 class WorkerPool:
-    """A persistent worker pool that outlives individual executions.
+    """The process pool a pooled :func:`execute_campaign` fans groups out over.
 
-    A pooled :func:`execute_campaign` normally builds and tears down a
-    pool of its own.  Passing one in inverts that ownership: the caller
-    (typically :func:`repro.core.study.run_study`, which runs one
-    execution per machine) builds the pool once, passes it to each
-    execution via ``execute_campaign(pool=...)``, and the same worker
-    processes serve every execution's cell groups.  A worker holds a
-    group's trace only while it measures that group's calibrations; each
-    task carries the trace cache's directory, and trace payloads never
-    cross the process boundary.
+    The executor builds one after it has fitted every cold calibration
+    (a fit forks processes of its own, which must not inherit the
+    pool's threads) and tears it down before returning.  A worker holds
+    a group's trace only while it measures that group's calibrations;
+    each task carries the trace cache's directory, and trace payloads
+    never cross the process boundary.
 
     Each worker runs numpy's BLAS on its share of the usable CPUs
     (``usable // workers``, at least one thread).
@@ -1087,35 +1086,6 @@ class _Campaign:
         self.finish(i, j, cell_samples, elapsed, phases)
 
 
-def cold_calibrations(
-    machines: Sequence[CalibratedMachine],
-    events: Sequence[InstructionEvent],
-    config: MeasurementConfig,
-    repetitions: int,
-    seed: int,
-    cache: ResultCache | None,
-) -> list[CalibratedMachine]:
-    """The calibrations with a cell the result cache cannot serve.
-
-    A cell is served when :meth:`ResultCache.read_cell` finds a valid
-    entry under the calibration's campaign key, the read
-    :func:`execute_campaign` makes before it fits; without a cache every
-    calibration is cold.  A caller that runs these campaigns over a
-    :class:`WorkerPool` of its own fits them before starting it, so no
-    fit forks beside the live pool.
-    """
-    if cache is None:
-        return list(machines)
-    names = [event.name for event in events]
-    cells = [(i, j) for i in range(len(names)) for j in range(len(names))]
-    cold = []
-    for machine in machines:
-        key = _machine_cache_key(machine, config, names, repetitions, seed)
-        if any(cache.read_cell(key, i, j, repetitions) is None for i, j in cells):
-            cold.append(machine)
-    return cold
-
-
 def execute_campaign(
     machine: CalibratedMachine | Sequence[CalibratedMachine],
     events: Sequence[InstructionEvent],
@@ -1132,22 +1102,21 @@ def execute_campaign(
     | Sequence[CampaignObservability]
     | None = None,
     trace_cache: TraceCache | None = None,
-    pool: WorkerPool | None = None,
 ) -> tuple[np.ndarray, CampaignStats] | list[tuple[np.ndarray, CampaignStats]]:
     """Measure every ordered (A, B) cell of one or more campaigns.
 
     With one calibrated machine this is one campaign.  With a sequence
-    of calibrations of one machine spec (a study's distances), each is
-    its own campaign — own result-cache key, observability bundle,
-    counters and samples — but every ordered pair is one **cell
+    of calibrations (a study's machines x distances grid), each is its
+    own campaign — own result-cache key, observability bundle, counters
+    and samples — but each machine spec's ordered pair is one **cell
     group** whose kernel trace is produced once and measured for every
-    calibration that misses the result cache.
+    calibration of that spec that misses the result cache.
 
     Parameters
     ----------
     machine:
         A calibrated machine (fixes the distance too), or a sequence of
-        calibrations of one machine spec at distinct distances.
+        calibrations, no two of one machine at one distance.
     events:
         Resolved event objects, in matrix order.
     config:
@@ -1159,8 +1128,10 @@ def execute_campaign(
         :func:`spawn_cell_seeds` (the same schedule for every
         calibration).
     workers:
-        Worker processes; ``0`` or ``1`` runs serially in-process.
-        Results are bit-identical either way.
+        Worker processes; ``0`` or ``1`` runs serially in-process.  A
+        pooled execution starts at most one worker per cold cell group,
+        after every fit, and stops them before it returns (a fully
+        cached one starts none).  Results are bit-identical either way.
     cache:
         Optional :class:`ResultCache`; hits skip simulation entirely.
         Each measured cell is stored as it completes, so rerunning an
@@ -1179,7 +1150,7 @@ def execute_campaign(
         one it queues a group behind each running one).
         An attempt that finishes over budget counts one timeout and its
         result is discarded; a running attempt that passes its deadline
-        is abandoned, and an owned pool's workers are terminated at the
+        is abandoned, and the pool's workers are terminated at the
         end.  Either way the group is retried from its original seed
         (consuming the retry budget) or the execution fails.  Counters,
         cached cells, and samples are identical serial or pooled.
@@ -1200,10 +1171,6 @@ def execute_campaign(
         prime/core_run trace-production stage across executions;
         ``None`` (the default) keeps no traces beyond their cell
         groups.  Samples are bit-identical with the cache on or off.
-    pool:
-        A persistent :class:`WorkerPool` to fan cell groups out over
-        instead of creating (and tearing down) a private pool; the
-        caller owns its lifetime.  When given, it overrides ``workers``.
 
     Returns
     -------
@@ -1243,17 +1210,13 @@ def execute_campaign(
             f"got {cell_timeout_s!r}"
         )
     workers = _validate_workers(workers)
-    for other in machines[1:]:
-        if other.spec != machines[0].spec:
+    points = [(other.name, round(other.distance_m, 4)) for other in machines]
+    for index, point in enumerate(points):
+        if point in points[:index]:
             raise ConfigurationError(
-                f"one execution measures one machine spec; got "
-                f"{machines[0].name!r} and {other.name!r}"
+                f"calibrations of one machine must be at distinct distances; "
+                f"got {point[0]!r} at {point[1]} m twice"
             )
-    distances = [round(other.distance_m, 4) for other in machines]
-    if len(set(distances)) != len(distances):
-        raise ConfigurationError(
-            f"calibrations must be at distinct distances; got {distances}"
-        )
     if single:
         bundles = [observability]
     elif isinstance(observability, CampaignObservability):
@@ -1276,7 +1239,6 @@ def execute_campaign(
         str(trace_cache.directory) if trace_cache is not None else None
     )
 
-    effective_workers = pool.workers if pool is not None else max(workers, 1)
     campaigns = [
         _Campaign(
             calibrated,
@@ -1306,43 +1268,53 @@ def execute_campaign(
             **campaign.header,
         )
 
-    owned_pool: WorkerPool | None = None
+    # The campaigns of each machine spec, in first-appearance order.
+    by_spec: list[list[int]] = []
+    for index, calibrated in enumerate(machines):
+        for indices in by_spec:
+            if machines[indices[0]].spec == calibrated.spec:
+                indices.append(index)
+                break
+        else:
+            by_spec.append([index])
+
+    pool: WorkerPool | None = None
     abandoned: set = set()  # futures of hung attempts still running
     status = "failed"
     try:
         # Resolve cache hits first, so the fan-out only
-        # sees the cold cells, grouped by pair.
+        # sees the cold cells, grouped by (spec, pair).
         groups: list[_CellGroup] = []
-        for i in range(count):
-            for j in range(count):
-                members = tuple(
-                    index
-                    for index, campaign in enumerate(campaigns)
-                    if campaign.resolve(i, j, cache, fault_plan)
-                )
-                if not members:
-                    continue
-                # Plan in the parent: the per-event CPIs behind
-                # _plan_pair are memoized per machine spec, so workers
-                # receive finished plans instead of each re-probing from
-                # a cold cache.
-                plan = _plan_pair(
-                    machines[0],
-                    resolved[i],
-                    resolved[j],
-                    config.alternation_frequency_hz,
-                )
-                groups.append(
-                    _CellGroup(
-                        i, j, resolved[i], resolved[j],
-                        seeds[i * count + j], plan, members,
+        for indices in by_spec:
+            for i in range(count):
+                for j in range(count):
+                    members = tuple(
+                        index
+                        for index in indices
+                        if campaigns[index].resolve(i, j, cache, fault_plan)
                     )
-                )
+                    if not members:
+                        continue
+                    # Plan in the parent: the per-event CPIs behind
+                    # _plan_pair are memoized per machine spec, so workers
+                    # receive finished plans instead of each re-probing
+                    # from a cold cache.
+                    plan = _plan_pair(
+                        machines[members[0]],
+                        resolved[i],
+                        resolved[j],
+                        config.alternation_frequency_hz,
+                    )
+                    groups.append(
+                        _CellGroup(
+                            i, j, resolved[i], resolved[j],
+                            seeds[i * count + j], plan, members,
+                        )
+                    )
 
         # Fit each calibration a cold cell measures, here and now: before
         # any attempt or pool fork (workers inherit or receive the fit)
-        # and outside every cell's timing and budget.  A caller that owns
-        # the pool fits these before starting it (cold_calibrations).
+        # and outside every cell's timing and budget.
         for index in sorted({index for group in groups for index in group.members}):
             campaigns[index].fit()
 
@@ -1392,15 +1364,10 @@ def execute_campaign(
             )
 
         # Cache hits are resolved by now, so a warm run builds no pool.
-        if not groups or (
-            pool is None and (effective_workers <= 1 or len(groups) <= 1)
-        ):
+        if workers <= 1 or len(groups) <= 1:
             submit, slots = run_here, 1
         else:
-            if pool is None:
-                pool = owned_pool = WorkerPool(
-                    min(effective_workers, len(groups))
-                )
+            pool = WorkerPool(min(workers, len(groups)))
             submit, slots = run_in_pool, pool.workers
         for campaign in campaigns:
             campaign.stats.workers = slots
@@ -1410,14 +1377,15 @@ def execute_campaign(
         )
         status = "ok"
     finally:
-        if owned_pool is not None:
+        if pool is not None:
             # A hung attempt may never return: kill the workers rather
-            # than leave interpreter exit joining them.  Otherwise never
-            # block teardown on a failed run's in-flight cells.
+            # than leave interpreter exit joining them.  Otherwise let a
+            # failed run's in-flight cells finish, so no worker outlives
+            # the execution.
             if abandoned:
-                owned_pool.terminate()
+                pool.terminate()
             else:
-                owned_pool.shutdown(wait=status == "ok", cancel_futures=True)
+                pool.shutdown(cancel_futures=True)
         wall_seconds = time.perf_counter() - started
         for campaign in campaigns:
             campaign.stats.wall_seconds = wall_seconds
@@ -1583,7 +1551,6 @@ __all__ = [
     "DEFAULT_MAX_RETRIES",
     "CampaignStats",
     "ResultCache",
-    "WorkerPool",
     "campaign_cache_key",
     "cell_seed",
     "execute_campaign",

@@ -103,13 +103,17 @@ class SavatMatrix:
     # The paper's validity statistics (Section V)
     # ------------------------------------------------------------------
     def std_over_mean(self) -> float:
-        """Mean std/mean ratio over all cells — the paper reports ~0.05."""
+        """Mean std/mean ratio over all cells — the paper reports ~0.05.
+
+        NaN below two repetitions, where a spread is undefined.
+        """
+        if self.repetitions < 2:
+            return float("nan")
         mean = self.mean()
-        std = self.std()
         valid = mean > 0
-        if not np.any(valid) or self.repetitions < 2:
+        if not np.any(valid):
             return 0.0
-        return float((std[valid] / mean[valid]).mean())
+        return float((self.std()[valid] / mean[valid]).mean())
 
     def diagonal(self) -> np.ndarray:
         """Mean A/A values — the measurement-error estimate."""

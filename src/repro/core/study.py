@@ -8,16 +8,15 @@ cm.  The expensive part of every campaign cell (the ``prime`` +
 pair, and the frequency plan — not on distance, seed, or method — so
 distance enters only through the calibrated couplings.
 
-:func:`run_study` therefore runs one execution per machine over all of
-its distances (:func:`repro.core.campaign.run_campaigns`): each ordered
+:func:`run_study` therefore runs the whole grid as one execution
+(:func:`repro.core.campaign.run_campaigns`): each machine's ordered
 pair is a *cell group* whose trace is produced once and measured at
-every distance in memory, then dropped.  Around that:
+every distance in memory, then dropped.  The executor decides the rest:
+it fits each grid point with a cell the result cache cannot serve (a
+fully cached point fits nothing), then starts its one worker pool, if
+any, and ships calibrations and plans to the workers, never trace
+payloads.  Around that:
 
-* one persistent :class:`~repro.core.executor.WorkerPool` serves every
-  machine's execution (the parent ships calibrations and plans to the
-  workers, never trace payloads); before it starts, the parent fits
-  each grid point with a cell the result cache cannot serve, so no fit
-  forks beside the live pool and a fully cached point fits nothing;
 * each campaign still gets its own result-cache namespace and
   observability bundle (per-campaign trace/metrics files under
   ``output_dir``), exactly as if it had been run standalone — samples
@@ -41,15 +40,14 @@ from repro.core.executor import (
     DEFAULT_MAX_RETRIES,
     ProgressCallback,
     ResultCache,
-    WorkerPool,
     _validate_workers,
-    cold_calibrations,
 )
 from repro.core.matrix import SavatMatrix
 from repro.core.savat import MeasurementConfig
 from repro.core.trace_cache import TraceCache
 from repro.errors import ConfigurationError
 from repro.isa.events import InstructionEvent
+from repro.machines.calibrated import CalibratedMachine, load_calibrated_machine
 from repro.obs import CampaignObservability
 
 
@@ -68,9 +66,9 @@ class StudyResult:
     ----------
     matrices:
         One :class:`~repro.core.matrix.SavatMatrix` per campaign, in
-        execution order (machine-major, then distance); each carries
-        its own ``metadata["execution"]`` exactly as a standalone
-        campaign would.
+        grid order (machine-major, then distance); each carries its own
+        ``metadata["execution"]`` exactly as a standalone campaign
+        would, except that its ``wall_seconds`` is the one execution's.
     wall_seconds:
         Wall-clock duration of the whole study.
     """
@@ -105,19 +103,6 @@ class StudyResult:
             f"{distance_m!r} m"
         )
 
-    def campaign_wall_seconds(self) -> dict[tuple[str, float], float]:
-        """Per-campaign wall seconds keyed by (machine, distance).
-
-        A machine's distances run as one execution, so each reports
-        that execution's wall time.
-        """
-        return {
-            (matrix.machine, matrix.distance_m): float(
-                matrix.metadata["execution"]["wall_seconds"]
-            )
-            for matrix in self.matrices
-        }
-
 
 def run_study(
     machines: Sequence[str],
@@ -140,9 +125,8 @@ def run_study(
     Every campaign produces exactly the samples an independent
     :func:`~repro.core.campaign.run_campaign` call with the same
     arguments would (bit for bit) — the study only removes *redundant*
-    work: each machine's distances run as one execution, in which every
-    cell's kernel trace is produced once and measured at each distance,
-    and one persistent worker pool serves every machine.
+    work: the whole grid runs as one execution, in which each machine's
+    cell traces are produced once and measured at each of its distances.
 
     Parameters
     ----------
@@ -158,9 +142,9 @@ def run_study(
         campaign (the seed too: campaigns are distinguished by machine
         and distance, exactly like the paper's repeated sweeps).
     workers:
-        Worker processes for the shared pool (``0``/``1``: every
-        execution runs serially in-process, producing each trace once
-        all the same).
+        Worker processes for the execution's pool (``0``/``1``: the
+        grid runs serially in-process, producing each trace once all
+        the same).
     cache_dir:
         Directory for the per-cell result cache.  One
         :class:`~repro.core.executor.ResultCache` is shared by all
@@ -225,67 +209,45 @@ def run_study(
     if output_path is not None:
         output_path.mkdir(parents=True, exist_ok=True)
 
-    def bundle_for(index: int, name: str, distance: float) -> CampaignObservability:
+    def stem(machine: CalibratedMachine) -> str:
+        return f"{machine.name}_{_distance_label(machine.distance_m)}"
+
+    def bundle_for(index: int, machine: CalibratedMachine) -> CampaignObservability:
         if observability is not None:
             return observability[index]
         if output_path is None:
             return CampaignObservability()
-        stem = f"{name}_{_distance_label(distance)}"
         return CampaignObservability(
-            trace=output_path / f"{stem}.trace.jsonl",
-            metrics_out=output_path / f"{stem}.prom",
+            trace=output_path / f"{stem(machine)}.trace.jsonl",
+            metrics_out=output_path / f"{stem(machine)}.prom",
         )
 
-    matrices: list[SavatMatrix] = []
-    pool: WorkerPool | None = None
     started = time.perf_counter()
-    try:
-        # Load the whole grid before the pool exists, so a grid point
-        # that cannot be calibrated fails before any worker starts, and
-        # fit each point with a cell the result cache cannot serve: a
-        # fit forks processes of its own, which must not inherit the
-        # pool's threads.  A fully cached point fits nothing.
-        from repro.machines.calibrated import load_calibrated_machine
-
-        calibrated = [
-            load_calibrated_machine(machine_name, distance)
-            for machine_name, distance in grid
-        ]
-        for machine in cold_calibrations(
-            calibrated, resolved, config, repetitions, seed, shared_result_cache
-        ):
-            machine.calibration  # the first read fits
-        if workers > 1:
-            pool = WorkerPool(workers)
-        for first in range(0, len(grid), len(distances)):
-            machine_grid = calibrated[first:first + len(distances)]
-            machine_matrices = run_campaigns(
-                machine_grid,
-                config=config,
-                events=resolved,
-                repetitions=repetitions,
-                seed=seed,
-                progress=progress,
-                workers=workers,
-                cache=shared_result_cache,
-                max_retries=max_retries,
-                cell_timeout_s=cell_timeout_s,
-                observability=[
-                    bundle_for(first + offset, machine.name, machine.distance_m)
-                    for offset, machine in enumerate(machine_grid)
-                ],
-                trace_cache=trace_cache,
-                pool=pool,
-            )
-            for machine, matrix in zip(machine_grid, machine_matrices):
-                matrices.append(matrix)
-                if output_path is not None:
-                    stem = f"{machine.name}_{_distance_label(machine.distance_m)}"
-                    (output_path / f"{stem}.json").write_text(matrix.to_json())
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
+    # Load the whole grid first, so a grid point that cannot be
+    # calibrated fails before any worker starts.
+    calibrated = [
+        load_calibrated_machine(machine_name, distance)
+        for machine_name, distance in grid
+    ]
+    matrices = run_campaigns(
+        calibrated,
+        config=config,
+        events=resolved,
+        repetitions=repetitions,
+        seed=seed,
+        progress=progress,
+        workers=workers,
+        cache=shared_result_cache,
+        max_retries=max_retries,
+        cell_timeout_s=cell_timeout_s,
+        observability=[
+            bundle_for(index, machine) for index, machine in enumerate(calibrated)
+        ],
+        trace_cache=trace_cache,
+    )
+    if output_path is not None:
+        for machine, matrix in zip(calibrated, matrices):
+            (output_path / f"{stem(machine)}.json").write_text(matrix.to_json())
     return StudyResult(
         matrices=matrices, wall_seconds=time.perf_counter() - started
     )

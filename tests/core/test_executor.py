@@ -174,6 +174,44 @@ class TestParallelMatchesSerial:
 
 
 @pytest.mark.slow
+class TestSeveralMachineSpecs:
+    """One execution over two machine specs and two distances equals the
+    standalone campaigns bit for bit, serial or pooled, either method."""
+
+    POINTS = (("core2duo", 0.10), ("pentium3m", 0.10), ("core2duo", 0.50))
+    FULL_CONFIG = MeasurementConfig(
+        alternation_frequency_hz=800e3, method="full", duration_s=0.01
+    )
+
+    @pytest.fixture(scope="class")
+    def standalone(self):
+        return {
+            (config.method, point): _run(
+                load_calibrated_machine(*point), config=config
+            ).samples_zj
+            for config in (FAST_CONFIG, self.FULL_CONFIG)
+            for point in self.POINTS
+        }
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("method", ["analytic", "full"])
+    def test_equals_standalone_campaigns(self, standalone, method, workers):
+        config = FAST_CONFIG if method == "analytic" else self.FULL_CONFIG
+        results = execute_campaign(
+            [load_calibrated_machine(*point) for point in self.POINTS],
+            [get_event(name) for name in PAIR_EVENTS],
+            config=config,
+            repetitions=REPETITIONS,
+            seed=SEED,
+            workers=workers,
+        )
+        for point, (samples, stats) in zip(self.POINTS, results):
+            assert np.array_equal(samples, standalone[(method, point)]), point
+            assert stats.cells_simulated == len(PAIR_EVENTS) ** 2
+            assert stats.workers == max(workers, 1)
+
+
+@pytest.mark.slow
 class TestOutstandingAttempts:
     """A pool keeps one cell queued behind each running one, unless budgeted."""
 
@@ -227,13 +265,17 @@ class TestExecuteCampaignValidation:
 
 
 class TestSeveralCalibrationsValidation:
-    """One execution over several calibrations takes one machine spec at
-    distinct distances, and per-campaign outputs for each of them."""
+    """One execution over several calibrations takes each (machine,
+    distance) at most once, and per-campaign outputs for each of them."""
 
-    def test_rejects_two_machine_specs(self, core2duo_10cm):
-        pentium = load_calibrated_machine("pentium3m", 0.10)
-        with pytest.raises(ConfigurationError, match="one machine spec"):
-            execute_campaign([core2duo_10cm, pentium], [get_event("ADD")])
+    def test_rejects_one_machine_at_one_distance_twice(self, core2duo_10cm):
+        machines = [
+            core2duo_10cm,
+            load_calibrated_machine("pentium3m", 0.10),
+            load_calibrated_machine("core2duo", 0.10),
+        ]
+        with pytest.raises(ConfigurationError, match="'core2duo' at 0.1 m twice"):
+            execute_campaign(machines, [get_event("ADD")])
 
     def test_rejects_one_distance_twice(self, core2duo_10cm):
         with pytest.raises(ConfigurationError, match="distinct distances"):

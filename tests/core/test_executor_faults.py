@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.campaign import run_campaign
-from repro.core.executor import WorkerPool
 from repro.core.faults import (
     DEFAULT_HANG_SECONDS,
     CellFault,
@@ -304,22 +303,19 @@ class TestHangFaults:
         assert "exceeded the 0.2 s budget" in str(excinfo.value)
 
     def test_hang_on_every_attempt_exhausts_the_budget(self, core2duo_10cm, tmp_path):
-        # Only the hung cell runs under the 0.3 s budget: the other three
-        # come from the result cache, so no normal cell can overrun it.
-        # The caller's pool keeps that lone cold cell pooled.
+        # Two cells run under the 0.3 s budget, the hung one and one
+        # that takes milliseconds; the other two come from the result
+        # cache.  Two cold cells keep the execution pooled.
         _run(core2duo_10cm, cache_dir=tmp_path)
-        (hung_cell,) = tmp_path.glob("*/cell_000_001.npz")
-        hung_cell.unlink()
+        for name in ("cell_000_000.npz", "cell_000_001.npz"):
+            (cold_cell,) = tmp_path.glob(f"*/{name}")
+            cold_cell.unlink()
         plan = FaultPlan.from_spec("hang@0,1:5x9")
-        pool = WorkerPool(2)
-        try:
-            with pytest.raises(CellExecutionError) as excinfo:
-                _run(
-                    core2duo_10cm, cache_dir=tmp_path, pool=pool,
-                    cell_timeout_s=0.3, max_retries=1, fault_plan=plan,
-                )
-        finally:
-            pool.terminate()
+        with pytest.raises(CellExecutionError) as excinfo:
+            _run(
+                core2duo_10cm, cache_dir=tmp_path, workers=2,
+                cell_timeout_s=0.3, max_retries=1, fault_plan=plan,
+            )
         assert excinfo.value.pair == "ADD/SUB"
         assert excinfo.value.attempts == 2
         assert "exceeded the 0.3 s budget on all 2 attempt(s)" in str(excinfo.value)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import savat, study as study_module
+from repro.core import executor, savat
 from repro.core.campaign import run_campaign
 from repro.core.executor import ResultCache, campaign_cache_key
 from repro.core.savat import MeasurementConfig
@@ -208,28 +208,57 @@ def test_half_cached_study_fits_only_the_uncached_distance(
 def test_study_fits_a_point_with_a_corrupt_cell_before_its_pool_starts(
     fits, tmp_path, monkeypatch
 ):
-    """A cached cell that cannot be read is cold: the study fits its
-    point before the pool starts, not the executor beside the pool."""
+    """A cached cell that cannot be read is cold: its point is fitted in
+    the parent before the pool starts, not beside the pool."""
     cache = tmp_path / "cache"
     arguments = dict(
         events=EVENTS, config=FAST_CONFIG, repetitions=1, cache_dir=cache
     )
     run_study(["core2duo"], [0.10, 0.50], **arguments)
     key = campaign_cache_key("core2duo", 0.50, FAST_CONFIG, EVENTS, 1, 0)
-    ResultCache(cache).cell_path(key, 0, 1).write_bytes(b"not an npz file")
+    # Two corrupt cells: a lone cold cell would run in-process.
+    for i, j in ((0, 1), (1, 0)):
+        ResultCache(cache).cell_path(key, i, j).write_bytes(b"not an npz file")
     monkeypatch.setattr(calibrated, "_CACHE", {})
     fitted = len(fits())
-    fits_at_pool_start = []
-
-    class RecordingPool(study_module.WorkerPool):
-        def __init__(self, workers):
-            fits_at_pool_start.append(len(fits()))
-            super().__init__(workers)
-
-    monkeypatch.setattr(study_module, "WorkerPool", RecordingPool)
+    fits_at_pool_start = _record_pool_starts(monkeypatch, fits)
     rerun = run_study(["core2duo"], [0.10, 0.50], workers=2, **arguments)
     assert fits()[fitted:] == [(os.getpid(), "core2duo", 0.50)]
     assert fits_at_pool_start == [fitted + 1]
     near, far = (matrix.metadata["execution"] for matrix in rerun.matrices)
     assert near["cache_hits"] == CELLS and near["cells_simulated"] == 0
-    assert far["quarantined"] == 1 and far["cells_simulated"] == 1
+    assert far["quarantined"] == 2 and far["cells_simulated"] == 2
+
+
+@pytest.mark.slow
+def test_pooled_two_machine_study_starts_one_pool_after_every_fit(
+    fits, monkeypatch
+):
+    fits_at_pool_start = _record_pool_starts(monkeypatch, fits)
+    study = run_study(
+        ["core2duo", "pentium3m"], [0.10, 0.50], events=EVENTS,
+        config=FAST_CONFIG, repetitions=1, workers=2,
+    )
+    grid = [
+        (os.getpid(), name, distance)
+        for name in ("core2duo", "pentium3m")
+        for distance in (0.10, 0.50)
+    ]
+    assert sorted(fits()) == sorted(grid)
+    assert fits_at_pool_start == [len(grid)]
+    for matrix in study.matrices:
+        assert matrix.metadata["execution"]["workers"] == 2
+        assert matrix.metadata["execution"]["cells_simulated"] == CELLS
+
+
+def _record_pool_starts(monkeypatch, fits) -> list[int]:
+    """Patches the executor's pool to record the fit count at each start."""
+    starts = []
+
+    class RecordingPool(executor.WorkerPool):
+        def __init__(self, workers):
+            starts.append(len(fits()))
+            super().__init__(workers)
+
+    monkeypatch.setattr(executor, "WorkerPool", RecordingPool)
+    return starts

@@ -5,7 +5,7 @@ the grid must produce bit-identical samples to a standalone
 ``run_campaign`` with the same arguments — serial or pooled, with
 either measurement method, and with the result cache cold, warm, or
 partly warm — while each cell's kernel trace is produced once for all
-distances of a machine.
+distances of a machine, and the whole grid runs as one execution.
 """
 
 import json
@@ -14,14 +14,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.core import savat
-from repro.core import study as study_module
+from repro.core import executor, savat
 from repro.core.campaign import run_campaign
 from repro.core.executor import campaign_cache_key
 from repro.core.savat import MeasurementConfig
 from repro.core.study import StudyResult, run_study
 from repro.core.trace_cache import TraceCache
-from repro.errors import ConfigurationError
+from repro.errors import CellExecutionError, ConfigurationError
 from repro.machines.calibrated import load_calibrated_machine
 
 FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
@@ -49,9 +48,9 @@ def _study(**overrides) -> StudyResult:
     return run_study(**parameters)
 
 
-def _standalone(distance, config=FAST_CONFIG):
+def _standalone(distance, config=FAST_CONFIG, machine="core2duo"):
     return run_campaign(
-        load_calibrated_machine("core2duo", distance),
+        load_calibrated_machine(machine, distance),
         config=config,
         events=EVENTS,
         repetitions=REPETITIONS,
@@ -82,9 +81,11 @@ def prime_calls(monkeypatch):
     return calls
 
 
-def _standalone_prime_calls(prime_calls, distance, config=FAST_CONFIG) -> int:
+def _standalone_prime_calls(
+    prime_calls, distance, config=FAST_CONFIG, machine="core2duo"
+) -> int:
     del prime_calls[:]
-    _standalone(distance, config)
+    _standalone(distance, config, machine)
     count = len(prime_calls)
     del prime_calls[:]
     return count
@@ -132,11 +133,6 @@ class TestStudySamples:
             for name in serial_study.trace_cache
         }
         assert serial_study.trace_cache == summed
-
-    def test_campaign_wall_seconds_accessor(self, serial_study):
-        walls = serial_study.campaign_wall_seconds()
-        assert set(walls) == {("core2duo", 0.10), ("core2duo", 0.50)}
-        assert all(seconds >= 0 for seconds in walls.values())
 
 
 @pytest.mark.slow
@@ -220,6 +216,32 @@ def test_prime_runs_once_per_cell_whatever_the_distances(prime_calls, workers):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("workers", [0, 2])
+def test_prime_runs_once_per_cell_per_machine_spec(prime_calls, workers):
+    machines = ("core2duo", "pentium3m")
+    one_each = sum(
+        _standalone_prime_calls(prime_calls, 0.10, machine=machine)
+        for machine in machines
+    )
+    study = _study(machines=list(machines), workers=workers)
+    if workers:
+        primed = [
+            (matrix.machine, matrix.distance_m)
+            for matrix in study.matrices
+            for phases in matrix.metadata["execution"][
+                "cell_phase_seconds"
+            ].values()
+            if "prime" in phases
+        ]
+        # Each spec's traces count toward its first distance.
+        assert sorted(primed) == sorted(
+            (machine, DISTANCES[0]) for machine in machines for _ in range(CELLS)
+        )
+    else:
+        assert len(prime_calls) == one_each
+
+
+@pytest.mark.slow
 class TestStudyResultCache:
     def test_result_cache_counters_are_per_campaign(self, tmp_path):
         """The shared result cache counts per campaign, so each matrix
@@ -298,21 +320,27 @@ class TestStudyOutputs:
 @pytest.mark.slow
 class TestStudyTeardown:
     def test_failing_study_leaves_no_files_or_workers(self, tmp_path, monkeypatch):
-        # The first machine runs over the pool; the second fails.  The
-        # study keeps no traces without a cache directory, so nothing
-        # is left in TMPDIR, and the pool's workers are gone.
+        # The first machine's cells run on the pool; the second's fail.
+        # The study keeps no traces without a cache directory, so
+        # nothing is left in TMPDIR, and the pool's workers are gone.
         monkeypatch.setenv("TMPDIR", str(tmp_path))
-        run_campaigns = study_module.run_campaigns
-        calls = []
+        simulate_cell = executor.simulate_cell
 
-        def second_machine_fails(machines, **kwargs):
-            calls.append(machines)
-            if len(calls) == 2:
+        def second_machine_fails(machines, *args, **kwargs):
+            if machines[0].name == "pentium3m":
                 raise ConfigurationError("second machine fails")
-            return run_campaigns(machines, **kwargs)
+            return simulate_cell(machines, *args, **kwargs)
 
-        monkeypatch.setattr(study_module, "run_campaigns", second_machine_fails)
-        with pytest.raises(ConfigurationError, match="second machine fails"):
+        monkeypatch.setattr(executor, "simulate_cell", second_machine_fails)
+        pools = []
+
+        class RecordingPool(executor.WorkerPool):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(executor, "WorkerPool", RecordingPool)
+        with pytest.raises(CellExecutionError, match="second machine fails"):
             run_study(
                 ["core2duo", "pentium3m"],
                 [0.10],
@@ -322,7 +350,7 @@ class TestStudyTeardown:
                 seed=SEED,
                 workers=2,
             )
-        assert len(calls) == 2
+        assert pools == [2]
         assert list(tmp_path.iterdir()) == []
         assert multiprocessing.active_children() == []
 
@@ -354,7 +382,7 @@ class TestStudyValidation:
         def no_pool(*_args, **_kwargs):
             raise AssertionError("the pool started before calibration failed")
 
-        monkeypatch.setattr(study_module, "WorkerPool", no_pool)
+        monkeypatch.setattr(executor, "WorkerPool", no_pool)
         with pytest.raises(ConfigurationError):
             run_study(
                 ["core2duo", "no-such-machine"], [0.10], events=EVENTS, workers=2

@@ -155,6 +155,23 @@ class TestCampaignSummaryLines:
         assert "cell(s) simulated" not in text
         assert "robustness" not in text
 
+    def test_inexact_calibration_target_is_named(self):
+        reference = {"figure": "interpolated", "exact": False, "distance_m": 0.25}
+        lines = _campaign_summary_lines(
+            _FakeCampaign({"reference": reference}), _FakeMachine()
+        )
+        assert (
+            "calibration target: interpolated at 25 cm, "
+            "not a verbatim published matrix"
+        ) in lines
+
+    def test_exact_calibration_target_adds_no_line(self):
+        reference = {"figure": "Fig. 9/10", "exact": True, "distance_m": 0.10}
+        lines = _campaign_summary_lines(
+            _FakeCampaign({"reference": reference}), _FakeMachine()
+        )
+        assert not any("calibration target" in line for line in lines)
+
     def test_one_repetition_prints_no_numeric_spread(self):
         campaign = _FakeCampaign({})
         campaign.repetitions = 1
@@ -336,6 +353,25 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and "is not a directory" in err[0]
+
+    @pytest.mark.parametrize(
+        "distance,figure,exact",
+        [("0.25", "interpolated", False), ("0.10", "Fig. 9/10", True)],
+        ids=["25cm", "10cm"],
+    )
+    def test_campaign_json_names_its_calibration_target(
+        self, capsys, core2duo_10cm, distance, figure, exact
+    ):
+        code = main(
+            ["campaign", "--distance", distance, "--events", "ADD",
+             "--repetitions", "1", "--workers", "0", "--no-cache",
+             "--format", "json"]
+        )
+        assert code == 0
+        reference = json.loads(capsys.readouterr().out)["metadata"]["reference"]
+        assert reference == {
+            "figure": figure, "exact": exact, "distance_m": float(distance)
+        }
 
     def test_campaign_csv(self, capsys, core2duo_10cm):
         code = main(
