@@ -475,10 +475,12 @@ def _command_study(args: argparse.Namespace) -> int:
     for matrix in result.matrices:
         execution = matrix.metadata["execution"]
         trace_cache = execution["trace_cache"]
+        reference = matrix.metadata["reference"]
+        target = "" if reference["exact"] else f"; calibration target: {reference['figure']}"
         print(
             f"  {matrix.machine} @ {matrix.distance_m * 100:.0f} cm: "
             f"trace cache {trace_cache['disk_hits']} hit(s) / "
-            f"{trace_cache['misses']} miss(es)"
+            f"{trace_cache['misses']} miss(es){target}"
         )
     totals = result.trace_cache
     print(
@@ -493,9 +495,11 @@ def _command_study(args: argparse.Namespace) -> int:
 
 def _command_groups(args: argparse.Namespace) -> int:
     from repro.core.campaign import run_campaign
-    from repro.core.clustering import find_groups, group_representatives
+    from repro.core.clustering import check_num_groups, find_groups, group_representatives
+    from repro.isa.events import EVENT_ORDER
     from repro.machines.calibrated import load_calibrated_machine
 
+    check_num_groups(args.num_groups, len(EVENT_ORDER))  # before any fit or cell
     execution = _campaign_execution_kwargs(args)
     machine = load_calibrated_machine(args.machine, args.distance)
     campaign = run_campaign(

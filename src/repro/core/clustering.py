@@ -45,6 +45,12 @@ def cluster_linkage(matrix: SavatMatrix, method: str = "average") -> np.ndarray:
     return scipy_hierarchy.linkage(condensed, method=method)
 
 
+def check_num_groups(num_groups: int, count: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``1 <= num_groups <= count``."""
+    if not 1 <= num_groups <= count:
+        raise ConfigurationError(f"num_groups must be in [1, {count}], got {num_groups}")
+
+
 def find_groups(
     matrix: SavatMatrix,
     num_groups: int = 4,
@@ -60,11 +66,7 @@ def find_groups(
     ConfigurationError
         If ``num_groups`` is out of range.
     """
-    count = len(matrix.events)
-    if not 1 <= num_groups <= count:
-        raise ConfigurationError(
-            f"num_groups must be in [1, {count}], got {num_groups}"
-        )
+    check_num_groups(num_groups, len(matrix.events))
     from scipy.cluster import hierarchy as scipy_hierarchy
 
     linkage = cluster_linkage(matrix, method)

@@ -86,10 +86,10 @@ class SavatMatrix:
         return self.samples_zj.mean(axis=2)
 
     def std(self) -> np.ndarray:
-        """Per-cell standard deviation over repetitions."""
-        return self.samples_zj.std(axis=2, ddof=1) if self.repetitions > 1 else np.zeros(
-            self.samples_zj.shape[:2]
-        )
+        """Per-cell standard deviation over repetitions; all NaN below two."""
+        if self.repetitions < 2:
+            return np.full(self.samples_zj.shape[:2], np.nan)
+        return self.samples_zj.std(axis=2, ddof=1)
 
     def cell(self, event_a: str, event_b: str) -> float:
         """Mean SAVAT (zJ) for one ordered pairing."""

@@ -16,11 +16,10 @@ measurement's warm-up period, CPI probes, discarded frequency retunes)
 never materialize at all.  Two refinements keep the hot measurement
 path off the Python interpreter:
 
-* Steady-state loop replay deposits whole *blocks* of events at once —
-  an :class:`ActivityBlock` captured from one loop iteration is replayed
-  at later base cycles via :meth:`ActivityRecorder.add_block`, storing
-  one ``(block, base_cycle)`` reference instead of re-appending every
-  event.
+* Batched loop replay deposits whole *blocks* of events at once — an
+  :class:`ActivityBlock` captured from one loop segment is replayed at
+  every iteration's base cycle via :meth:`ActivityRecorder.add_block_batch`,
+  storing the base cycles instead of re-appending every event.
 * :meth:`ActivityRecorder.finish` materializes in two unbuffered
   ``np.add.at`` passes with no per-event Python loop: the duration-1
   majority sorted by amount, then the longer events (divider
@@ -155,10 +154,10 @@ class ActivityTrace:
 class ActivityBlock:
     """Immutable bundle of activity events with iteration-relative cycles.
 
-    A block is captured once from a recorded loop iteration (component
-    indices, cycle *offsets* from the iteration's start cycle, durations,
+    A block is captured once from a recorded loop segment (component
+    indices, cycle *offsets* from the segment's start cycle, durations,
     and amounts) and replayed many times at different base cycles via
-    :meth:`ActivityRecorder.add_block`.
+    :meth:`ActivityRecorder.add_block_batch`.
     """
 
     __slots__ = ("components", "offsets", "durations", "amounts")
@@ -227,41 +226,24 @@ class ActivityRecorder:
         self._durations.append(duration)
         self._amounts.append(amount_per_cycle)
 
-    def mark(self) -> int:
-        """Position marker for :meth:`extract_block` (current event count)."""
-        return len(self._components)
+    def extract_block(self) -> ActivityBlock:
+        """Template of every event recorded so far, start cycles as offsets.
 
-    def extract_block(self, mark: int, base_cycle: int) -> ActivityBlock:
-        """Template of the events appended since ``mark``.
-
-        Cycles are stored relative to ``base_cycle`` so the block can be
-        replayed at any later iteration via :meth:`add_block`.  The
-        recorded events themselves stay in place.
+        The recorded events themselves stay in place.
         """
-        starts = self._starts[mark:]
         return ActivityBlock(
-            components=np.array(self._components[mark:], dtype=np.int64),
-            offsets=np.array([s - base_cycle for s in starts], dtype=np.int64),
-            durations=np.array(self._durations[mark:], dtype=np.int64),
-            amounts=np.array(self._amounts[mark:], dtype=np.float64),
+            components=np.array(self._components, dtype=np.int64),
+            offsets=np.array(self._starts, dtype=np.int64),
+            durations=np.array(self._durations, dtype=np.int64),
+            amounts=np.array(self._amounts, dtype=np.float64),
         )
-
-    def add_block(self, block: ActivityBlock, base_cycle: int) -> None:
-        """Replay ``block`` with its offsets shifted by ``base_cycle``."""
-        if base_cycle < 0:
-            raise SimulationError(f"negative block base cycle {base_cycle}")
-        group = self._block_groups.get(id(block))
-        if group is None:
-            self._block_groups[id(block)] = (block, [base_cycle])
-        else:
-            group[1].append(base_cycle)
 
     def add_block_batch(self, block: ActivityBlock, base_cycles: np.ndarray) -> None:
         """Replay ``block`` once per entry of ``base_cycles`` (a 1-D int array).
 
-        Equivalent to calling :meth:`add_block` in a loop, without the
-        per-call overhead — the steady-state loop replay deposits one
-        template at every iteration's start cycle this way.
+        Each replay records the block's events shifted by that base cycle,
+        as :meth:`add` would; the batched loop engine deposits one template
+        at every iteration's segment start this way.
         """
         base_array = np.ascontiguousarray(base_cycles, dtype=np.int64)
         if base_array.size == 0:

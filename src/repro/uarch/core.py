@@ -262,7 +262,7 @@ def _match_fast_loop(program: Program, head: int, jnz_pc: int) -> FastLoopPlan |
     )
 
 
-def _analyze_fast_loops(program: Program) -> dict[int, FastLoopPlan]:
+def _find_loop_plans(program: Program) -> dict[int, FastLoopPlan]:
     """Find replayable Figure 4 loops in ``program`` (cached per program)."""
     cached = getattr(program, "_fast_loop_plans", None)
     if cached is not None:
@@ -434,9 +434,14 @@ class Core:
         program: Program,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         warm_hierarchy: bool = False,
-        fast_loops: bool | None = None,
     ) -> SimulationResult:
         """Execute ``program`` until HALT or falling off the end.
+
+        With the fast path on, a recognized Figure 4 loop whose count is
+        at least one, that fits in ``max_instructions`` and that passes
+        :func:`_batched_test_safe` runs through the batched engine.
+        Everything else steps through :meth:`_step_instruction`, so the
+        backstop raises at the same instruction on both paths.
 
         Parameters
         ----------
@@ -450,11 +455,6 @@ class Core:
             True to keep existing cache state — the measurement path
             runs a warm-up pass and then measures in steady state, like
             the paper's free-running alternation loop.
-        fast_loops:
-            Whether to replay recognized Figure 4 loops through the
-            memoizing fast engine (bit-identical results, far fewer
-            Python-level steps).  ``None`` (default) follows the global
-            :func:`repro.uarch.fastpath.fast_path_enabled` switch.
         """
         if not warm_hierarchy:
             self.hierarchy.reset()
@@ -463,9 +463,7 @@ class Core:
         cycle = 0
         pc = 0
         program_length = len(program)
-        if fast_loops is None:
-            fast_loops = fast_path_enabled()
-        fast_bodies = _analyze_fast_loops(program) if fast_loops else {}
+        fast_bodies = _find_loop_plans(program) if fast_path_enabled() else {}
 
         while pc < program_length:
             if program[pc].opcode is Opcode.HALT:
@@ -475,11 +473,16 @@ class Core:
                     f"program {program.name!r} exceeded {max_instructions} instructions; "
                     "missing halt or runaway loop?"
                 )
-            if fast_bodies:
-                plan = fast_bodies.get(pc)
-                if plan is not None and self.registers[plan.loop_reg] >= 1:
-                    cycle, pc = self._run_fast_loop(
-                        program, plan, cycle, recorder, stats, max_instructions
+            plan = fast_bodies.get(pc)
+            if plan is not None:
+                total = self.registers[plan.loop_reg]
+                if (
+                    total >= 1
+                    and stats.instructions + total * plan.body_len <= max_instructions
+                    and _batched_test_safe(plan)
+                ):
+                    cycle, pc = self._run_fast_loop_batched(
+                        program, plan, cycle, recorder, stats, total
                     )
                     continue
             duration, pc = self._step_instruction(program, pc, cycle, recorder, stats)
@@ -499,10 +502,9 @@ class Core:
         """Execute the instruction at ``pc``; return (duration, next pc).
 
         This is the reference per-instruction step: front-end activity,
-        execution semantics, branch prediction, and statistics.  Both the
-        plain interpreter loop and the fast-loop engine (when recording a
-        template iteration or falling back near ``max_instructions``) go
-        through it, so the two paths share one definition of behaviour.
+        execution semantics, branch prediction, and statistics.  Both
+        :meth:`run` and the batched engine's template capture go through
+        it, so the two paths share one definition of behaviour.
         """
         instruction = program[pc]
         opcode = instruction.opcode
@@ -549,247 +551,20 @@ class Core:
             stats.test_instructions += 1
         return duration, next_pc
 
-    def _run_fast_loop(
-        self,
-        program: Program,
-        plan: FastLoopPlan,
-        cycle: int,
-        recorder: ActivityRecorder,
-        stats: ExecutionStats,
-        max_instructions: int,
-    ) -> tuple[int, int]:
-        """Replay all iterations of a recognized loop; return (cycle, pc).
-
-        Dispatches to the batched engine — templates captured once on a
-        shell core, iteration schedule computed in closed form, activity
-        deposited with array operations — whenever the whole loop fits in
-        the instruction budget and the test slot's register effects have
-        a closed form.  Otherwise the memoizing stepwise engine runs, so
-        the ``max_instructions`` backstop still raises at exactly the
-        same instruction as the reference interpreter.
-        """
-        total = self.registers[plan.loop_reg]
-        if (
-            stats.instructions + total * plan.body_len <= max_instructions
-            and _batched_test_safe(plan)
-        ):
-            return self._run_fast_loop_batched(program, plan, cycle, recorder, stats, total)
-        return self._run_fast_loop_stepwise(
-            program, plan, cycle, recorder, stats, max_instructions
-        )
-
-    def _run_fast_loop_stepwise(
-        self,
-        program: Program,
-        plan: FastLoopPlan,
-        cycle: int,
-        recorder: ActivityRecorder,
-        stats: ExecutionStats,
-        max_instructions: int,
-    ) -> tuple[int, int]:
-        """Per-iteration loop replay; return (cycle, pc).
-
-        The first occurrence of each distinct iteration behaviour — the
-        constant pointer-update prologue, each cache-outcome signature of
-        the test slot, each predicted/mispredicted branch epilogue — runs
-        through :meth:`_step_instruction` between recorder marks and is
-        captured as an :class:`~repro.uarch.activity.ActivityBlock`
-        template.  Every later iteration deposits the matching templates
-        in bulk and applies the architectural effects in closed form.
-        The cache hierarchy is consulted and the branch predictor updated
-        exactly once per iteration on both paths, so microarchitectural
-        state, statistics, and the recorded event multiset are identical
-        to stepping every instruction.
-        """
-        registers = self.registers
-        predictor = self.predictor
-        memory = self.memory
-        activity = self.activity
-        hierarchy = self.hierarchy
-        ptr_reg = plan.ptr_reg
-        loop_reg = plan.loop_reg
-        mask = plan.mask
-        inv_mask = mask ^ WORD_MASK
-        offset = plan.offset
-        test = plan.test
-        body_len = plan.body_len
-        head_pc = plan.head_pc
-        dec_pc = plan.jnz_pc - 1
-        jnz_pc = plan.jnz_pc
-        exit_pc = jnz_pc + 1
-
-        update_template: tuple | None = None
-        test_template: tuple | None = None  # non-memory test slot
-        memory_memo: dict[tuple, tuple] = {}  # cache-outcome signature -> template
-        branch_memo: dict[bool, tuple] = {}  # mispredicted? -> template
-
-        total = registers[loop_reg]
-        for index in range(total):
-            if stats.instructions + body_len > max_instructions:
-                # Not enough budget for a whole replayed iteration: step
-                # the rest of the loop one instruction at a time so the
-                # backstop raises at exactly the same instruction as the
-                # reference interpreter.
-                pc = head_pc
-                while True:
-                    if stats.instructions >= max_instructions:
-                        raise SimulationError(
-                            f"program {program.name!r} exceeded {max_instructions} "
-                            "instructions; missing halt or runaway loop?"
-                        )
-                    duration, pc = self._step_instruction(
-                        program, pc, cycle, recorder, stats
-                    )
-                    cycle += duration
-                    if pc == exit_pc:
-                        return cycle, pc
-
-            # --- Segment 1: the six-instruction pointer update -------
-            if update_template is None:
-                mark = recorder.mark()
-                base = cycle
-                pc = head_pc
-                while pc < head_pc + 6:
-                    duration, pc = self._step_instruction(
-                        program, pc, cycle, recorder, stats
-                    )
-                    cycle += duration
-                update_template = (recorder.extract_block(mark, base), cycle - base)
-            else:
-                block, duration = update_template
-                recorder.add_block(block, cycle)
-                cycle += duration
-                pointer = registers[ptr_reg]
-                low = (pointer + offset) & mask
-                new_pointer = (pointer & inv_mask) | low
-                registers[plan.scratch1] = low
-                registers[plan.scratch2] = new_pointer
-                registers[ptr_reg] = new_pointer
-                stats.instructions += 6
-                counts = stats.opcode_counts
-                counts[Opcode.LEA] = counts.get(Opcode.LEA, 0) + 1
-                counts[Opcode.AND] = counts.get(Opcode.AND, 0) + 2
-                counts[Opcode.MOV] = counts.get(Opcode.MOV, 0) + 2
-                counts[Opcode.OR] = counts.get(Opcode.OR, 0) + 1
-
-            # --- Segment 2: the test slot ----------------------------
-            if test is not None:
-                kind = test.kind
-                if kind in ("load", "store"):
-                    is_write = test.is_write
-                    address = (registers[ptr_reg] + test.displacement) & WORD_MASK
-                    report = hierarchy.access(address, is_write)
-                    signature = (
-                        report.level,
-                        report.l2_accesses,
-                        report.offchip_transfers,
-                    )
-                    entry = memory_memo.get(signature)
-                    if entry is None:
-                        mark = recorder.mark()
-                        recorder.add(Component.FETCH, cycle, 1, activity.fetch)
-                        recorder.add(Component.DECODE, cycle, 1, activity.decode)
-                        recorder.add(Component.REGFILE, cycle, 1, activity.regfile)
-                        recorder.add(Component.AGU, cycle, 1, activity.agu_op)
-                        recorder.add(Component.L1D, cycle, 1, activity.l1_access)
-                        if is_write:
-                            recorder.add(Component.WB_BUFFER, cycle, 1, activity.wb_buffer)
-                        duration = self._memory_access_events(
-                            report, cycle, recorder, stats
-                        )
-                        memory_memo[signature] = (
-                            recorder.extract_block(mark, cycle),
-                            duration,
-                        )
-                    else:
-                        block, duration = entry
-                        recorder.add_block(block, cycle)
-                        stats.count_level(report.level)
-                    cycle += duration
-                    if is_write:
-                        memory[address] = test.immediate
-                    else:
-                        registers[test.dest_name] = memory.get(address, 0)
-                    stats.instructions += 1
-                    stats.count_opcode(test.opcode)
-                    stats.test_instructions += 1
-                else:
-                    if test_template is None:
-                        mark = recorder.mark()
-                        duration, _ = self._step_instruction(
-                            program, head_pc + 6, cycle, recorder, stats
-                        )
-                        test_template = (recorder.extract_block(mark, cycle), duration)
-                        cycle += duration
-                    else:
-                        block, duration = test_template
-                        recorder.add_block(block, cycle)
-                        cycle += duration
-                        if kind == "alu":
-                            registers[test.dest_name] = self._alu(
-                                test.opcode, registers[test.dest_name], test.immediate
-                            )
-                        elif kind == "imul":
-                            registers[test.dest_name] = (
-                                registers[test.dest_name] * test.immediate
-                            ) & WORD_MASK
-                        else:  # idiv
-                            divisor = registers[test.dest_name]
-                            if divisor == 0:
-                                divisor = 1
-                            dividend = registers["eax"]
-                            registers["eax"] = (dividend // divisor) & WORD_MASK
-                            registers["edx"] = (dividend % divisor) & WORD_MASK
-                        stats.instructions += 1
-                        stats.count_opcode(test.opcode)
-                        stats.test_instructions += 1
-
-            # --- Segment 3: dec + jnz --------------------------------
-            taken = index != total - 1
-            mispredicted = predictor.predict(jnz_pc) != taken
-            entry = branch_memo.get(mispredicted)
-            if entry is None:
-                mark = recorder.mark()
-                base = cycle
-                duration, _ = self._step_instruction(program, dec_pc, cycle, recorder, stats)
-                cycle += duration
-                duration, _ = self._step_instruction(program, jnz_pc, cycle, recorder, stats)
-                cycle += duration
-                branch_memo[mispredicted] = (
-                    recorder.extract_block(mark, base),
-                    cycle - base,
-                )
-            else:
-                # The predictor is consulted and trained exactly once per
-                # iteration on either path; here the template replay
-                # supplies the activity and this call supplies the update.
-                predictor.record(jnz_pc, taken)
-                block, duration = entry
-                recorder.add_block(block, cycle)
-                cycle += duration
-                remaining = (registers[loop_reg] - 1) & WORD_MASK
-                registers[loop_reg] = remaining
-                self.zero_flag = remaining == 0
-                stats.instructions += 2
-                counts = stats.opcode_counts
-                counts[Opcode.DEC] = counts.get(Opcode.DEC, 0) + 1
-                counts[Opcode.JNZ] = counts.get(Opcode.JNZ, 0) + 1
-
-        return cycle, exit_pc
-
     # ------------------------------------------------------------------
     # Batched fast-loop engine
     # ------------------------------------------------------------------
     def _template_shell(self) -> "Core":
         """A bare core sharing this core's timing/activity models.
 
-        Template capture steps real instructions through
-        :meth:`_step_instruction` on this shell so the recorded events
-        are exactly those of the reference interpreter, without touching
-        the measuring core's architectural or predictor state.  The
-        shell has no cache hierarchy — memory instructions are never
-        captured through it (their activity comes from
-        :meth:`_memory_template`), and any accidental access fails loudly.
+        The batched engine captures its templates by stepping real
+        instructions through :meth:`_step_instruction` on this shell, so
+        the recorded events are exactly those of the reference
+        interpreter, without touching the measuring core's architectural
+        or predictor state.  The shell has no cache hierarchy — memory
+        instructions are never captured through it (their activity comes
+        from :meth:`_memory_template`), and any accidental access fails
+        loudly.
         """
         shell = self._shell
         if shell is None:
@@ -819,7 +594,7 @@ class Core:
         for pc in pcs:
             duration, _ = shell._step_instruction(program, pc, cycle, recorder, scratch)
             cycle += duration
-        return recorder.extract_block(0, 0), cycle
+        return recorder.extract_block(), cycle
 
     def _loop_templates(self, program: Program, plan: FastLoopPlan) -> dict:
         """Activity templates for one loop, captured once per (program, core)."""
@@ -895,7 +670,7 @@ class Core:
             if is_write:
                 recorder.add(Component.WB_BUFFER, 0, 1, activity.wb_buffer)
             duration = self._memory_access_events(report, 0, recorder, ExecutionStats())
-            entry = (recorder.extract_block(0, 0), duration)
+            entry = (recorder.extract_block(), duration)
             templates["memory"][signature] = entry
         return entry
 
@@ -910,14 +685,16 @@ class Core:
     ) -> tuple[int, int]:
         """Replay all ``total`` iterations with array operations.
 
-        The iteration schedule is closed-form: pointer lows advance
-        arithmetically, the two-bit predictor saturates after at most
-        two taken branches, and every iteration's duration is the sum of
-        its three segment templates.  Activity lands via
+        :meth:`run` calls this only when ``total >= 1``, the whole loop
+        fits in the instruction budget, and :func:`_batched_test_safe`
+        holds.  The iteration schedule is closed-form: pointer lows
+        advance arithmetically, the two-bit predictor saturates after at
+        most two taken branches, and every iteration's duration is the
+        sum of its three segment templates.  Activity lands via
         :meth:`ActivityRecorder.add_block_batch`; since
         :meth:`ActivityRecorder.finish` orders by the event multiset,
-        the resulting trace is bit-identical to stepping or to the
-        stepwise replay.
+        the resulting trace is bit-identical to stepping every
+        instruction.
         """
         registers = self.registers
         test = plan.test

@@ -2,11 +2,13 @@
 
 The simulator keeps two implementations of its hot loops: the original
 scalar *reference* path (one Python-level step per access/instruction)
-and a vectorized *fast* path (NumPy sweep priming, steady-state loop
-replay, array-backed activity recording).  The two are bit-identical —
-``tests/core/test_fastpath_bit_identity.py`` proves it on every paper
-event — so the fast path is on by default and the reference path is
-kept as the executable specification.
+and a vectorized *fast* path (NumPy sweep priming, batched replay of
+the Figure 4 loop, array-backed activity recording).  The two are
+bit-identical — ``tests/core/test_fastpath_bit_identity.py`` proves it
+on every paper event — so the fast path is on by default and the
+reference path is kept as the executable specification.  A loop the
+batched replay cannot take runs on the reference interpreter even on
+the fast path.
 
 Control:
 

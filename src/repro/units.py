@@ -30,16 +30,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 REFERENCE_IMPEDANCE = 50.0
 
 
-def joules_to_zeptojoules(energy_j: float) -> float:
-    """Convert an energy in joules to zeptojoules."""
-    return energy_j / ZEPTOJOULE
-
-
-def zeptojoules_to_joules(energy_zj: float) -> float:
-    """Convert an energy in zeptojoules to joules."""
-    return energy_zj * ZEPTOJOULE
-
-
 def watts_to_dbm(power_w: float) -> float:
     """Convert a power in watts to dBm.
 
@@ -53,29 +43,6 @@ def watts_to_dbm(power_w: float) -> float:
     return 10.0 * math.log10(power_w / 1e-3)
 
 
-def dbm_to_watts(power_dbm: float) -> float:
-    """Convert a power in dBm to watts."""
-    return 1e-3 * 10.0 ** (power_dbm / 10.0)
-
-
-def db(ratio: float) -> float:
-    """Express a power ratio in decibels.
-
-    Raises
-    ------
-    ValueError
-        If ``ratio`` is not strictly positive.
-    """
-    if ratio <= 0.0:
-        raise ValueError(f"ratio must be positive to express in dB, got {ratio!r}")
-    return 10.0 * math.log10(ratio)
-
-
-def from_db(decibels: float) -> float:
-    """Convert a decibel value back to a power ratio."""
-    return 10.0 ** (decibels / 10.0)
-
-
 def thermal_noise_psd(temperature_k: float = ROOM_TEMPERATURE_K) -> float:
     """One-sided thermal noise power spectral density kT in W/Hz.
 
@@ -87,19 +54,3 @@ def thermal_noise_psd(temperature_k: float = ROOM_TEMPERATURE_K) -> float:
     if temperature_k <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature_k!r}")
     return BOLTZMANN * temperature_k
-
-
-def voltage_to_power(volts_rms: float, impedance: float = REFERENCE_IMPEDANCE) -> float:
-    """Power in watts dissipated by an RMS voltage across ``impedance``."""
-    if impedance <= 0.0:
-        raise ValueError(f"impedance must be positive, got {impedance!r}")
-    return volts_rms**2 / impedance
-
-
-def power_to_voltage(power_w: float, impedance: float = REFERENCE_IMPEDANCE) -> float:
-    """RMS voltage corresponding to ``power_w`` across ``impedance``."""
-    if power_w < 0.0:
-        raise ValueError(f"power must be non-negative, got {power_w!r}")
-    if impedance <= 0.0:
-        raise ValueError(f"impedance must be positive, got {impedance!r}")
-    return math.sqrt(power_w * impedance)

@@ -47,9 +47,11 @@ class TestStatistics:
         assert matrix.mean().shape == (3, 3)
         assert matrix.std().shape == (3, 3)
 
-    def test_std_zero_for_single_repetition(self):
+    def test_std_undefined_for_single_repetition(self):
         matrix = SavatMatrix(EVENTS, np.ones((3, 3)), "m", 0.1)
-        assert np.all(matrix.std() == 0)
+        std = matrix.std()
+        assert std.shape == (3, 3)
+        assert np.all(np.isnan(std))
 
     def test_cell(self):
         matrix = _matrix()

@@ -97,11 +97,13 @@ def test_flat_samples_raise_configuration_error(events):
 def test_repeatability_ratio_is_non_negative(matrix):
     """NaN exactly when a spread is undefined (one repetition)."""
     ratio = matrix.std_over_mean()
+    std = matrix.std()
     if matrix.repetitions < 2:
         assert np.isnan(ratio)
+        assert np.all(np.isnan(std))
     else:
         assert ratio >= 0.0
-    assert np.all(matrix.std() >= 0.0)
+        assert np.all(std >= 0.0)
 
 
 @st.composite

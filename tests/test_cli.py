@@ -470,6 +470,69 @@ class TestCommands:
         assert "recovered key: 1011" in output
 
 
+class TestGroupsCommand:
+    @pytest.mark.parametrize("num_groups", ["0", "12"])
+    def test_bad_cluster_count_fails_before_any_measurement(
+        self, capsys, monkeypatch, num_groups
+    ):
+        from repro.core import executor
+        from repro.machines import calibrated
+
+        ran = []
+
+        def forbidden(name):
+            def spy(*args, **kwargs):
+                ran.append(name)
+                raise AssertionError(f"{name} must not run")
+
+            return spy
+
+        monkeypatch.setattr(calibrated, "_CACHE", {})
+        monkeypatch.setattr(calibrated, "calibrate", forbidden("calibrate"))
+        monkeypatch.setattr(executor, "simulate_cell", forbidden("simulate_cell"))
+        code = main(
+            ["groups", "--num-groups", num_groups, "--repetitions", "1",
+             "--workers", "0", "--no-cache"]
+        )
+        assert ran == []
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: num_groups must be in [1, 11], got {num_groups}"
+        ]
+
+    @pytest.mark.slow
+    def test_clusters_cover_every_event_and_rerun_from_the_cache(
+        self, capsys, monkeypatch, core2duo_10cm, tmp_path
+    ):
+        from repro.core import executor
+        from repro.isa.events import EVENT_ORDER
+
+        arguments = ["groups", "--repetitions", "1", "--cache-dir", str(tmp_path)]
+        assert main(arguments) == 0
+        output = capsys.readouterr().out
+        groups = [
+            set(line.strip()[1:-1].split(", "))
+            for line in output.splitlines()
+            if line.startswith("  {")
+        ]
+        assert len(groups) == 4
+        assert set().union(*groups) == set(EVENT_ORDER)
+        assert sum(len(group) for group in groups) == len(EVENT_ORDER)
+
+        simulated = []
+        simulate_cell = executor.simulate_cell
+
+        def counting(*args, **kwargs):
+            simulated.append(args)
+            return simulate_cell(*args, **kwargs)
+
+        # In-process, so a cell simulated on the rerun would be counted.
+        monkeypatch.setattr(executor, "simulate_cell", counting)
+        assert main([*arguments, "--workers", "0"]) == 0
+        assert capsys.readouterr().out == output
+        assert simulated == []
+
+
 @pytest.mark.slow
 class TestExtendedCommands:
     def test_epi(self, capsys, core2duo_10cm):
@@ -588,6 +651,23 @@ class TestStudyParser:
         assert "trace cache totals" in output
         # The result cache's directory holds results only.
         assert not (tmp_path / "traces").exists()
+
+    @pytest.mark.slow
+    def test_study_table_names_an_inexact_calibration_target(
+        self, capsys, core2duo_10cm
+    ):
+        code = main(
+            ["study", "--distances", "0.10,0.25", "--events", "ADD",
+             "--repetitions", "1", "--workers", "0", "--no-cache"]
+        )
+        assert code == 0
+        rows = {
+            line.split(":")[0].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  core2duo @ ")
+        }
+        assert rows["core2duo @ 25 cm"].endswith("; calibration target: interpolated")
+        assert "calibration target" not in rows["core2duo @ 10 cm"]
 
     @pytest.mark.slow
     def test_study_json_format(self, capsys, core2duo_10cm, tmp_path):

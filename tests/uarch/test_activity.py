@@ -51,17 +51,15 @@ class TestActivityBlocks:
     def test_extract_and_replay_matches_scalar_adds(self):
         """Replaying a block is bit-identical to re-adding its events."""
         template = ActivityRecorder(clock_hz=1e9)
-        mark = template.mark()
-        template.add(Component.ALU, 10, 1, 0.7)
-        template.add(Component.FETCH, 10, 1, 1.1)
-        template.add(Component.L2, 11, 14, 0.3)
-        block = template.extract_block(mark, base_cycle=10)
+        template.add(Component.ALU, 0, 1, 0.7)
+        template.add(Component.FETCH, 0, 1, 1.1)
+        template.add(Component.L2, 1, 14, 0.3)
+        block = template.extract_block()
         assert block.num_events == 3
+        assert list(block.offsets) == [0, 0, 1]
 
         replayed = ActivityRecorder(clock_hz=1e9)
-        replayed.add_block(block, 0)
-        replayed.add_block(block, 5)
-        replayed.add_block(block, 20)
+        replayed.add_block_batch(block, np.array([0, 5, 20]))
 
         scalar = ActivityRecorder(clock_hz=1e9)
         for base in (0, 5, 20):
@@ -73,23 +71,14 @@ class TestActivityBlocks:
         reference = scalar.finish(40)
         assert np.array_equal(fast.data, reference.data)
 
-    def test_mark_extract_leaves_events_in_place(self):
-        recorder = ActivityRecorder(clock_hz=1e9)
-        recorder.add(Component.ALU, 0, 1, 1.0)
-        mark = recorder.mark()
-        recorder.add(Component.DIV, 3, 2, 0.5)
-        block = recorder.extract_block(mark, base_cycle=3)
-        assert block.num_events == 1
-        assert list(block.offsets) == [0]
-        trace = recorder.finish(8)
-        assert trace.component(Component.DIV).sum() == pytest.approx(1.0)
-
     def test_negative_block_offset_rejected(self):
-        recorder = ActivityRecorder(clock_hz=1e9)
-        mark = recorder.mark()
-        recorder.add(Component.ALU, 2, 1, 1.0)
         with pytest.raises(SimulationError):
-            recorder.extract_block(mark, base_cycle=5)
+            ActivityBlock(
+                components=np.array([0]),
+                offsets=np.array([-3]),
+                durations=np.array([1]),
+                amounts=np.array([1.0]),
+            )
 
     def test_mismatched_block_shapes_rejected(self):
         with pytest.raises(SimulationError):
@@ -314,12 +303,12 @@ def test_finish_matches_per_event_oracle(events, block_events, bases, batched, n
     template = ActivityRecorder(clock_hz=1e9)
     for event in block_events:
         template.add(*event)
-    block = template.extract_block(0, 0)
+    block = template.extract_block()
     if batched:
         recorder.add_block_batch(block, np.array(bases, dtype=np.int64))
     else:
         for base in bases:
-            recorder.add_block(block, base)
+            recorder.add_block_batch(block, np.array([base], dtype=np.int64))
 
     indexed = [
         (COMPONENT_INDEX[component], start, duration, amount)
