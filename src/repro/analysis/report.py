@@ -53,6 +53,12 @@ def experiment_report(matrix: SavatMatrix, reference: ReferenceMatrix) -> str:
         f"mean relative error {correlations['mean_relative_error']:.1%}",
         f"Repeatability (std/mean): {spread} (paper reports ~0.05)",
     ]
+    if reference.anchors_m:
+        anchors = ", ".join(f"{distance * 100:g}" for distance in reference.anchors_m)
+        lines.append(
+            f"Calibration target: {reference.figure}, built from the published "
+            f"{anchors} cm matrices, not a published matrix"
+        )
     return "\n".join(lines)
 
 

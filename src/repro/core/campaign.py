@@ -244,6 +244,7 @@ def _matrix(
                 "figure": machine.reference.figure,
                 "exact": machine.reference.exact,
                 "distance_m": float(machine.reference.distance_m),
+                "anchors_m": list(machine.reference.anchors_m),
             },
             "execution": stats.as_metadata(),
         },

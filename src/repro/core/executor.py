@@ -172,12 +172,16 @@ def spawn_cell_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
 
 
 def cell_seed(seed: int, count: int, i: int, j: int) -> np.random.SeedSequence:
-    """The seed-schedule entry owned by cell ``(i, j)``."""
+    """The seed-schedule entry owned by cell ``(i, j)``.
+
+    Built alone: entry ``k`` of ``SeedSequence(seed).spawn(n)`` is
+    ``SeedSequence(seed, spawn_key=(k,))``, so no other entry is made.
+    """
     if not (0 <= i < count and 0 <= j < count):
         raise ConfigurationError(
             f"cell ({i}, {j}) outside a {count}x{count} campaign"
         )
-    return spawn_cell_seeds(seed, count)[i * count + j]
+    return np.random.SeedSequence(seed, spawn_key=(i * count + j,))
 
 
 # ----------------------------------------------------------------------
@@ -1249,7 +1253,6 @@ def execute_campaign(
     ]
     if cache is not None:
         cache.begin_execution()
-    seeds = spawn_cell_seeds(seed, count)
     started = time.perf_counter()
 
     for campaign in campaigns:
@@ -1282,8 +1285,9 @@ def execute_campaign(
     abandoned: set = set()  # futures of hung attempts still running
     status = "failed"
     try:
-        # Resolve cache hits first, so the fan-out only
-        # sees the cold cells, grouped by (spec, pair).
+        # Resolve cache hits first, so the fan-out only sees the cold
+        # cells, grouped by (spec, pair); only a cold group derives its
+        # seed, so a fully cached run never touches ``numpy.random``.
         groups: list[_CellGroup] = []
         for indices in by_spec:
             for i in range(count):
@@ -1308,7 +1312,7 @@ def execute_campaign(
                     groups.append(
                         _CellGroup(
                             i, j, resolved[i], resolved[j],
-                            seeds[i * count + j], plan, members,
+                            cell_seed(seed, count, i, j), plan, members,
                         )
                     )
 

@@ -735,8 +735,8 @@ def _measure_by_synthesis(
 
     ``synthesize`` only draws the jittered tiling; the samples are
     computed inside ``analyze``, where the band analyzer fills them
-    segment by segment into its workspace (the reference analyzer
-    materializes the whole capture first).
+    segment by segment, one mode at a time, into its one-row workspace
+    (the reference analyzer materializes the whole capture first).
     """
     jitter = config.jitter
     if rng is None:

@@ -8,14 +8,15 @@ over tens to hundreds of hertz.  Synthesis therefore tiles the simulated
 one-period activity envelope over the measurement interval with a
 per-period jitter/drift model.  The result describes per-mode voltage
 sample streams rather than holding them: the spectrum-analyzer model
-fills its workspace from that description chunk by chunk and then
-digests the samples exactly like a real instrument would.
+fills its one-row workspace from that description one mode at a time
+and then digests the samples exactly like a real instrument would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -29,9 +30,10 @@ DEFAULT_ENVELOPE_SAMPLES = 64
 #: Default sample rate as a multiple of the alternation frequency.
 DEFAULT_OVERSAMPLING = 32
 
-#: Samples per :meth:`SynthesizedSignal.fill` step.  Each step builds
-#: its sample times, phases and envelope indices as a few chunk-sized
-#: temporaries that stay in cache, instead of capture-sized arrays.
+#: Samples per :meth:`SynthesizedSignal.fill_modes` step.  Each step
+#: builds its sample times, phases and envelope indices, or gathers one
+#: mode's samples, through a few chunk-sized temporaries that stay in
+#: cache, instead of capture-sized arrays.
 FILL_CHUNK_SAMPLES = 1 << 15
 
 
@@ -86,7 +88,7 @@ def tile_period_indices(
     of ``N log P``) and expands the per-period start/duration with
     ``np.repeat`` — the same float values land in the same arithmetic,
     only far fewer gathers run.  ``times`` must not start before
-    ``starts[0]``; :meth:`SynthesizedSignal.fill` applies this to one
+    ``starts[0]``; :meth:`SynthesizedSignal.fill_modes` applies this to one
     chunk of the capture at a time, with the periods that chunk overlaps.
     """
     num_periods = len(durations)
@@ -169,11 +171,12 @@ class SynthesizedSignal:
     The signal is held as the jittered tiling that defines it — the
     ``(num_modes, P)`` period envelope, the period ``starts`` (one more
     than ``durations``) and ``durations`` in seconds, the sample rate and
-    the sample count — not as a sample array.  :meth:`fill` writes any
-    run of samples, so the band analyzer streams a capture through its
-    workspace without a capture-sized copy; :attr:`samples` materializes
-    the whole ``(num_modes, num_samples)`` capture for the reference
-    analyzer and plots.  The spectrum analyzer sums mode powers
+    the sample count — not as a sample array.  :meth:`fill_modes` writes
+    any run of samples one mode at a time, so the band analyzer streams
+    a capture through its one-row workspace without a capture-sized
+    copy; :meth:`fill` writes a row per mode, and :attr:`samples`
+    materializes the whole ``(num_modes, num_samples)`` capture for the
+    reference analyzer and plots.  The spectrum analyzer sums mode powers
     (incoherent carriers — see :mod:`repro.em.coupling`).
     """
 
@@ -213,22 +216,65 @@ class SynthesizedSignal:
     def fill(self, out: np.ndarray, start: int) -> None:
         """Write samples ``[start, start + out.shape[-1])`` into ``out``.
 
-        ``out`` has shape ``(num_modes, n)`` and may be a strided view
-        (a slice of a wider workspace).  Sample ``k`` lies at time
-        ``k / sample_rate_hz`` in the period its boundary search puts it
-        in (samples past the last start belong to the last period); its
-        value is the envelope point at the truncated, clipped phase
-        :func:`tile_period_indices` computes.  Every sample is the same
-        value whichever run it is filled in.
+        ``out`` has shape ``(num_modes, n)`` and may be a strided view;
+        it is :meth:`fill_modes` with a row per mode.
+        """
+        if out.shape[0] != self.num_modes:
+            raise self._fill_error(out, start)
+        for _mode in self.fill_modes(out, start):
+            pass
+
+    def fill_modes(self, out: np.ndarray, start: int) -> Iterator[int]:
+        """Write samples ``[start, start + out.shape[-1])`` mode by mode.
+
+        ``out`` has shape ``(num_modes, n)``, a row per mode, or
+        ``(1, n)``: one row that each mode overwrites in turn, read by
+        the caller before it advances.  Yields each mode, in order, once
+        its samples are in place.  It may be a strided view (a slice of
+        a wider workspace).
+
+        This is the one definition of a sample.  Sample ``k`` lies at
+        time ``k / sample_rate_hz`` in the period its boundary search
+        puts it in (samples past the last start belong to the last
+        period); its value is the envelope point at the truncated,
+        clipped phase :func:`tile_period_indices` computes.  The run's
+        sample map (that envelope point, per sample) is built once and
+        every mode's row is gathered from it, so every sample is the
+        same value whichever run, and whichever row, it is filled in.
         """
         stop = start + out.shape[-1]
-        if out.shape[0] != self.num_modes or not 0 <= start <= stop <= self.num_samples:
-            raise MeasurementError(
-                f"cannot fill samples [{start}, {stop}) of modes {out.shape[0]} "
-                f"from a ({self.num_modes}, {self.num_samples}) capture"
-            )
+        if out.shape[0] not in (1, self.num_modes) or not (
+            0 <= start <= stop <= self.num_samples
+        ):
+            raise self._fill_error(out, start)
+        sample_map = self._sample_map(start, stop)
+        for mode in range(self.num_modes):
+            row = out[mode if len(out) > 1 else 0]
+            for chunk_start in range(0, len(sample_map), FILL_CHUNK_SAMPLES):
+                chunk = slice(chunk_start, chunk_start + FILL_CHUNK_SAMPLES)
+                # The map is already clipped into range, so ``mode="clip"``
+                # changes no value; it spares the default ``mode="raise"``
+                # its hidden temporary behind ``out=``.
+                np.take(
+                    self.envelope[mode], sample_map[chunk], out=row[chunk], mode="clip"
+                )
+            yield mode
+
+    def _fill_error(self, out: np.ndarray, start: int) -> MeasurementError:
+        return MeasurementError(
+            f"cannot fill samples [{start}, {start + out.shape[-1]}) of modes "
+            f"{out.shape[0]} from a ({self.num_modes}, {self.num_samples}) capture"
+        )
+
+    def _sample_map(self, start: int, stop: int) -> np.ndarray:
+        """The envelope point of each sample in ``[start, stop)``.
+
+        Held in the narrowest unsigned dtype that indexes the envelope
+        (``uint8`` up to 256 points), an eighth of a sample row.
+        """
         num_periods = len(self.durations)
         points_per_period = self.envelope.shape[1]
+        sample_map = np.empty(stop - start, np.min_scalar_type(points_per_period - 1))
         for chunk_start in range(start, stop, FILL_CHUNK_SAMPLES):
             chunk_stop = min(chunk_start + FILL_CHUNK_SAMPLES, stop)
             # The periods this chunk overlaps: from the last one starting
@@ -242,22 +288,13 @@ class SynthesizedSignal:
                 int(np.searchsorted(self.boundaries, chunk_stop, "left")), num_periods
             )
             times = np.arange(chunk_start, chunk_stop) / self.sample_rate_hz
-            index = tile_period_indices(
+            sample_map[chunk_start - start : chunk_stop - start] = tile_period_indices(
                 self.starts[first : last + 1],
                 self.durations[first:last],
                 times,
                 points_per_period,
             )
-            # The indices are already clipped into range, so
-            # ``mode="clip"`` changes no value; it spares the default
-            # ``mode="raise"`` its hidden temporary behind ``out=``.
-            np.take(
-                self.envelope,
-                index,
-                axis=1,
-                out=out[:, chunk_start - start : chunk_stop - start],
-                mode="clip",
-            )
+        return sample_map
 
 
 def period_envelope(

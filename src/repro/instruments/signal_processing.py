@@ -26,7 +26,7 @@ analyzer within the pipeline's 1e-9 agreement budget.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.errors import MeasurementError
 from repro.em.synthesis import SynthesizedSignal
 
 
-def hann_window(length: int) -> np.ndarray:
+def hann_window(length: int, out: np.ndarray | None = None) -> np.ndarray:
     """Hann window of ``length`` samples, bit-identical to ``np.hanning``.
 
     Evaluates numpy's ``0.5 + 0.5 * cos(pi * n / (M - 1))`` over
@@ -42,14 +42,24 @@ def hann_window(length: int) -> np.ndarray:
     makes five window-sized temporaries, and for a 1 s capture each is
     20 MB.  Freeing such blocks would raise glibc's mmap threshold,
     after which later mid-size temporaries stay on the heap and a
-    process's peak RSS depends on its allocation order.
+    process's peak RSS depends on its allocation order.  With ``out``
+    (float64, at least ``length`` long) the window is written into its
+    prefix, which is returned.
     """
     if length <= 0:
         raise MeasurementError(f"window length must be positive, got {length}")
+    window = np.empty(length) if out is None else out[:length]
     if length == 1:
-        return np.ones(1)
+        window[0] = 1.0
+        return window
+    # The n are whole numbers, exact in float64, so filling them a chunk
+    # at a time gives the bits ``np.arange`` would.
+    for start in range(0, length, _STAGE_CHUNK_SAMPLES):
+        chunk = window[start : start + _STAGE_CHUNK_SAMPLES]
+        chunk[:] = np.arange(start, start + len(chunk))
     m = float(length)
-    window = np.arange(1 - m, m, 2)
+    window *= 2.0
+    window += 1 - m
     window *= np.pi
     window /= m - 1
     np.cos(window, out=window)
@@ -167,49 +177,65 @@ def band_power(
 # ----------------------------------------------------------------------
 # Band-limited estimation
 # ----------------------------------------------------------------------
-#: Cached Hann windows and their energy (sum of squares), keyed by
-#: length.  A campaign evaluates the same multi-megasample window for
-#: every repetition; rebuilding it costs more than the band transform.
-#: One slot: each cell tunes to its own achieved frequency, so its
-#: capture length is its own, and a second window would be dead weight.
-_HANN_CACHE: dict[int, tuple[np.ndarray, float]] = {}
-_HANN_CACHE_SIZE = 1
+#: Capture-sized buffers of the band estimators, by role: ``"window"``
+#: holds the cached Hann window, ``"row"`` the one-row workspace in
+#: which each mode in turn is staged, demeaned, windowed and transformed
+#: (20 MB each for a 1 s capture).  A buffer serves every length up to
+#: the largest so far and is replaced, old one freed first, only to
+#: grow.  So each new buffer is larger than any block freed before it,
+#: and glibc maps it afresh: a freed block raises glibc's mmap threshold
+#: to its size, and a smaller block allocated after it would come from
+#: the heap and stay resident once freed, making peak RSS depend on the
+#: order of the capture lengths.
+_BUFFERS: dict[str, np.ndarray] = {}
 
-#: Shared zero-padded sample workspaces for the band estimators, keyed
-#: by (modes, padded_length).  The tail beyond the signal stays zero;
-#: only the signal prefix is rewritten per call.  One slot, for the same
-#: reason as the window cache (a 1 s capture's workspace is 61 MB).
-_WORKSPACE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_WORKSPACE_CACHE_SIZE = 1
+#: The cached Hann window (a prefix of the ``"window"`` buffer) and its
+#: energy (sum of squares), keyed by length.  A campaign evaluates the
+#: same multi-megasample window for every repetition; rebuilding it
+#: costs more than the band transform.  One entry: each cell tunes to
+#: its own achieved frequency, so its capture length is its own.
+_HANN_CACHE: dict[int, tuple[np.ndarray, float]] = {}
 
 #: Samples per demean-and-window step over a staged segment: both
 #: operations run on a chunk while it is still in cache.
 _STAGE_CHUNK_SAMPLES = 1 << 15
 
 
-def _cached_hann(length: int) -> tuple[np.ndarray, float]:
-    """A read-only Hann window and its sum of squares, cached."""
+def _buffer(role: str, length: int) -> np.ndarray:
+    """The first ``length`` floats of buffer ``role``; contents undefined."""
+    buffer = _BUFFERS.get(role)
+    if buffer is None or len(buffer) < length:
+        # Free the old buffer before its replacement exists.
+        del buffer
+        _BUFFERS.pop(role, None)
+        buffer = _BUFFERS[role] = np.empty(length)
+    return buffer[:length]
+
+
+def _cached_hann(length: int, scratch: np.ndarray) -> tuple[np.ndarray, float]:
+    """A read-only Hann window and its sum of squares, cached.
+
+    A window of a new length replaces the old one in its buffer, and
+    its energy is summed from its squares in ``scratch`` (at least
+    ``length`` floats the caller overwrites next), so no second
+    window-sized array is ever live.  The sum equals
+    ``np.sum(window**2)`` bit for bit.
+    """
     cached = _HANN_CACHE.get(length)
     if cached is None:
-        window = hann_window(length)
+        _HANN_CACHE.clear()
+        window = hann_window(length, out=_buffer("window", length))
         window.setflags(write=False)
-        cached = (window, float(np.sum(window**2)))
-        if len(_HANN_CACHE) >= _HANN_CACHE_SIZE:
-            _HANN_CACHE.pop(next(iter(_HANN_CACHE)))
+        squares = scratch[:length]
+        np.square(window, out=squares)
+        cached = (window, float(np.sum(squares)))
         _HANN_CACHE[length] = cached
     return cached
 
 
-def _workspace(modes: int, padded_length: int) -> np.ndarray:
-    """A zero-initialized reusable ``(modes, padded_length)`` buffer."""
-    key = (modes, padded_length)
-    buffer = _WORKSPACE_CACHE.get(key)
-    if buffer is None:
-        if len(_WORKSPACE_CACHE) >= _WORKSPACE_CACHE_SIZE:
-            _WORKSPACE_CACHE.pop(next(iter(_WORKSPACE_CACHE)))
-        buffer = np.zeros(key)
-        _WORKSPACE_CACHE[key] = buffer
-    return buffer
+def _workspace(padded_length: int) -> np.ndarray:
+    """The ``(1, padded_length)`` workspace row; contents undefined."""
+    return _buffer("row", padded_length).reshape(1, padded_length)
 
 
 def rfft_bin_width(num_samples: int, sample_rate_hz: float) -> float:
@@ -529,8 +555,8 @@ def band_periodogram_psd(
     Same demeaning, windowing, scaling, and one-sided correction as the
     reference estimator; the returned arrays equal
     ``periodogram_psd(...)[k_lo : k_hi + 1]`` (frequencies bit-exactly,
-    PSD to ~1e-12 relative).  The windowed/demeaned signal is staged in
-    a shared zero-padded workspace so the hot path performs no
+    PSD to ~1e-12 relative).  Each mode is staged in turn in a shared
+    zero-padded one-row workspace, so the hot path performs no
     full-length allocations.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
@@ -539,72 +565,84 @@ def band_periodogram_psd(
         raise MeasurementError(f"need >= 2 samples for a PSD, got {num_samples}")
     if sample_rate_hz <= 0:
         raise MeasurementError(f"sample rate must be positive, got {sample_rate_hz}")
-    if window is None:
-        window, window_sumsq = _cached_hann(num_samples)
-    if window.shape != (num_samples,):
+    if window is not None and window.shape != (num_samples,):
         raise MeasurementError(
             f"window length {window.shape} does not match samples ({num_samples})"
         )
-    if window_sumsq is None:
-        window_sumsq = np.sum(window**2)
     if plan is None:
         plan = get_zoom_plan(num_samples, k_lo, k_hi)
     elif (plan.num_samples, plan.k_lo, plan.k_hi) != (num_samples, k_lo, k_hi):
         raise MeasurementError("zoom plan does not match the requested geometry")
+    workspace = _workspace(plan.padded_length)
+    if window is None:
+        window, window_sumsq = _cached_hann(num_samples, workspace[0])
+    elif window_sumsq is None:
+        window_sumsq = np.sum(window**2)
     return _staged_band_periodogram(
-        _array_fill(samples),
+        _array_fill_modes(samples),
         0,
-        samples.shape[0],
         sample_rate_hz,
         window,
         window_sumsq,
         plan,
+        workspace,
     )
 
 
-def _array_fill(samples: np.ndarray) -> Callable[[np.ndarray, int], None]:
-    """A :meth:`~repro.em.synthesis.SynthesizedSignal.fill` for an array."""
+_FillModes = Callable[[np.ndarray, int], Iterator[int]]
 
-    def fill(out: np.ndarray, start: int) -> None:
-        np.copyto(out, samples[:, start : start + out.shape[-1]])
 
-    return fill
+def _array_fill_modes(samples: np.ndarray) -> _FillModes:
+    """A :meth:`~repro.em.synthesis.SynthesizedSignal.fill_modes` for an
+    array: copies each mode's row into the one-row ``out`` in turn."""
+
+    def fill_modes(out: np.ndarray, start: int) -> Iterator[int]:
+        for mode, row in enumerate(samples):
+            np.copyto(out[0], row[start : start + out.shape[-1]])
+            yield mode
+
+    return fill_modes
 
 
 def _staged_band_periodogram(
-    fill: Callable[[np.ndarray, int], None],
+    fill_modes: _FillModes,
     start: int,
-    modes: int,
     sample_rate_hz: float,
     window: np.ndarray,
     window_sumsq: float,
     plan: ZoomBandPlan,
+    workspace: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The band periodogram of the segment starting at sample ``start``.
 
-    ``fill(out, start)`` writes the raw ``(modes, plan.num_samples)``
-    segment into the signal prefix of the shared zero-padded workspace;
-    the per-mode mean is taken there, and demeaning and windowing run
-    in place, chunk by chunk, before the moment product reads the whole
-    workspace.
+    ``fill_modes(out, start)`` writes each mode's raw segment in turn
+    into the signal prefix of the ``(1, plan.padded_length)``
+    ``workspace``, whose tail is zeroed here.  For each mode the mean is
+    taken there, demeaning and
+    windowing run in place, chunk by chunk, and the moment product reads
+    the whole row.  The modes' ``|X|^2`` add into the PSD in mode order,
+    the order a sum over a stacked ``(modes, bins)`` array takes.
     """
     num_samples = plan.num_samples
-    workspace = _workspace(modes, plan.padded_length)
     if num_samples < plan.padded_length:
         workspace[:, num_samples:] = 0.0
     staged = workspace[:, :num_samples]
-    fill(staged, start)
-    mean = staged.mean(axis=-1, keepdims=True)
-    for chunk_start in range(0, num_samples, _STAGE_CHUNK_SAMPLES):
-        chunk_stop = chunk_start + _STAGE_CHUNK_SAMPLES
-        chunk = staged[:, chunk_start:chunk_stop]
-        np.subtract(chunk, mean, out=chunk)
-        chunk *= window[chunk_start:chunk_stop]
-    scale = 1.0 / (sample_rate_hz * window_sumsq)
-    spectrum = plan.transform_blocks(
-        workspace.reshape(modes, plan.num_blocks, plan.block)
-    )
-    psd = (np.abs(spectrum) ** 2).sum(axis=0) * scale
+    blocks = workspace.reshape(1, plan.num_blocks, plan.block)
+    psd: np.ndarray | None = None
+    for _mode in fill_modes(staged, start):
+        mean = staged.mean(axis=-1, keepdims=True)
+        for chunk_start in range(0, num_samples, _STAGE_CHUNK_SAMPLES):
+            chunk_stop = chunk_start + _STAGE_CHUNK_SAMPLES
+            chunk = staged[:, chunk_start:chunk_stop]
+            np.subtract(chunk, mean, out=chunk)
+            chunk *= window[chunk_start:chunk_stop]
+        power = np.abs(plan.transform_blocks(blocks)[0]) ** 2
+        if psd is None:
+            psd = power
+        else:
+            psd += power
+    assert psd is not None
+    psd *= 1.0 / (sample_rate_hz * window_sumsq)
     # One-sided correction, identical net factors to the reference path
     # (x2 everywhere except DC and, for even lengths, Nyquist).
     first_doubled = 1 if plan.k_lo == 0 else 0
@@ -632,17 +670,17 @@ def band_welch_psd(
 
     ``samples`` is a sample array or a
     :class:`~repro.em.synthesis.SynthesizedSignal`.  A signal fills each
-    segment straight into the analyzer workspace, so no capture-sized
-    array exists; the result equals that of its materialized
-    ``samples`` bit for bit.
+    segment, one mode at a time, straight into the analyzer's one-row
+    workspace, so no capture-sized array exists; the result equals that
+    of its materialized ``samples`` bit for bit.
     """
     if isinstance(samples, SynthesizedSignal):
-        modes, num_samples = samples.num_modes, samples.num_samples
-        fill = samples.fill
+        num_samples = samples.num_samples
+        fill_modes = samples.fill_modes
     else:
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        modes, num_samples = samples.shape
-        fill = _array_fill(samples)
+        num_samples = samples.shape[-1]
+        fill_modes = _array_fill_modes(samples)
 
     if segment_length < 2:
         raise MeasurementError(f"segment length must be >= 2, got {segment_length}")
@@ -659,19 +697,20 @@ def band_welch_psd(
     elif (plan.num_samples, plan.k_lo, plan.k_hi) != (segment_length, k_lo, k_hi):
         raise MeasurementError("zoom plan does not match the requested geometry")
     step = max(int(segment_length * (1.0 - overlap)), 1)
-    window, window_sumsq = _cached_hann(segment_length)
+    workspace = _workspace(plan.padded_length)
+    window, window_sumsq = _cached_hann(segment_length, workspace[0])
     accumulated: np.ndarray | None = None
     count = 0
     freqs: np.ndarray | None = None
     for start in range(0, num_samples - segment_length + 1, step):
         freqs, psd = _staged_band_periodogram(
-            fill,
+            fill_modes,
             start,
-            modes,
             sample_rate_hz,
             window,
             window_sumsq,
             plan,
+            workspace,
         )
         accumulated = psd if accumulated is None else accumulated + psd
         count += 1

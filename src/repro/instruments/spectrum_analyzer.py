@@ -142,9 +142,9 @@ class SpectrumAnalyzer:
         band-limited — which is where all the time goes.
 
         A :class:`~repro.em.synthesis.SynthesizedSignal` is never
-        materialized: each Welch segment is filled straight into the
-        band estimator's workspace, with the same result as measuring
-        its ``samples``.
+        materialized: each Welch segment is filled, one mode at a time,
+        straight into the band estimator's one-row workspace, with the
+        same result as measuring its ``samples``.
         """
         source, num_samples, sample_rate_hz = self._resolve_input(signal, sample_rate_hz)
         segment_length = self._segment_length(num_samples, sample_rate_hz)

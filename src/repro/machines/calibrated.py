@@ -11,7 +11,8 @@ published distances (10/50/100 cm) anchor a per-cell near-field/
 far-field interpolation; the other two machines reuse the Core 2 Duo's
 relative attenuation profile (the physics of distance roll-off lives in
 the board/package geometry, which is similar across laptops, not in the
-microarchitecture).  Interpolated targets are flagged ``exact=False``.
+microarchitecture).  Interpolated targets are flagged ``exact=False`` and
+list the published distances they were built from in ``anchors_m``.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ def _core2duo_distance_target(distance_m: float) -> ReferenceMatrix:
         values_zj=np.clip(values, floor * 0.5, None),
         figure="interpolated",
         exact=False,
+        anchors_m=tuple(anchor.distance_m for anchor in anchors),
     )
 
 
@@ -145,8 +147,8 @@ def _scaled_distance_target(machine: str, distance_m: float) -> ReferenceMatrix:
     """
     base = REFERENCE_MATRICES[(machine, 0.10)]
     c2d_base = CORE2DUO_10CM.symmetrized()
-    c2d_target = _core2duo_distance_target(distance_m).values_zj
-    ratio = c2d_target / np.clip(c2d_base, 1e-12, None)
+    c2d_target = _core2duo_distance_target(distance_m)
+    ratio = c2d_target.values_zj / np.clip(c2d_base, 1e-12, None)
     values = base.symmetrized() * ratio
     return ReferenceMatrix(
         machine=machine,
@@ -154,6 +156,7 @@ def _scaled_distance_target(machine: str, distance_m: float) -> ReferenceMatrix:
         values_zj=values,
         figure="scaled from 10 cm via Core 2 Duo attenuation",
         exact=False,
+        anchors_m=c2d_target.anchors_m,
     )
 
 

@@ -54,7 +54,11 @@ class ReferenceMatrix:
     figure:
         Paper figure number, for reports.
     exact:
-        False when any cells were reconstructed from scrambled OCR.
+        False when any cells were reconstructed from scrambled OCR, or
+        the whole matrix was built for an unpublished distance.
+    anchors_m:
+        The published distances a built target was interpolated or
+        scaled from; empty for a published matrix.
     """
 
     machine: str
@@ -62,6 +66,7 @@ class ReferenceMatrix:
     values_zj: np.ndarray
     figure: str
     exact: bool = True
+    anchors_m: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values_zj, dtype=np.float64)

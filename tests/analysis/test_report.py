@@ -16,10 +16,12 @@ from repro.analysis.report import (
 )
 from repro.core.matrix import SavatMatrix
 from repro.isa.events import EVENT_ORDER
+from repro.machines.calibrated import reference_for
 from repro.machines.reference_data import (
     CORE2DUO_10CM,
     CORE2DUO_50CM,
     CORE2DUO_100CM,
+    PENTIUM3M_10CM,
 )
 
 
@@ -67,6 +69,29 @@ class TestRendering:
         text = experiment_report(matrix, CORE2DUO_10CM)
         assert "Repeatability (std/mean): undefined over 1 repetition" in text
         assert "0.000" not in text
+
+    @pytest.mark.parametrize(
+        "machine, figure",
+        [
+            ("core2duo", "interpolated"),
+            ("pentium3m", "scaled from 10 cm via Core 2 Duo attenuation"),
+        ],
+    )
+    def test_built_target_report_names_its_anchors(self, machine, figure):
+        target = reference_for(machine, 0.25)
+        assert target.anchors_m == (0.10, 0.50, 1.00)
+        text = experiment_report(_wrap(target), target)
+        assert (
+            f"Calibration target: {figure}, built from the published "
+            "10, 50, 100 cm matrices, not a published matrix"
+        ) in text
+
+    @pytest.mark.parametrize("reference", [CORE2DUO_10CM, PENTIUM3M_10CM])
+    def test_published_target_report_names_no_anchors(self, reference):
+        """A published matrix has no anchors, even a reconstructed one."""
+        assert reference.anchors_m == ()
+        text = experiment_report(_wrap(reference), reference)
+        assert "Calibration target" not in text
 
     def test_repeated_report_prints_the_spread(self):
         values = CORE2DUO_10CM.values_zj

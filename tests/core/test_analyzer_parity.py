@@ -31,6 +31,7 @@ from repro.instruments.analyzer_path import (
     use_reference_analyzer,
 )
 from repro.isa.events import get_event
+from repro.machines.calibrated import load_calibrated_machine
 
 #: Small full-signal-path configuration: 0.04 s at RBW 25 Hz keeps the
 #: reference analyzer's full-length transforms fast while exercising the
@@ -142,6 +143,34 @@ class TestBandReferenceParity:
         assert np.max(
             np.abs(fast.spectrum.psd_w_per_hz - window.psd_w_per_hz)
         ) <= 1e-9 * scale
+
+
+#: Full-method ``measure_savat_samples`` of ADD/LDM under ``SMALL_FULL``
+#: per mode count, as ``float.hex``: two seeded repetitions (seed 2014)
+#: and the deterministic sample.  How the analyzer stages the field
+#: modes must not move a bit of them.
+FULL_METHOD_PINS = {
+    1: (("0x1.a2f8ea368d924p+3", "0x1.3353a0b4f217cp+2"), "0x1.0a58b92bd5715p+4"),
+    2: (("0x1.8bb7698e1bacfp+1", "0x1.767b076c98e0cp+1"), "0x1.476ab43a41459p+1"),
+    3: (("0x1.8d7ce59820c28p+1", "0x1.7931de37b6859p+1"), "0x1.500247084494cp+1"),
+}
+
+
+class TestFullMethodPins:
+    @pytest.mark.parametrize("num_modes", sorted(FULL_METHOD_PINS))
+    def test_samples_are_pinned_bit_for_bit(self, add_ldm_period, num_modes):
+        machine = load_calibrated_machine("core2duo", 0.10, num_modes=num_modes)
+        trace, plan = add_ldm_period
+        seeded = measure_savat_samples(
+            machine, "ADD", "LDM", SMALL_FULL,
+            rng=np.random.default_rng(2014), trace=trace, plan=plan, repetitions=2,
+        )
+        deterministic = measure_savat_samples(
+            machine, "ADD", "LDM", SMALL_FULL, trace=trace, plan=plan, repetitions=1,
+        )
+        pinned_seeded, pinned_deterministic = FULL_METHOD_PINS[num_modes]
+        assert [float(value).hex() for value in seeded] == list(pinned_seeded)
+        assert float(deterministic[0]).hex() == pinned_deterministic
 
 
 class TestBatchedRepetitions:

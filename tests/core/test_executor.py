@@ -11,6 +11,8 @@ import ctypes
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.cli import main as cli_main
 from repro.core import executor as executor_module
 from repro.core.campaign import run_campaign
 from repro.core.executor import (
@@ -88,6 +92,52 @@ class TestSeedSchedule:
             cell_seed(0, 3, 3, 0)
         with pytest.raises(ConfigurationError):
             cell_seed(0, 3, 0, -1)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 11),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_cell_seed_equals_the_spawned_entry(self, seed, count, data):
+        """Property: the cell's seed built alone is the spawned schedule
+        entry, and so is every stream drawn from it."""
+        i = data.draw(st.integers(0, count - 1))
+        j = data.draw(st.integers(0, count - 1))
+        alone = cell_seed(seed, count, i, j)
+        spawned = spawn_cell_seeds(seed, count)[i * count + j]
+        assert (alone.entropy, alone.spawn_key, alone.pool_size) == (
+            spawned.entropy, spawned.spawn_key, spawned.pool_size
+        )
+        assert np.array_equal(alone.generate_state(4), spawned.generate_state(4))
+
+    def test_fully_cached_campaign_never_imports_numpy_random(
+        self, core2duo_10cm, tmp_path
+    ):
+        """Seeds are derived only for cold cells, so a rerun whose every
+        cell is cached leaves ``numpy.random`` unimported."""
+        argv = [
+            "campaign", "--events", "ADD,SUB", "--repetitions", "1",
+            "--workers", "0", "--cache-dir", str(tmp_path), "--format", "csv",
+        ]
+        assert cli_main(argv) == 0
+        source = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.slow

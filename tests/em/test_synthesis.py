@@ -220,6 +220,37 @@ class TestSynthesizeMeasurement:
             assert np.all(workspace[:, :4] == -1.0)
             assert np.all(workspace[:, 4 + stop - start :] == -1.0)
 
+    @pytest.mark.parametrize("chunk", (7, 1 << 15))
+    def test_one_row_fill_yields_each_mode_in_turn(self, monkeypatch, chunk):
+        """Filling one shared row mode by mode writes, at each step, the
+        row that filling a row per mode writes for that mode."""
+        signal = self._jittered_signal(_unit_coupling(3), seed=5)
+        monkeypatch.setattr(synthesis, "FILL_CHUNK_SAMPLES", chunk)
+        whole = signal.samples
+        start, stop = 33, signal.num_samples - 2
+        workspace = np.full((1, stop - start + 4), -1.0)
+        row = workspace[:, 2 : 2 + stop - start]
+        seen = []
+        for mode in signal.fill_modes(row, start):
+            assert np.array_equal(row[0], whole[mode, start:stop])
+            seen.append(mode)
+        assert seen == [0, 1, 2]
+        assert np.all(workspace[:, :2] == -1.0) and np.all(workspace[:, -2:] == -1.0)
+
+    @pytest.mark.parametrize(
+        "envelope_samples, dtype",
+        # A 1000-cycle period collapses to 62 and to 500 envelope points.
+        ((64, np.uint8), (600, np.uint16)),
+    )
+    def test_sample_map_is_the_narrowest_unsigned_dtype(self, envelope_samples, dtype):
+        signal = synthesize_measurement(
+            _square_trace(), _unit_coupling(2), 0.01, None,
+            jitter=JitterModel(0.0, 0.0), envelope_samples=envelope_samples,
+        )
+        sample_map = signal._sample_map(0, signal.num_samples)
+        assert sample_map.dtype == dtype
+        assert int(sample_map.max()) == signal.envelope.shape[1] - 1
+
     def test_deterministic_tiling_fills_the_same_samples(self):
         signal = synthesize_measurement(
             _square_trace(), _unit_coupling(2), 0.01, None, jitter=JitterModel(0.0, 0.0)
@@ -236,6 +267,18 @@ class TestSynthesizeMeasurement:
         for modes, start, length in ((2, 0, 10), (1, -1, 10), (1, end - 5, 10)):
             with pytest.raises(MeasurementError, match="cannot fill"):
                 signal.fill(np.empty((modes, length)), start)
+            with pytest.raises(MeasurementError, match="cannot fill"):
+                next(signal.fill_modes(np.empty((modes, length)), start))
+
+    def test_fill_needs_a_row_per_mode(self):
+        """Only :meth:`fill_modes` shares one row between modes."""
+        signal = synthesize_measurement(
+            _square_trace(), _unit_coupling(2), 0.01, None, jitter=JitterModel(0.0, 0.0)
+        )
+        with pytest.raises(MeasurementError, match="cannot fill"):
+            signal.fill(np.empty((1, 10)), 0)
+        with pytest.raises(MeasurementError, match="cannot fill"):
+            next(signal.fill_modes(np.empty((3, 10)), 0))
 
 
 class TestSampleBoundaries:

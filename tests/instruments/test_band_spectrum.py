@@ -12,6 +12,8 @@ placements, and adversarial transform lengths.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +220,25 @@ class TestBandPeriodogram:
         reference = periodogram_psd(b, fs)[1][50:81]
         assert np.max(np.abs(psd_b - reference)) <= 1e-10 * reference.max()
 
+    def test_shorter_capture_reuses_the_grown_buffers_cleanly(self, rng, monkeypatch):
+        """A shorter capture after a longer one is windowed and staged in
+        prefixes of the same buffers, with nothing of the longer one's
+        window or samples left in its result."""
+        monkeypatch.setattr(signal_processing, "_BUFFERS", {})
+        monkeypatch.setattr(signal_processing, "_HANN_CACHE", {})
+        fs = 1e5
+        band_periodogram_psd(_mixed_signal(rng, 2, 1499, fs), fs, 50, 80)
+        buffers = dict(signal_processing._BUFFERS)
+        shorter = _mixed_signal(rng, 2, 999, fs)
+        _freqs, psd = band_periodogram_psd(shorter, fs, 50, 80)
+        assert signal_processing._BUFFERS.keys() == buffers.keys()
+        assert all(signal_processing._BUFFERS[role] is buffers[role] for role in buffers)
+        reference = periodogram_psd(shorter, fs)[1][50:81]
+        assert np.max(np.abs(psd - reference)) <= 1e-10 * reference.max()
+        window, energy = signal_processing._cached_hann(999, np.empty(999))
+        assert np.array_equal(window, np.hanning(999))
+        assert energy == np.sum(np.hanning(999) ** 2)
+
 
 class TestBandWelch:
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -383,6 +404,7 @@ class TestStreamedSignal:
     """measure_band(signal) fills its workspace from the signal's tiling
     and must equal measuring the materialized samples bit for bit."""
 
+    @pytest.mark.parametrize("modes", (1, 2, 3), ids=("1mode", "2modes", "3modes"))
     @pytest.mark.parametrize("jittered", (True, False), ids=("jittered", "rng_none"))
     @pytest.mark.parametrize(
         "rbw_hz, duration_s",
@@ -399,13 +421,16 @@ class TestStreamedSignal:
         ids=("default_chunks", "odd_chunks"),
     )
     def test_equals_measuring_the_samples(
-        self, monkeypatch, jittered, rbw_hz, duration_s, chunks
+        self, monkeypatch, jittered, rbw_hz, duration_s, chunks, modes
     ):
+        """Both inputs stage each mode in turn in the one-row workspace:
+        the signal gathers its rows from one sample map per segment, the
+        array copies its rows."""
         if chunks is not None:
             monkeypatch.setattr(synthesis, "FILL_CHUNK_SAMPLES", chunks[0])
             monkeypatch.setattr(signal_processing, "_STAGE_CHUNK_SAMPLES", chunks[1])
         rng = np.random.default_rng(5) if jittered else None
-        signal = _synthesized(duration_s, rng)
+        signal = _synthesized(duration_s, rng, modes=modes)
         assert signal.num_samples % 997 and signal.num_samples % 1531
         analyzer = SpectrumAnalyzer(rbw_hz=rbw_hz, environment=quiet_lab_environment())
         rng_streamed = np.random.default_rng(7)
@@ -419,6 +444,37 @@ class TestStreamedSignal:
         assert np.array_equal(streamed.freqs_hz, materialized.freqs_hz)
         assert np.array_equal(streamed.psd_w_per_hz, materialized.psd_w_per_hz)
         assert rng_streamed.bit_generator.state == rng_array.bit_generator.state
+
+    def test_cold_caches_stay_under_three_capture_rows(self, monkeypatch):
+        """From empty analyzer caches, measuring a 3-mode capture and then
+        one of another length never holds more than three sample rows'
+        worth of memory: the one-row workspace and the window, with each
+        old window and row freed before its replacement is built."""
+        monkeypatch.setattr(signal_processing, "_HANN_CACHE", {})
+        monkeypatch.setattr(signal_processing, "_BUFFERS", {})
+        monkeypatch.setattr(signal_processing, "_PLAN_CACHE", {})
+        rng = np.random.default_rng(5)
+        captures = [
+            # One Welch segment per capture: RBW = 1 / duration.
+            (_synthesized(duration_s, rng), SpectrumAnalyzer(
+                rbw_hz=1.0 / duration_s, environment=quiet_lab_environment()
+            ))
+            for duration_s in (0.1, 0.09)
+        ]
+        num_samples = captures[0][0].num_samples
+        assert captures[0][0].num_modes == 3
+        assert captures[1][0].num_samples != num_samples
+        tracemalloc.start()
+        try:
+            for signal, analyzer in captures:
+                analyzer.measure_band(
+                    signal, signal.nominal_frequency_hz, 1e3,
+                    rng=np.random.default_rng(7),
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * num_samples
 
     def test_welch_reads_every_segment(self):
         """The multi-segment capture really averages distinct segments:

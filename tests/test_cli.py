@@ -355,12 +355,15 @@ class TestCommands:
         assert len(err) == 1 and "is not a directory" in err[0]
 
     @pytest.mark.parametrize(
-        "distance,figure,exact",
-        [("0.25", "interpolated", False), ("0.10", "Fig. 9/10", True)],
+        "distance,figure,exact,anchors",
+        [
+            ("0.25", "interpolated", False, [0.10, 0.50, 1.00]),
+            ("0.10", "Fig. 9/10", True, []),
+        ],
         ids=["25cm", "10cm"],
     )
     def test_campaign_json_names_its_calibration_target(
-        self, capsys, core2duo_10cm, distance, figure, exact
+        self, capsys, core2duo_10cm, distance, figure, exact, anchors
     ):
         code = main(
             ["campaign", "--distance", distance, "--events", "ADD",
@@ -370,7 +373,10 @@ class TestCommands:
         assert code == 0
         reference = json.loads(capsys.readouterr().out)["metadata"]["reference"]
         assert reference == {
-            "figure": figure, "exact": exact, "distance_m": float(distance)
+            "figure": figure,
+            "exact": exact,
+            "distance_m": float(distance),
+            "anchors_m": anchors,
         }
 
     def test_campaign_csv(self, capsys, core2duo_10cm):
